@@ -11,7 +11,6 @@ from .cyclo import (
 )
 from .fstd import Fstd, Ostd, build_grid_fstd, build_infinite_fstd, reduce_to_ostd
 from .spectrum import (
-    PsdResult,
     default_grid,
     prob_one,
     spectrum_x,
@@ -34,7 +33,7 @@ __all__ = [
     "AutocorrSeries", "bandwidth_3db", "continuous_psd_from_aperiodic",
     "exact_autocorr",
     "Fstd", "Ostd", "build_grid_fstd", "build_infinite_fstd", "reduce_to_ostd",
-    "PsdResult", "default_grid", "prob_one", "spectrum_x",
+    "default_grid", "prob_one", "spectrum_x",
     "spectrum_x_symbolic", "spectrum_y", "stationary_distribution",
     "TransferMatrix", "closed_form_aloco", "closed_form_ax",
     "closed_form_loco_A", "closed_form_sx", "ostm_from_ostd",

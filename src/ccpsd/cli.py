@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__, clocked, cyclo, oracle, presets, spectrum
 from .codebook import ConstraintFamily, enumerate_codebook
-from .fstd import build_grid_fstd, build_infinite_fstd, reduce_to_ostd
+from .fstd import build_grid_fstd, build_infinite_fstd
 
 CSV_HEADER = "f,psd_continuous"
 
@@ -31,8 +31,15 @@ def _frac_str(v):
 
 
 def _family(args):
-    m = getattr(args, "m", None)
-    return ConstraintFamily(args.family, args.x, m)
+    return ConstraintFamily(args.family, args.x, args.m)
+
+
+def positive_int(text):
+    """Argument type for counts: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"invalid positive_int value: {text!r}")
+    return value
 
 
 def _write_manifest(out_path, args, extra=None):
@@ -49,6 +56,13 @@ def _write_manifest(out_path, args, extra=None):
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True, default=str))
 
 
+def _write_json(args, payload):
+    """Write the payload and its manifest to ``--out`` when it is given."""
+    if args.out:
+        Path(args.out).write_text(json.dumps(payload, indent=2))
+        _write_manifest(args.out, args)
+
+
 def _write_csv(path, freqs, values):
     lines = [CSV_HEADER]
     lines += [f"{f:.12g},{v:.12g}" for f, v in zip(freqs, values)]
@@ -62,9 +76,7 @@ def cmd_codebook(args):
         "family": fam.kind, "m": fam.m, "x": fam.x, "N": cb.N,
         "words": cb.as_bitstrings(),
     }
-    if args.out:
-        Path(args.out).write_text(json.dumps(payload, indent=2))
-        _write_manifest(args.out, args)
+    _write_json(args, payload)
     print(f"{fam.kind} m={fam.m} x={fam.x}: {cb.N} codewords")
     return 0
 
@@ -87,9 +99,7 @@ def cmd_fstd(args):
             for f, t, sym, p in diagram.edges
         ],
     }
-    if args.out:
-        Path(args.out).write_text(json.dumps(payload, indent=2))
-        _write_manifest(args.out, args)
+    _write_json(args, payload)
     print(f"{len(diagram.states)} states, {len(diagram.edges)} edges")
     return 0
 
@@ -106,9 +116,7 @@ def cmd_ostm(args):
             for row in tm.entries
         ],
     }
-    if args.out:
-        Path(args.out).write_text(json.dumps(payload, indent=2))
-        _write_manifest(args.out, args)
+    _write_json(args, payload)
     print(f"{tm.n} x {tm.n} transfer matrix ({tm.origin})")
     return 0
 
@@ -142,9 +150,7 @@ def cmd_autocorr(args):
         "periodic": [_frac_str(v) for v in series.periodic],
         "aperiodic": [_frac_str(v) for v in series.aperiodic],
     }
-    if args.out:
-        Path(args.out).write_text(json.dumps(payload, indent=2))
-        _write_manifest(args.out, args)
+    _write_json(args, payload)
     print("periodic:", [round(float(v), 4) for v in series.periodic[: series.period]])
     return 0
 
@@ -152,11 +158,8 @@ def cmd_autocorr(args):
 def cmd_bandwidth(args):
     fam = _family(args)
     bw = presets.bandwidth(fam)
-    if args.out:
-        Path(args.out).write_text(json.dumps(
-            {"family": fam.kind, "m": fam.m, "x": fam.x, "bandwidth_3db": bw},
-            indent=2))
-        _write_manifest(args.out, args)
+    _write_json(args, {"family": fam.kind, "m": fam.m, "x": fam.x,
+                       "bandwidth_3db": bw})
     print(f"{bw:.3f}")
     return 0
 
@@ -180,9 +183,7 @@ def cmd_mc(args):
     report = oracle.deviation_report(est, theory, freqs)
     report.update({"family": fam.kind, "m": fam.m, "x": fam.x,
                    "seed": args.seed, "symbols": args.symbols})
-    if args.out:
-        Path(args.out).write_text(json.dumps(report, indent=2))
-        _write_manifest(args.out, args)
+    _write_json(args, report)
     print(f"max deviation {report['max_abs_deviation']:.5f} "
           f"over {report['points']} points")
     return 0
@@ -201,9 +202,7 @@ def cmd_clocked_ostd(args):
             for (a, b), runs in sorted(edges.items())
         ],
     }
-    if args.out:
-        Path(args.out).write_text(json.dumps(payload, indent=2))
-        _write_manifest(args.out, args)
+    _write_json(args, payload)
     print(f"{len(edges)} labeled-to-labeled edges, k_eff={inputs.k_eff}")
     return 0
 
@@ -268,12 +267,11 @@ def build_parser():
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, families, needs_m="optional"):
+    def add(name, fn, families):
         sp = sub.add_parser(name)
         sp.add_argument("--family", required=True, choices=families)
         sp.add_argument("--x", type=int, default=1)
-        if needs_m != "never":
-            sp.add_argument("--m", type=int, default=None)
+        sp.add_argument("--m", type=int, default=None)
         sp.add_argument("--out", default=None)
         sp.set_defaults(func=fn)
         return sp
@@ -288,30 +286,25 @@ def build_parser():
     sp.add_argument("--method", choices=["auto", "closed", "grid"],
                     default="auto")
     sp = add("psd", cmd_psd, all_fams)
-    sp.add_argument("--points", type=int, default=2048)
+    sp.add_argument("--points", type=positive_int, default=2048)
     sp.add_argument("--no-pulse", action="store_true")
     sp = add("autocorr", cmd_autocorr, finite)
     sp.add_argument("--signal", choices=["y", "x"], default="y")
     add("bandwidth", cmd_bandwidth, ["ax", "sx"] + finite)
     sp = add("mc", cmd_mc, all_fams)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--symbols", type=int, default=10_000_000)
-    sp.add_argument("--points", type=int, default=256)
+    sp.add_argument("--symbols", type=positive_int, default=10_000_000)
+    sp.add_argument("--points", type=positive_int, default=256)
     sp.add_argument("--against", default=None)
     add("clocked-ostd", cmd_clocked_ostd, ["caloco", "cloco"])
     sp = sub.add_parser("reproduce-paper")
     sp.add_argument("--outdir", default="artifacts")
-    sp.add_argument("--points", type=int, default=2048)
+    sp.add_argument("--points", type=positive_int, default=2048)
     sp.set_defaults(func=cmd_reproduce)
     return p
 
 
 def main(argv=None):
-    threads = os.environ.get("CCPSD_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -9,7 +9,7 @@ k_eff + 1 steps, with mass absorbed whenever it reaches a labeled state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -24,7 +24,6 @@ class ClockedInputs:
     transitions: list  # (from_idx, to_idx, Fraction) forward edges
     labeled: list  # bool per state
     k_eff: int
-    labels: list = field(default_factory=list)
 
 
 def clocked_inputs_from_fstd(fstd):
@@ -34,13 +33,11 @@ def clocked_inputs_from_fstd(fstd):
     fstd.check()  # per-state symbol consistency and stochasticity
     transitions = [(f, t, p) for (f, t, _, p) in fstd.edges]
     labeled = [s.labeled for s in fstd.states]
-    keys = [(s.category, s.position, s.history) for s in fstd.states]
     return ClockedInputs(
         n=len(fstd.states),
         transitions=transitions,
         labeled=labeled,
         k_eff=effective_run_bound(fam.m, fam.x),
-        labels=keys,
     )
 
 

@@ -9,7 +9,7 @@ into discrete spectral lines and a continuous PSD.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -20,11 +20,6 @@ class AutocorrSeries:
     period: int
     total: list  # R(k), k = 0..kmax, exact Fractions
     periodic: list  # same length; R(k) for a hypothetical independent stream
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def kmax(self):
-        return len(self.total) - 1
 
     @property
     def aperiodic(self):
@@ -61,15 +56,16 @@ def _position_kind(pos, m, period):
     return ("bridge", t, q - m)
 
 
-def exact_autocorr(codebook, signal="y", kmax=None):
-    """Phase-averaged R(k) for k = 0..kmax (default m + 2x + period)."""
+def exact_autocorr(codebook, signal="y"):
+    """Phase-averaged R(k) for k = 0..kmax = (m + 2x - 1) + period.
+
+    The aperiodic part vanishes beyond m + 2x - 1, and k = 0..kmax spans at
+    least two full periods.
+    """
     fam = codebook.family
     m, x = fam.m, fam.x
     period = m + x
-    if kmax is None:
-        kmax = (m + 2 * x - 1) + period
-    if kmax < 2 * period - 1:
-        kmax = 2 * period - 1
+    kmax = (m + 2 * x - 1) + period
     w, b = _signal_arrays(codebook, signal)
     n = w.shape[0]
     n2, n3 = n * n, n * n * n
@@ -123,8 +119,7 @@ def exact_autocorr(codebook, signal="y", kmax=None):
             )
         periodic.append(acc / period)
 
-    series = AutocorrSeries(period=period, total=total, periodic=periodic,
-                            meta={"signal": signal, "family": fam})
+    series = AutocorrSeries(period=period, total=total, periodic=periodic)
     _check_aperiodic_support(series, m, x)
     return series
 

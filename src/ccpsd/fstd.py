@@ -21,13 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .codebook import (
-    ConstraintFamily,
-    enumerate_codebook,
-    forbidden_patterns,
-    contains_forbidden,
-)
-from .ratfn import RationalFn, ZERO
+from .codebook import ConstraintFamily, contains_forbidden, forbidden_patterns
+from .ratfn import RationalFn, ZERO, solve
 
 
 def _cat_key(cat):
@@ -51,11 +46,6 @@ class Fstd:
     family: ConstraintFamily
     states: list  # of State
     edges: list  # of (from_idx, to_idx, symbol, Fraction probability)
-    signal: str = "bits"  # "bits" or "flipped_a"
-    members: list = field(default_factory=list)  # merged raw states per state
-
-    def out_edges(self, i):
-        return [(t, s, p) for (f, t, s, p) in self.edges if f == i]
 
     def labeled_indices(self):
         idx = [i for i, s in enumerate(self.states) if s.labeled]
@@ -107,7 +97,6 @@ class Ostd:
     family: ConstraintFamily
     state_keys: list  # canonical (category, position, history) per state
     edges: dict  # (i, j) -> RunSet
-    signal: str = "bits"
 
     @property
     def n(self):
@@ -210,14 +199,14 @@ def _bridge_bits(family, signal, last_bit, first_bit):
     return (0,) * x
 
 
-def window_distribution(codebook, signal=None):
+def window_distribution(codebook):
     """Exact distribution of length-(x+2) windows ending at each stream phase.
 
     Phase 0 is the first codeword position; phases m..m+x-1 are bridge
     positions.  Returns a list of dicts {window tuple: Fraction}.
     """
     family = codebook.family
-    signal = signal or stream_signal_kind(family)
+    signal = stream_signal_kind(family)
     m, x = family.m, family.x
     period = m + x
     words = _stream_words(codebook, signal)
@@ -263,17 +252,13 @@ def _grid_category(family, signal, col, hist, labeled):
     return (1, col, min(freedom, m))
 
 
-def build_grid_fstd(codebook, bridging=None, merge=True, signal=None):
+def build_grid_fstd(codebook, merge=True):
     """Positional-grid FSTD for a finite family under uniform codeword usage."""
     family = codebook.family
-    if bridging is not None and bridging != family.bridging:
-        raise ValueError("bridging rule inconsistent with family")
-    signal = signal or stream_signal_kind(family)
-    m, x = family.m, family.x
-    period = m + x
-    dist = window_distribution(codebook, signal)
+    signal = stream_signal_kind(family)
+    period = family.m + family.x
+    dist = window_distribution(codebook)
 
-    width = x + 1
     states = []
     index = {}
     for col in range(period):
@@ -303,7 +288,7 @@ def build_grid_fstd(codebook, bridging=None, merge=True, signal=None):
                     continue
                 edges.append((i, index[(nxt, (h + (b,))[1:])], b, pr / denom))
 
-    fstd = Fstd(family=family, states=states, edges=edges, signal=signal)
+    fstd = Fstd(family=family, states=states, edges=edges)
     fstd.check()
     if merge:
         fstd = merge_equivalent_states(fstd)
@@ -323,6 +308,7 @@ def merge_equivalent_states(fstd):
     for f, t, sym, p in fstd.edges:
         out[f].append((t, sym, p))
 
+    count = len(set(block.values()))
     while True:
         sigs = {}
         for i in range(n):
@@ -337,9 +323,10 @@ def merge_equivalent_states(fstd):
             if sigs[i] not in seen:
                 seen[sigs[i]] = len(seen)
             newblock[i] = seen[sigs[i]]
-        if _same_partition(block, newblock, n):
+        # signatures include the old block, so blocks can only split
+        if len(seen) == count:
             break
-        block = newblock
+        block, count = newblock, len(seen)
 
     # build quotient
     reps = {}
@@ -355,13 +342,7 @@ def merge_equivalent_states(fstd):
                                          fstd.states[reps[b]].history))
     remap = {b: k for k, b in enumerate(blocks)}
 
-    states = []
-    members = []
-    for b in blocks:
-        r = reps[b]
-        s = fstd.states[r]
-        states.append(State(s.position, s.history, s.labeled, s.category))
-        members.append([fstd.states[i] for i in range(n) if block[i] == b])
+    states = [fstd.states[reps[b]] for b in blocks]  # State is frozen
 
     new_edges = {}
     for b in blocks:
@@ -373,26 +354,7 @@ def merge_equivalent_states(fstd):
         for (t, sym), p in agg.items():
             new_edges[(remap[b], t, sym)] = p
     edges = [(f, t, sym, p) for (f, t, sym), p in new_edges.items()]
-    return Fstd(family=fstd.family, states=states, edges=edges,
-                signal=fstd.signal, members=members)
-
-
-def _same_partition(a, b, n):
-    seen = {}
-    for i in range(n):
-        if a[i] in seen:
-            if seen[a[i]] != b[i]:
-                return False
-        else:
-            seen[a[i]] = b[i]
-    rev = {}
-    for i in range(n):
-        if b[i] in rev:
-            if rev[b[i]] != a[i]:
-                return False
-        else:
-            rev[b[i]] = a[i]
-    return True
+    return Fstd(family=fstd.family, states=states, edges=edges)
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +392,7 @@ def reduce_to_ostd(fstd):
         if len(scc) == 1 and not any(t == scc[0] for t, _ in out[scc[0]]):
             z[scc[0]] = rhs[scc[0]]
         else:
-            sol = _solve_scc(scc, out, rhs, nl)
-            z.update(sol)
+            z.update(_solve_scc(scc, out, rhs))
 
     fns = [[ZERO] * nl for _ in range(nl)]
     for k, i in enumerate(labeled):
@@ -454,7 +415,7 @@ def reduce_to_ostd(fstd):
         (fstd.states[i].category, fstd.states[i].position, fstd.states[i].history)
         for i in labeled
     ]
-    ostd = Ostd(family=fstd.family, state_keys=keys, edges=edges, signal=fstd.signal)
+    ostd = Ostd(family=fstd.family, state_keys=keys, edges=edges)
     ostd.check_conservation()
     return ostd
 
@@ -510,33 +471,17 @@ def _sccs(nodes, out, universe):
     return result
 
 
-def _solve_scc(scc, out, rhs, nl):
+def _solve_scc(scc, out, rhs):
     """Solve (I - Q) z = rhs restricted to one strongly connected component."""
-    order = list(scc)
-    pos = {u: i for i, u in enumerate(order)}
-    k = len(order)
+    pos = {u: i for i, u in enumerate(scc)}
+    k = len(scc)
     A = [[ZERO] * k for _ in range(k)]
-    for i, u in enumerate(order):
+    for i, u in enumerate(scc):
         A[i][i] = A[i][i] + 1
         for t, w in out[u]:
             if t in pos:
                 A[i][pos[t]] = A[i][pos[t]] - w
-    B = [list(rhs[u]) for u in order]
-
-    for col in range(k):
-        piv = next(r for r in range(col, k) if not A[r][col].is_zero())
-        A[col], A[piv] = A[piv], A[col]
-        B[col], B[piv] = B[piv], B[col]
-        inv = 1 / A[col][col]
-        A[col] = [inv * v for v in A[col]]
-        B[col] = [inv * v for v in B[col]]
-        for r in range(k):
-            if r == col or A[r][col].is_zero():
-                continue
-            f = A[r][col]
-            A[r] = [A[r][c] - f * A[col][c] for c in range(k)]
-            B[r] = [B[r][c] - f * B[col][c] for c in range(nl)]
-    return {order[i]: B[i] for i in range(k)}
+    return dict(zip(scc, solve(A, [rhs[u] for u in scc])))
 
 
 def _decompose_runs(fn):

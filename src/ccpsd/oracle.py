@@ -8,7 +8,7 @@ then take a finite cosine transform of the remainder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import cyclo, spectrum, transfer
-from .codebook import ConstraintFamily, enumerate_codebook
+from .codebook import enumerate_codebook
 from .fstd import build_grid_fstd, build_infinite_fstd, reduce_to_ostd
 
 # Published 3 dB bandwidths (keyed by (m, x)).
@@ -36,34 +36,18 @@ KNOWN_BANDWIDTH_DEVIATIONS = {
     ("loco", 6, 1): 0.5859,
 }
 
-# (m, x) pairs with m >= x + 2 used for closed-form vs grid equality checks.
-CLOSED_FORM_PAIRS = [(3, 1), (4, 1), (5, 1), (6, 1), (4, 2), (5, 2), (5, 3)]
-
-MC_PRESETS = (
-    [("ax", x, None) for x in range(1, 6)]
-    + [("sx", x, None) for x in range(1, 6)]
-    + [("aloco", 1, 4), ("loco", 1, 4)]
-)
-
-
-def family_from_args(kind, x, m=None):
-    return ConstraintFamily(kind, x, m)
-
 
 def transfer_matrix_for(family, method="auto"):
     """Canonical transfer matrix for a family (closed form when available)."""
     kind = family.kind
     if kind == "iid":
         return transfer.iid_matrix()
-    if kind == "ax":
+    if kind in ("ax", "sx"):
         if method == "grid":
             return transfer.ostm_from_ostd(
                 reduce_to_ostd(build_infinite_fstd(family)))
-        return transfer.closed_form_ax(family.x)
-    if kind == "sx":
-        if method == "grid":
-            return transfer.ostm_from_ostd(
-                reduce_to_ostd(build_infinite_fstd(family)))
+        if kind == "ax":
+            return transfer.closed_form_ax(family.x)
         return transfer.closed_form_sx(family.x)
     closed_available = kind in ("aloco", "loco") and family.m >= family.x + 2
     if method == "closed" or (method == "auto" and closed_available):

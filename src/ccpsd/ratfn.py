@@ -192,6 +192,9 @@ class RationalFn:
     def __hash__(self):
         return hash((self.num, self.den))
 
+    def __bool__(self):
+        return bool(self.num)
+
     # -- queries ---------------------------------------------------------
 
     def is_zero(self):
@@ -254,6 +257,28 @@ class RationalFn:
         if self.den == (Fraction(1),):
             return fmt(self.num)
         return f"({fmt(self.num)}) / ({fmt(self.den)})"
+
+
+def solve(a, b):
+    """Solve a X = b exactly by Gauss-Jordan elimination.
+
+    ``a`` is n x n and ``b`` is n x r, both lists of rows over ``Fraction``
+    or ``RationalFn``; returns X as n rows.  The pivot of each column is its
+    first nonzero entry at or below the diagonal.
+    """
+    n = len(a)
+    m = [list(a[i]) + list(b[i]) for i in range(n)]
+    width = len(m[0]) if m else 0
+    for col in range(n):
+        piv = next(r for r in range(col, n) if m[r][col])
+        m[col], m[piv] = m[piv], m[col]
+        inv = 1 / m[col][col]
+        m[col] = [inv * v for v in m[col]]
+        for r in range(n):
+            f = m[r][col]
+            if r != col and f:
+                m[r] = [m[r][c] - f * m[col][c] for c in range(width)]
+    return [row[n:] for row in m]
 
 
 def _coerce(v):

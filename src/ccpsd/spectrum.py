@@ -6,61 +6,30 @@ Main entry points:
   statistics of a transfer matrix.
 * ``spectrum_x`` -- continuous PSD of the 0/1 indicator process on a
   frequency grid (off the discrete-line frequencies).
-* ``spectrum_y`` / ``spectrum_w`` -- antipodal mapping and square-pulse
-  shaping of the indicator PSD.
+* ``spectrum_y`` / ``pulse_shape`` -- antipodal mapping of the indicator PSD
+  and the square-pulse shaping factor.
 * ``spectrum_x_symbolic`` / ``nrzi_psd_symbolic`` -- exact rational PSDs as
   functions of D on the unit circle, for closed-form cross-checks.
-* ``loco_psd`` -- continuous PSD of the 01-symmetric fixed-length stream via
-  its flipped indicator companion.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .ratfn import ONE, RationalFn, ZERO
-from .transfer import TransferMatrix
+from .ratfn import ONE, RationalFn, ZERO, solve
 
 
-@dataclass
-class PsdResult:
-    freqs: np.ndarray
-    values: np.ndarray
-    lines: list = field(default_factory=list)  # (frequency, weight)
-    meta: dict = field(default_factory=dict)
-
-
-def default_grid(points=2048, full=False):
+def default_grid(points=2048):
     """Half-bin-offset frequency grid avoiding 0 and line frequencies."""
     k = np.arange(points)
-    f = (k + 0.5) / (2 * points)  # covers (0, 1/2)
-    if full:
-        return np.concatenate([-f[::-1], f])
-    return f
+    return (k + 0.5) / (2 * points)  # covers (0, 1/2)
 
 
 # ---------------------------------------------------------------------------
 # Exact stationary statistics
 # ---------------------------------------------------------------------------
-
-
-def _solve_fraction_system(a, b):
-    """Gaussian elimination over Fractions; a is n x n, b length n."""
-    n = len(a)
-    m = [row[:] + [b[i]] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if m[r][col] != 0)
-        m[col], m[piv] = m[piv], m[col]
-        inv = Fraction(1) / m[col][col]
-        m[col] = [v * inv for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [m[r][c] - f * m[col][c] for c in range(n + 1)]
-    return [m[i][n] for i in range(n)]
 
 
 def stationary_distribution(tm):
@@ -70,8 +39,8 @@ def stationary_distribution(tm):
     # (G(1)^T - I) pi = 0 with normalization replacing the last equation
     a = [[g1[j][i] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
     a[n - 1] = [Fraction(1)] * n
-    b = [Fraction(0)] * (n - 1) + [Fraction(1)]
-    pi = _solve_fraction_system(a, b)
+    b = [[Fraction(0)]] * (n - 1) + [[Fraction(1)]]
+    pi = [row[0] for row in solve(a, b)]
     if any(p < 0 for p in pi):
         raise ValueError("stationary distribution has negative entries")
     return pi
@@ -93,13 +62,13 @@ def prob_one(tm, pi=None):
 # ---------------------------------------------------------------------------
 
 
-def spectrum_x(tm, freqs, pi=None, p1=None):
+def spectrum_x(tm, freqs):
     """Continuous PSD of the 0/1 indicator stream at the given frequencies.
 
     Valid away from discrete-line frequencies, where I - G(z) is invertible.
     """
-    pi = pi or stationary_distribution(tm)
-    p1 = p1 if p1 is not None else prob_one(tm, pi)
+    pi = stationary_distribution(tm)
+    p1 = prob_one(tm, pi)
     pi_c = np.array([complex(p) for p in pi])
     p1_f = float(p1)
     n = tm.n
@@ -114,19 +83,14 @@ def spectrum_x(tm, freqs, pi=None, p1=None):
     return out
 
 
-def spectrum_y(tm, freqs, **kw):
+def spectrum_y(tm, freqs):
     """Antipodal (+1/-1) signaling: continuous part scales by four."""
-    return 4.0 * spectrum_x(tm, freqs, **kw)
+    return 4.0 * spectrum_x(tm, freqs)
 
 
 def pulse_shape(freqs):
     """Unit square pulse magnitude-squared response, unit symbol time."""
     return np.sinc(np.asarray(freqs, dtype=float)) ** 2
-
-
-def spectrum_w(tm, freqs, antipodal=True, **kw):
-    base = spectrum_y(tm, freqs, **kw) if antipodal else spectrum_x(tm, freqs, **kw)
-    return pulse_shape(freqs) * base
 
 
 def dc_line_weight(tm):
@@ -138,21 +102,6 @@ def dc_line_weight(tm):
 # ---------------------------------------------------------------------------
 # Exact symbolic PSDs
 # ---------------------------------------------------------------------------
-
-
-def _solve_ratfn_system(a, b):
-    n = len(a)
-    m = [row[:] + [b[i]] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if not m[r][col].is_zero())
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [inv * v for v in m[col]]
-        for r in range(n):
-            if r != col and not m[r][col].is_zero():
-                f = m[r][col]
-                m[r] = [m[r][c] - f * m[col][c] for c in range(n + 1)]
-    return [m[i][n] for i in range(n)]
 
 
 def spectrum_x_symbolic(tm):
@@ -171,11 +120,10 @@ def spectrum_x_symbolic(tm):
         ]
         for i in range(n)
     ]
-    b = [ONE] * n
-    v = _solve_ratfn_system(a, b)
+    v = solve(a, [[ONE]] * n)
     pv = ZERO
     for i in range(n):
-        pv = pv + RationalFn.const(pi[i]) * v[i]
+        pv = pv + RationalFn.const(pi[i]) * v[i][0]
     total = pv + pv.substitute_inverse() - ONE
     return RationalFn.const(p1) * total
 
@@ -204,22 +152,7 @@ def nrzi_psd_symbolic(tm):
 
     a = [[(ONE if i == j else ZERO) + tm.entries[i][j] for j in range(n)]
          for i in range(n)]
-    y = _solve_ratfn_system(a, rho)
-    lam_y = sum((lam[j] * y[j] for j in range(n)), ZERO)
+    y = solve(a, [[r] for r in rho])
+    lam_y = sum((lam[j] * y[j][0] for j in range(n)), ZERO)
     phi = w0 - lam_y
     return ONE + phi + phi.substitute_inverse()
-
-
-def loco_psd(tm_a, freqs, **kw):
-    """Continuous antipodal PSD of a 01-symmetric stream from its companion.
-
-    The deterministic periodic companion has no continuous component, so off
-    line frequencies the continuous PSD is four times the indicator PSD of
-    the flipped companion stream.
-    """
-    return 4.0 * spectrum_x(tm_a, freqs, **kw)
-
-
-def white_psd_check(tm, freqs):
-    """Antipodal PSD values for comparison against a flat unit spectrum."""
-    return spectrum_y(tm, freqs)

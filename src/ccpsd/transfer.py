@@ -12,13 +12,13 @@ tracking runs between transitions instead of between ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .codebook import ConstraintFamily, alpha, group_cardinalities, lam, zeta
-from .ratfn import D, ONE, RationalFn, ZERO
+from .ratfn import RationalFn, ZERO
 
 
 @dataclass
@@ -91,13 +91,18 @@ def ostm_from_ostd(ostd):
 # ---------------------------------------------------------------------------
 
 
+def _alpha_fn(x):
+    """D^(x+2) / (2 (2 - D)), the entry the ax and sx closed forms share."""
+    return RationalFn(
+        [Fraction(0)] * (x + 2) + [Fraction(1)], [Fraction(2), -Fraction(1)]
+    ) / 2
+
+
 def closed_form_ax(x):
     """(x+1)x(x+1) matrix over states with trailing one-run 1..x+1."""
     fam = ConstraintFamily("ax", x)
     n = x + 1
-    alpha_fn = RationalFn(
-        [Fraction(0)] * (x + 2) + [Fraction(1)], [Fraction(2), -Fraction(1)]
-    ) / 2  # D^(x+2) / (2 (2 - D))
+    alpha_fn = _alpha_fn(x)
     half_d = RationalFn.monomial(Fraction(1, 2), 1)
     entries = [[ZERO] * n for _ in range(n)]
     for i in range(n):
@@ -112,11 +117,8 @@ def closed_form_sx(x):
     """Same state set for the 01-symmetric family; one runs are capped."""
     fam = ConstraintFamily("sx", x)
     n = x + 1
-    alpha_fn = RationalFn(
-        [Fraction(0)] * (x + 2) + [Fraction(1)], [Fraction(2), -Fraction(1)]
-    ) / 2  # D^(x+2) / (2 (2 - D))
     entries = [[ZERO] * n for _ in range(n)]
-    entries[n - 1][0] = alpha_fn
+    entries[n - 1][0] = _alpha_fn(x)
     for i in range(n - 1):
         entries[i][i + 1] = RationalFn.monomial(Fraction(1), 1)
     entries[n - 1][n - 1] = RationalFn.monomial(Fraction(1, 2), 1)
@@ -279,18 +281,5 @@ def closed_form_loco_A(m, x):
     add(("bridge", x), ("bridge", 1), chain, m + 1)
 
     tm = TransferMatrix(fam, entries, states)
-    tm.check_stochastic()
-    return tm
-
-
-def loco_C_matrix(m, x):
-    """Deterministic periodic companion process: m word slots, one x+1 jump."""
-    fam = ConstraintFamily("loco", x, m)
-    entries = [[ZERO] * m for _ in range(m)]
-    for i in range(m - 1):
-        entries[i][i + 1] = RationalFn.monomial(Fraction(1), 1)
-    entries[m - 1][0] = RationalFn.monomial(Fraction(1), x + 1)
-    tm = TransferMatrix(fam, entries, [("slot", p) for p in range(1, m + 1)],
-                        origin="companion")
     tm.check_stochastic()
     return tm

@@ -100,3 +100,17 @@ class TestExitCodes:
         assert "ModuleNotFoundError" not in r.stderr
         assert r.stderr.startswith("error:")
         assert "m >= 1" in r.stderr
+
+    def test_zero_symbols_is_usage_error(self, tmp_path):
+        r = run(["mc", "--family", "iid", "--x", "0", "--symbols", "0"],
+                tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert "--symbols" in r.stderr
+        assert "Traceback" not in r.stderr
+
+    def test_negative_points_is_usage_error(self, tmp_path):
+        r = run(["psd", "--family", "ax", "--x", "1", "--points", "-3"],
+                tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert "--points" in r.stderr
+        assert "Traceback" not in r.stderr

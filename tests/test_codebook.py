@@ -8,6 +8,7 @@ from ccpsd.codebook import (
     alpha,
     brute_force_codebook,
     contains_forbidden,
+    count_by_automaton,
     enumerate_codebook,
     forbidden_patterns,
     group_cardinalities,
@@ -81,6 +82,7 @@ class TestCardinalities:
         kind, x, m = params
         fam = ConstraintFamily(kind, x, m)
         assert group_cardinalities(fam, m)[0] == enumerate_codebook(fam).N
+        assert count_by_automaton(fam, m) == brute_force_codebook(fam).N
 
     def test_prefix_groups(self):
         fam = ConstraintFamily("aloco", 1, 4)

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 relaxed = settings(deadline=None, max_examples=50,
                    suppress_health_check=[HealthCheck.too_slow])
 
-from ccpsd.ratfn import D, ONE, ZERO, RationalFn, poly_divmod, poly_gcd
+from ccpsd.ratfn import D, ONE, ZERO, RationalFn, poly_divmod, poly_gcd, solve
 
 
 def frac(n, d=1):
@@ -47,6 +47,7 @@ class TestCanonicalization:
     def test_zero(self):
         assert RationalFn([0], [3]).is_zero()
         assert (ONE - ONE).is_zero()
+        assert not (ONE - ONE) and D
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
@@ -146,3 +147,19 @@ class TestPolynomialHelpers:
     def test_gcd_monic(self):
         g = poly_gcd([Fraction(0), Fraction(2)], [Fraction(0), Fraction(0), Fraction(4)])
         assert g[-1] == 1
+
+
+class TestSolve:
+    def test_fraction_system_with_row_swap(self):
+        a = [[frac(0), frac(2)], [frac(3), frac(1)]]
+        b = [[frac(4), frac(1)], [frac(5), frac(0)]]
+        x = solve(a, b)
+        for i in range(2):
+            for r in range(2):
+                assert sum(a[i][k] * x[k][r] for k in range(2)) == b[i][r]
+
+    def test_rational_function_system(self):
+        # (1 - D/2) v = 1 has the exact solution 2 / (2 - D)
+        half_d = RationalFn.monomial(frac(1, 2), 1)
+        [[v]] = solve([[ONE - half_d]], [[ONE]])
+        assert v == RationalFn([2], [2, -1])

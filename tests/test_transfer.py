@@ -11,7 +11,6 @@ from ccpsd.transfer import (
     closed_form_loco_A,
     closed_form_sx,
     iid_matrix,
-    loco_C_matrix,
     ostm_from_ostd,
 )
 
@@ -97,10 +96,6 @@ class TestFiniteClosedForms:
         for i in range(8):
             for j in range(8):
                 assert tm.entries[i][j] == want.get((i, j), ZERO), (i, j)
-
-    def test_loco_C_matrix_conserves(self):
-        for m, x in [(2, 1), (4, 1), (4, 2)]:
-            loco_C_matrix(m, x).check_stochastic()
 
     def test_requires_m_at_least_x_plus_2(self):
         with pytest.raises(ValueError):

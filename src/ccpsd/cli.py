@@ -270,7 +270,7 @@ def build_parser():
     def add(name, fn, families):
         sp = sub.add_parser(name)
         sp.add_argument("--family", required=True, choices=families)
-        sp.add_argument("--x", type=int, default=1)
+        sp.add_argument("--x", type=int, default=None)
         sp.add_argument("--m", type=int, default=None)
         sp.add_argument("--out", default=None)
         sp.set_defaults(func=fn)
@@ -307,6 +307,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "x", 0) is None:
+        args.x = 0 if args.family == "iid" else 1
     try:
         return args.func(args)
     except (ValueError, NotImplementedError, OSError) as exc:

@@ -97,11 +97,11 @@ def bandwidth(family):
 
     def psd_fn(f):
         f = np.asarray(f, dtype=float)
-        vals = np.array([
-            4.0 * sym.evaluate(np.exp(-2j * np.pi * v)).real
-            if v > 0 else 4.0 * float(sym.evaluate(Fraction(1)))
-            for v in f
-        ])
+        pos = f > 0
+        vals = np.empty(f.shape)
+        vals[pos] = 4.0 * sym.evaluate(np.exp(-2j * np.pi * f[pos])).real
+        if not pos.all():  # the DC limit, exactly
+            vals[~pos] = 4.0 * float(sym.evaluate(Fraction(1)))
         return spectrum.pulse_shape(f) * vals
 
     return cyclo.bandwidth_3db(psd_fn)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 
 def _trim(coeffs):
     c = list(coeffs)
@@ -201,7 +203,16 @@ class RationalFn:
         return not self.num
 
     def evaluate(self, z):
-        """Evaluate at a complex/float point (exact if z is a Fraction)."""
+        """Evaluate at a complex/float point (exact if z is a Fraction).
+
+        A numpy array of points is evaluated elementwise in one pass, with
+        the coefficients rounded to floats once.
+        """
+        if isinstance(z, np.ndarray):
+            den = np.polyval([float(c) for c in reversed(self.den)], z)
+            if np.any(den == 0):
+                raise ZeroDivisionError("evaluation at a pole")
+            return np.polyval([float(c) for c in reversed(self.num)], z) / den
         den = poly_eval(self.den, z)
         if den == 0:
             raise ZeroDivisionError("evaluation at a pole")

@@ -62,24 +62,36 @@ def prob_one(tm, pi=None):
 # ---------------------------------------------------------------------------
 
 
+# Most complex entries (points x n x n) one block of the batched solve holds;
+# bounds the memory of large matrices on long grids.
+BLOCK_ENTRIES = 1 << 18
+
+
 def spectrum_x(tm, freqs):
     """Continuous PSD of the 0/1 indicator stream at the given frequencies.
 
     Valid away from discrete-line frequencies, where I - G(z) is invertible.
+    G(z) is evaluated over a block of the grid at once and (I - G) v = 1 is
+    solved for every point of the block in one batched call.
     """
     pi = stationary_distribution(tm)
-    p1 = prob_one(tm, pi)
-    pi_c = np.array([complex(p) for p in pi])
-    p1_f = float(p1)
+    p1 = float(prob_one(tm, pi))
+    pi_f = np.array([float(p) for p in pi])
     n = tm.n
-    u = np.ones(n, dtype=complex)
-    eye = np.eye(n, dtype=complex)
-    out = np.empty(len(freqs))
-    for k, f in enumerate(np.asarray(freqs, dtype=float)):
-        z = np.exp(-2j * np.pi * f)
-        g = tm.evaluate(z)
-        v = np.linalg.solve(eye - g, u)
-        out[k] = p1_f * (2.0 * np.real(pi_c @ v) - 1.0)
+    z = np.exp(-2j * np.pi * np.asarray(freqs, dtype=float))
+    nonzero = [(i, j, e) for i, row in enumerate(tm.entries)
+               for j, e in enumerate(row) if e]
+    out = np.empty(len(z))
+    step = max(1, BLOCK_ENTRIES // (n * n))
+    for start in range(0, len(z), step):
+        zb = z[start:start + step]
+        a = np.zeros((len(zb), n, n), dtype=complex)
+        a[:, np.arange(n), np.arange(n)] = 1.0
+        for i, j, e in nonzero:
+            a[:, i, j] -= e.evaluate(zb)
+        v = np.linalg.solve(a, np.ones((len(zb), n, 1)))[:, :, 0]
+        # a sum per row, so a point's value does not depend on its block
+        out[start:start + step] = p1 * (2.0 * (v.real * pi_f).sum(axis=1) - 1.0)
     return out
 
 

@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .codebook import ConstraintFamily, alpha, group_cardinalities, lam, zeta
 from .ratfn import RationalFn, ZERO
 
@@ -31,14 +29,6 @@ class TransferMatrix:
     @property
     def n(self):
         return len(self.entries)
-
-    def evaluate(self, z):
-        """Numeric matrix G(z) for complex or Fraction z."""
-        if isinstance(z, (Fraction, int)):
-            return [[e.evaluate(z) for e in row] for row in self.entries]
-        return np.array(
-            [[complex(e.evaluate(z)) for e in row] for row in self.entries]
-        )
 
     def derivative_at_one(self):
         """Exact G'(1) as nested Fractions."""

@@ -130,6 +130,15 @@ def test_bandwidth_table_symmetric(bandwidths_symmetric, m, x, want):
     assert abs(bandwidths_symmetric[(m, x)] - want) <= 0.002
 
 
+@pytest.mark.parametrize("kind,x,want", [
+    ("ax", 1, 0.7240375818117821), ("ax", 2, 0.5580141502290967),
+    ("ax", 3, 0.45488629607482023), ("sx", 1, 0.6314742974961864),
+    ("sx", 2, 0.4731173377156635), ("sx", 3, 0.38879287973025173),
+])
+def test_bandwidth_infinite_streams(kind, x, want):
+    assert abs(bandwidth(ConstraintFamily(kind, x)) - want) <= 1e-12
+
+
 # --- closed forms equal the grid method ------------------------------------
 
 STRUCTURAL_PAIRS = [(3, 1), (4, 1), (5, 1), (6, 1), (4, 2), (5, 2), (5, 3)]

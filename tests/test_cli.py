@@ -43,6 +43,15 @@ class TestPsdCommand:
         assert r.returncode == 0, r.stderr
         assert out.read_bytes() == first
 
+    def test_iid_with_default_x(self, tmp_path):
+        out = tmp_path / "iid.csv"
+        r = run(["psd", "--family", "iid", "--points", "8", "--no-pulse",
+                 "--out", str(out)], tmp_path)
+        assert r.returncode == 0, r.stderr
+        rows = out.read_text().strip().splitlines()[1:]
+        assert len(rows) == 8
+        assert all(abs(float(row.split(",")[1]) - 1.0) < 1e-11 for row in rows)
+
     def test_line_sidecar_for_finite(self, tmp_path):
         out = tmp_path / "p.csv"
         r = run(["psd", "--family", "aloco", "--x", "1", "--m", "4",

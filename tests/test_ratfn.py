@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -163,3 +164,37 @@ class TestSolve:
         half_d = RationalFn.monomial(frac(1, 2), 1)
         [[v]] = solve([[ONE - half_d]], [[ONE]])
         assert v == RationalFn([2], [2, -1])
+
+
+def _condition(p, z):
+    """sum |c_k| |z|^k / |p(z)|: how much evaluating p at z magnifies
+    rounding in its coefficients and arithmetic."""
+    return (np.polyval([abs(float(c)) for c in reversed(p)], np.abs(z))
+            / np.abs(np.polyval([float(c) for c in reversed(p)], z)))
+
+
+class TestArrayEvaluate:
+    @relaxed
+    @given(nonzero_fns())
+    def test_matches_scalar(self, a):
+        z = np.exp(-2j * np.pi * (np.arange(32) + 0.5) / 64)
+        try:
+            want = np.array([complex(a.evaluate(complex(v))) for v in z])
+        except ZeroDivisionError:
+            return
+        got = a.evaluate(z)
+        assert got.shape == z.shape
+        # numpy's and Python's complex arithmetic round differently in the
+        # last bit; near a root of num or den the condition number magnifies
+        # that, so the 1e-15 relative bound is scaled by it.
+        kappa = _condition(a.num, z) + _condition(a.den, z)
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want) * kappa)
+
+    def test_zero_function(self):
+        z = np.array([0.5, 1j, -1.0])
+        assert np.array_equal(ZERO.evaluate(z), np.zeros(3))
+
+    def test_pole_raises(self):
+        f = ONE / (ONE - D)
+        with pytest.raises(ZeroDivisionError):
+            f.evaluate(np.array([0.5, 1.0, -1.0], dtype=complex))

@@ -3,8 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ccpsd.codebook import ConstraintFamily, enumerate_codebook
+from ccpsd.fstd import build_grid_fstd, reduce_to_ostd
 from ccpsd.ratfn import RationalFn
 from ccpsd.spectrum import (
+    BLOCK_ENTRIES,
     dc_line_weight,
     default_grid,
     mean_run_length,
@@ -19,9 +22,12 @@ from ccpsd.spectrum import (
 from ccpsd.transfer import (
     alternate_ax,
     alternate_sx,
+    closed_form_aloco,
     closed_form_ax,
+    closed_form_loco_A,
     closed_form_sx,
     iid_matrix,
+    ostm_from_ostd,
 )
 
 F = Fraction
@@ -81,6 +87,53 @@ class TestNumericRoutes:
         tm = closed_form_ax(1)
         shaped = pulse_shape(freqs) * spectrum_y(tm, freqs)
         assert np.allclose(shaped, np.sinc(freqs) ** 2 * spectrum_y(tm, freqs))
+
+
+def spectrum_x_per_point(tm, freqs):
+    """Reference: scalar evaluation of every entry and one solve per point."""
+    pi = stationary_distribution(tm)
+    p1 = float(prob_one(tm, pi))
+    pi_c = np.array([complex(p) for p in pi])
+    eye = np.eye(tm.n, dtype=complex)
+    out = np.empty(len(freqs))
+    for k, f in enumerate(freqs):
+        z = np.exp(-2j * np.pi * f)
+        g = np.array([[complex(e.evaluate(z)) for e in row]
+                      for row in tm.entries])
+        v = np.linalg.solve(eye - g, np.ones(tm.n, dtype=complex))
+        out[k] = p1 * (2.0 * np.real(pi_c @ v) - 1.0)
+    return out
+
+
+def _grid_ostm():
+    cb = enumerate_codebook(ConstraintFamily("aloco", 2, 5))
+    return ostm_from_ostd(reduce_to_ostd(build_grid_fstd(cb)))
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("make", [
+        *(lambda x=x: closed_form_ax(x) for x in range(1, 6)),
+        *(lambda x=x: closed_form_sx(x) for x in range(1, 6)),
+        lambda: closed_form_aloco(6, 2),
+        lambda: closed_form_loco_A(6, 1),
+        _grid_ostm,
+    ], ids=[*(f"ax{x}" for x in range(1, 6)), *(f"sx{x}" for x in range(1, 6)),
+            "aloco6_2", "loco6_1", "grid_aloco5_2"])
+    def test_matches_per_point_loop(self, make):
+        tm = make()
+        freqs = default_grid(256)
+        diff = np.abs(spectrum_x(tm, freqs) - spectrum_x_per_point(tm, freqs))
+        assert np.max(diff) < 1e-10
+
+    def test_blocks_change_no_value(self):
+        tm = closed_form_ax(30)
+        freqs = default_grid(600)
+        assert len(freqs) * tm.n ** 2 > 2 * BLOCK_ENTRIES  # three blocks
+        whole = spectrum_x(tm, freqs)
+        for k in (1, 300, 599):
+            split = np.concatenate([spectrum_x(tm, freqs[:k]),
+                                    spectrum_x(tm, freqs[k:])])
+            assert np.array_equal(whole, split)
 
 
 class TestAlternateForms:

@@ -11,7 +11,10 @@ Families:
 * ``caloco``/``cloco`` -- the self-clocked variants (all-zero/all-one words removed)
 
 Words are stored most-significant-bit first and listed in ascending
-lexicographic order.
+lexicographic order.  ``enumerate_codebook`` lists them up to
+``ENUMERATION_LIMIT``; the group cardinalities that the closed forms need
+come from a cached dynamic program over the constraint automaton instead,
+so their cost grows with the length, not with N, and no limit applies.
 """
 
 from __future__ import annotations
@@ -160,42 +163,45 @@ class Codebook:
 
 
 @lru_cache(maxsize=None)
-def _cached_codebook(kind, x, m):
-    return enumerate_codebook(ConstraintFamily(kind=kind, x=x, m=m))
+def _prefix_class_counts(family):
+    """(N, N1, N2, N3) of pattern-free words of length family.m >= 2.
+
+    Dynamic program over the constraint automaton: a state is (first two
+    bits, last x+1 bits), and appending a bit is allowed when no forbidden
+    pattern ends at it.  Nothing is enumerated.
+    """
+    patterns = forbidden_patterns(family)
+    counts = {(w, w): 1 for w in ((0, 0), (0, 1), (1, 0), (1, 1))}
+    for _ in range(family.m - 2):
+        nxt = {}
+        for (head, tail), c in counts.items():
+            for b in (0, 1):
+                cand = tail + (b,)
+                if any(cand[-len(p):] == p for p in patterns):
+                    continue
+                key = (head, cand[-(family.x + 1):])
+                nxt[key] = nxt.get(key, 0) + c
+        counts = nxt
+    by_head = dict.fromkeys(((0, 0), (1, 1), (1, 0), (0, 1)), 0)
+    for (head, _), c in counts.items():
+        by_head[head] += c
+    return (sum(by_head.values()), by_head[(0, 0)], by_head[(1, 1)],
+            by_head[(1, 0)])
 
 
 def group_cardinalities(family, length):
     """(N, N1, N2, N3) at a given word length; 0 below prefix length."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    cb = _cached_codebook(family.kind, family.x, length)
+    # rejects the kinds without codewords, as enumeration would
+    at_length = ConstraintFamily(family.kind, family.x, length)
     if length < 2:
-        return cb.N, 0, 0, 0
-    return cb.N, cb.N1, cb.N2, cb.N3
-
-
-def count_by_automaton(family, length):
-    """Word count via dynamic programming over the constraint automaton.
-
-    Independent of the DFS enumeration; used as a recurrence sanity check.
-    """
-    patterns = forbidden_patterns(family)
-    ctx = _max_pattern_len(family) - 1
-    counts = {(): 1}
-    for _ in range(length):
-        nxt = {}
-        for tail, c in counts.items():
-            for b in (0, 1):
-                cand = tail + (b,)
-                if contains_forbidden(cand, patterns):
-                    continue
-                key = cand[-ctx:]
-                nxt[key] = nxt.get(key, 0) + c
-        counts = nxt
-    total = sum(counts.values())
+        return 2, 0, 0, 0
+    n, n1, n2, n3 = _prefix_class_counts(at_length)
     if family.kind in CLOCKED_KINDS:
-        total -= 2  # the all-zero and all-one words are always pattern-free
-    return total
+        # the all-zero and all-one words are always pattern-free
+        return n - 2, n1 - 1, n2 - 1, n3
+    return n, n1, n2, n3
 
 
 def zeta(family):

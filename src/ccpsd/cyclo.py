@@ -26,26 +26,28 @@ class AutocorrSeries:
         return [t - p for t, p in zip(self.total, self.periodic)]
 
 
-def _signal_arrays(codebook, signal):
-    """Word value matrix W (N x m) and bridge value matrix B (N x N)."""
+def _signal_values(codebook, signal):
+    """Word bits, word value matrix W (N x m) and the bridge value table f.
+
+    A bridge value depends only on the last bit a of the left word and the
+    first bit c of the right word: it is f[a][c].
+    """
     fam = codebook.family
     words = np.array(codebook.words, dtype=np.int64)
-    n = len(codebook.words)
     if signal == "y":
         w = 2 * words - 1
         if fam.bridging == "z_symbols":
-            b = np.zeros((n, n), dtype=np.int64)  # z symbols sit at level 0
+            f = [[0, 0], [0, 0]]  # z symbols sit at level 0
         else:
-            both = np.outer(words[:, -1], words[:, 0])
-            b = 2 * both - 1
+            f = [[-1, -1], [-1, 1]]
     elif signal == "x":
         w = words
         if fam.bridging == "z_symbols":
             raise ValueError("no 0/1 indicator for z-symbol bridging")
-        b = np.outer(words[:, -1], words[:, 0])
+        f = [[0, 0], [0, 1]]
     else:
         raise ValueError(f"unknown signal kind {signal!r}")
-    return w, b
+    return words, w, f
 
 
 def _position_kind(pos, m, period):
@@ -66,14 +68,32 @@ def exact_autocorr(codebook, signal="y"):
     m, x = fam.m, fam.x
     period = m + x
     kmax = (m + 2 * x - 1) + period
-    w, b = _signal_arrays(codebook, signal)
+    words, w, f = _signal_values(codebook, signal)
     n = w.shape[0]
     n2, n3 = n * n, n * n * n
 
-    word_mean = [Fraction(int(w[:, q].sum()), n) for q in range(m)]
-    bridge_mean = Fraction(int(b.sum()), n2)
-    brow = b.sum(axis=1)  # by left word
-    bcol = b.sum(axis=0)  # by right word
+    # Bridge statistics over the N x N (left, right) word pairs come from
+    # boundary-bit classes: last_ind[a] / first_ind[c] indicate the words
+    # whose last bit is a / first bit is c.
+    last_ind = np.array([1 - words[:, -1], words[:, -1]])
+    first_ind = np.array([1 - words[:, 0], words[:, 0]])
+    joint = (last_ind @ first_ind.T).tolist()  # [a][c]
+    n_last = [sum(row) for row in joint]
+    n_first = [joint[0][c] + joint[1][c] for c in (0, 1)]
+    brow = [f[a][0] * n_first[0] + f[a][1] * n_first[1] for a in (0, 1)]
+    bcol = [f[0][c] * n_last[0] + f[1][c] * n_last[1] for c in (0, 1)]
+    bridge_sum = brow[0] * n_last[0] + brow[1] * n_last[1]
+    bridge_sq_sum = sum(f[a][c] ** 2 * n_last[a] * n_first[c]
+                        for a in (0, 1) for c in (0, 1))
+    # per word: bridges to its left summed, times bridges to its right summed
+    bcol_brow = sum(bcol[c] * brow[a] * joint[a][c]
+                    for a in (0, 1) for c in (0, 1))
+    w_brow = [brow[0] * u + brow[1] * v for u, v in zip(*(last_ind @ w).tolist())]
+    w_bcol = [bcol[0] * u + bcol[1] * v for u, v in zip(*(first_ind @ w).tolist())]
+    gram = (w.T @ w).tolist()
+
+    word_mean = [Fraction(v, n) for v in w.sum(axis=0).tolist()]
+    bridge_mean = Fraction(bridge_sum, n2)
 
     def pos_mean(kind):
         if kind[0] == "word":
@@ -84,13 +104,13 @@ def exact_autocorr(codebook, signal="y"):
         ka, kc = _position_kind(a, m, period), _position_kind(c, m, period)
         if ka[0] == "word" and kc[0] == "word":
             if ka[1] == kc[1]:
-                return Fraction(int((w[:, ka[2]] * w[:, kc[2]]).sum()), n)
+                return Fraction(gram[ka[2]][kc[2]], n)
             return word_mean[ka[2]] * word_mean[kc[2]]
         if ka[0] == "bridge" and kc[0] == "bridge":
             if ka[1] == kc[1]:
-                return Fraction(int((b * b).sum()), n2)
+                return Fraction(bridge_sq_sum, n2)
             if abs(ka[1] - kc[1]) == 1:
-                return Fraction(int((bcol * brow).sum()), n3)
+                return Fraction(bcol_brow, n3)
             return bridge_mean * bridge_mean
         if ka[0] == "bridge":
             ka, kc = kc, ka
@@ -98,9 +118,9 @@ def exact_autocorr(codebook, signal="y"):
         t, q = ka[1], ka[2]
         tb = kc[1]
         if t == tb:
-            return Fraction(int((w[:, q] * brow).sum()), n2)
+            return Fraction(w_brow[q], n2)
         if t == tb + 1:
-            return Fraction(int((w[:, q] * bcol).sum()), n2)
+            return Fraction(w_bcol[q], n2)
         return word_mean[q] * bridge_mean
 
     total = []

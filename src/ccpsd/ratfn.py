@@ -218,12 +218,15 @@ class RationalFn:
             raise ZeroDivisionError("evaluation at a pole")
         return poly_eval(self.num, z) / den
 
-    def derivative(self):
-        num = poly_add(
-            poly_mul(poly_derivative(self.num), self.den),
-            poly_neg(poly_mul(self.num, poly_derivative(self.den))),
-        )
-        return RationalFn(num, poly_mul(self.den, self.den))
+    def derivative_at(self, z):
+        """R'(z) by the quotient rule, without forming R' as a function."""
+        den = poly_eval(self.den, z)
+        if den == 0:
+            raise ZeroDivisionError("evaluation at a pole")
+        num = poly_eval(self.num, z)
+        dnum = poly_eval(poly_derivative(self.num), z)
+        dden = poly_eval(poly_derivative(self.den), z)
+        return (dnum * den - num * dden) / (den * den)
 
     def substitute_inverse(self):
         """Return R(1/D) as a rational function of D."""

@@ -32,7 +32,7 @@ class TransferMatrix:
 
     def derivative_at_one(self):
         """Exact G'(1) as nested Fractions."""
-        return [[e.derivative().evaluate(Fraction(1)) for e in row]
+        return [[e.derivative_at(Fraction(1)) for e in row]
                 for row in self.entries]
 
     def at_one(self):

@@ -87,6 +87,13 @@ class TestOtherCommands:
         assert data["period"] == 5
         assert all("/" in v for v in data["periodic"])
 
+    def test_autocorr_beyond_dense_memory(self, tmp_path):
+        # N = 31,572 words: two N x N int64 bridge arrays would need 16 GB
+        r = run(["autocorr", "--family", "aloco", "--x", "1", "--m", "18"],
+                tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.startswith("periodic: ")
+
     def test_clocked_ostd(self, tmp_path):
         out = tmp_path / "c.json"
         r = run(["clocked-ostd", "--family", "caloco", "--x", "1", "--m", "2",

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ccpsd.codebook import (
+    CLOCKED_KINDS,
     ConstraintFamily,
     alpha,
     brute_force_codebook,
     contains_forbidden,
-    count_by_automaton,
     enumerate_codebook,
     forbidden_patterns,
     group_cardinalities,
@@ -81,8 +81,17 @@ class TestCardinalities:
     def test_automaton_count_matches_enumeration(self, params):
         kind, x, m = params
         fam = ConstraintFamily(kind, x, m)
-        assert group_cardinalities(fam, m)[0] == enumerate_codebook(fam).N
-        assert count_by_automaton(fam, m) == brute_force_codebook(fam).N
+        for length in range(2 if kind in CLOCKED_KINDS else 1, m + 1):
+            cb = brute_force_codebook(ConstraintFamily(kind, x, length))
+            assert group_cardinalities(fam, length) == (cb.N, cb.N1, cb.N2, cb.N3)
+
+    @pytest.mark.parametrize("x", [1, 2, 3])
+    def test_loco_recurrence(self, x):
+        # N(m) = N(m-1) + N(m-x-1), far beyond the enumeration limit
+        fam = ConstraintFamily("loco", x, 40)
+        n = {L: group_cardinalities(fam, L)[0] for L in range(1, 41)}
+        for m in range(x + 2, 41):
+            assert n[m] == n[m - 1] + n[m - x - 1]
 
     def test_prefix_groups(self):
         fam = ConstraintFamily("aloco", 1, 4)

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from ccpsd.codebook import ConstraintFamily, enumerate_codebook
 from ccpsd.cyclo import (
+    _position_kind,
     bandwidth_3db,
     continuous_psd_from_aperiodic,
     discrete_lines,
@@ -44,6 +46,82 @@ class TestExactAutocorr:
         s = series_for("aloco", 1, 4)
         assert all(isinstance(v, F) for v in s.periodic)
         assert all(isinstance(v, F) for v in s.aperiodic)
+
+
+def exact_autocorr_dense(codebook, signal):
+    """Reference: bridge statistics from the N x N array of bridge values."""
+    fam = codebook.family
+    m, x = fam.m, fam.x
+    period = m + x
+    words = np.array(codebook.words, dtype=np.int64)
+    n = len(words)
+    both = np.outer(words[:, -1], words[:, 0])
+    if signal == "y":
+        w = 2 * words - 1
+        b = np.zeros((n, n), dtype=np.int64) if fam.bridging == "z_symbols" \
+            else 2 * both - 1
+    else:
+        w, b = words, both
+    n2, n3 = n * n, n * n * n
+    word_mean = [F(int(w[:, q].sum()), n) for q in range(m)]
+    bridge_mean = F(int(b.sum()), n2)
+    brow, bcol = b.sum(axis=1), b.sum(axis=0)
+
+    def pos_mean(kind):
+        return word_mean[kind[2]] if kind[0] == "word" else bridge_mean
+
+    def pair_mean(a, c):
+        ka, kc = _position_kind(a, m, period), _position_kind(c, m, period)
+        if ka[0] == "word" and kc[0] == "word":
+            if ka[1] == kc[1]:
+                return F(int((w[:, ka[2]] * w[:, kc[2]]).sum()), n)
+            return word_mean[ka[2]] * word_mean[kc[2]]
+        if ka[0] == "bridge" and kc[0] == "bridge":
+            if ka[1] == kc[1]:
+                return F(int((b * b).sum()), n2)
+            if abs(ka[1] - kc[1]) == 1:
+                return F(int((bcol * brow).sum()), n3)
+            return bridge_mean * bridge_mean
+        if ka[0] == "bridge":
+            ka, kc = kc, ka
+        t, q, tb = ka[1], ka[2], kc[1]
+        if t == tb:
+            return F(int((w[:, q] * brow).sum()), n2)
+        if t == tb + 1:
+            return F(int((w[:, q] * bcol).sum()), n2)
+        return word_mean[q] * bridge_mean
+
+    lags = range(m + 2 * x + period)
+    total = [sum((pair_mean(ell, ell + k) for ell in range(period)), F(0)) / period
+             for k in lags]
+    periodic = [sum((pos_mean(_position_kind(ell, m, period))
+                     * pos_mean(_position_kind((ell + k) % period, m, period))
+                     for ell in range(period)), F(0)) / period
+                for k in lags]
+    return total, periodic
+
+
+class TestBridgeClasses:
+    @pytest.mark.parametrize("kind", ["aloco", "loco", "caloco", "cloco"])
+    @pytest.mark.parametrize("x", [1, 2, 3])
+    def test_equals_dense_reference(self, kind, x):
+        signals = ["y"] if kind in ("loco", "cloco") else ["y", "x"]
+        for m in range(2 if kind in ("caloco", "cloco") else 1, 9):
+            cb = enumerate_codebook(ConstraintFamily(kind, x, m))
+            for signal in signals:
+                s = exact_autocorr(cb, signal)
+                assert (s.total, s.periodic) == exact_autocorr_dense(cb, signal)
+
+    def test_memory_is_not_quadratic_in_n(self):
+        cb = enumerate_codebook(ConstraintFamily("aloco", 1, 14))
+        tracemalloc.start()
+        try:
+            exact_autocorr(cb, "y")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # two N x N int64 arrays would take 16 N^2 bytes, 177 MB at N = 3,329
+        assert peak < 20 * 2**20, f"peak {peak} bytes for N = {cb.N}"
 
 
 class TestSpectralRoutes:

@@ -9,7 +9,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 relaxed = settings(deadline=None, max_examples=50,
                    suppress_health_check=[HealthCheck.too_slow])
 
-from ccpsd.ratfn import D, ONE, ZERO, RationalFn, poly_divmod, poly_gcd, solve
+from ccpsd.ratfn import (
+    D, ONE, ZERO, RationalFn, poly_add, poly_derivative, poly_divmod, poly_gcd,
+    poly_mul, poly_neg, solve,
+)
 
 
 def frac(n, d=1):
@@ -126,8 +129,22 @@ class TestSubstitution:
     def test_derivative_quotient_rule(self):
         f = D / (2 - D)
         # f'(z) = 2 / (2 - z)^2
-        assert f.derivative().evaluate(Fraction(1)) == Fraction(2)
-        assert f.derivative().evaluate(Fraction(0)) == Fraction(1, 2)
+        assert f.derivative_at(Fraction(1)) == Fraction(2)
+        assert f.derivative_at(Fraction(0)) == Fraction(1, 2)
+
+    @relaxed
+    @given(fns(), st.fractions(min_value=-3, max_value=3, max_denominator=5))
+    def test_derivative_at_equals_quotient(self, f, z):
+        num = poly_add(poly_mul(poly_derivative(f.num), f.den),
+                       poly_neg(poly_mul(f.num, poly_derivative(f.den))))
+        quotient = RationalFn(num, poly_mul(f.den, f.den))
+        try:
+            want = quotient.evaluate(z)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                f.derivative_at(z)
+            return
+        assert f.derivative_at(z) == want
 
 
 class TestPolynomialHelpers:

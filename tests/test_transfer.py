@@ -101,6 +101,10 @@ class TestFiniteClosedForms:
         with pytest.raises(ValueError):
             closed_form_aloco(3, 2)
 
+    def test_aloco_beyond_enumeration_limit(self):
+        # the closed form needs only group cardinalities, never the codebook
+        assert closed_form_aloco(32, 1).check_stochastic()
+
 
 class TestIid:
     def test_single_state(self):

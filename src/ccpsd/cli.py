@@ -124,11 +124,11 @@ def cmd_ostm(args):
 def cmd_psd(args):
     fam = _family(args)
     freqs = spectrum.default_grid(args.points)
-    vals = presets.continuous_psd(fam, freqs, with_pulse=not args.no_pulse)
+    vals, lines = presets.psd_and_lines(fam, freqs,
+                                        with_pulse=not args.no_pulse)
     out = args.out or f"psd_{fam.kind}_x{fam.x}" + (
         f"_m{fam.m}" if fam.m else "") + ".csv"
     _write_csv(out, freqs, vals)
-    lines = presets.discrete_lines(fam, with_pulse=not args.no_pulse)
     sidecar = Path(out).with_suffix(".lines.json")
     sidecar.write_text(json.dumps(
         {"lines": [{"f": f, "weight": w} for f, w in lines]}, indent=2))

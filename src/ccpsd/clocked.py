@@ -91,31 +91,3 @@ def _check_conservation(edges, n_labeled):
         if tot != 1:
             raise ValueError(f"source {j} total probability {tot} != 1")
 
-
-def brute_force_ostd(fstd, k_bound):
-    """Oracle: enumerate all label-free paths up to k_bound steps."""
-    out = {i: [] for i in range(len(fstd.states))}
-    for f, t, _, p in fstd.edges:
-        out[f].append((t, p))
-    lab = [i for i, s in enumerate(fstd.states) if s.labeled]
-    lab_pos = {i: k for k, i in enumerate(lab)}
-    edges = {}
-
-    for j, start in enumerate(lab):
-        stack = [(start, 0, Fraction(1))]
-        while stack:
-            node, depth, prob = stack.pop()
-            for t, p in out[node]:
-                q = prob * p
-                if t in lab_pos:
-                    key = (j, lab_pos[t])
-                    edges.setdefault(key, {}).setdefault(depth + 1, Fraction(0))
-                    edges[key][depth + 1] += q
-                elif depth + 1 < k_bound:
-                    stack.append((t, depth + 1, q))
-                else:
-                    raise ValueError("path exceeds the clocked run bound")
-    return {
-        key: sorted((steps, p) for steps, p in runs.items())
-        for key, runs in edges.items()
-    }

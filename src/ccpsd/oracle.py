@@ -28,7 +28,8 @@ def _rng(seed):
 
 def _runs_to_levels(runs, n_symbols):
     """Bit process with a one terminating each run, as +-1 levels."""
-    ones = np.cumsum(runs) - 1
+    ones = np.cumsum(runs)
+    ones -= 1
     ones = ones[ones < n_symbols]
     y = -np.ones(n_symbols, dtype=np.int8)
     y[ones] = 1
@@ -46,8 +47,7 @@ def generate_stream(config):
         # run = 1 with prob 1/2, else x+1 zeros then a geometric tail
         n_runs = int(n / 1.4) + 2 * x + 64
         short = rng.random(n_runs) < 0.5
-        tails = x + 1 + rng.geometric(0.5, size=n_runs)
-        runs = np.where(short, 1, tails)
+        runs = np.where(short, 1, x + 1 + rng.geometric(0.5, size=n_runs))
         while runs.sum() < n:
             extra_short = rng.random(n_runs) < 0.5
             extra = np.where(extra_short, 1, x + 1 + rng.geometric(0.5, n_runs))
@@ -66,8 +66,10 @@ def generate_stream(config):
         return np.repeat(signs, lens)[:n]
 
     if fam.kind == "iid":
-        bits = rng.integers(0, 2, size=n)
-        return (2 * bits - 1).astype(np.int8)
+        levels = rng.integers(0, 2, size=n)
+        levels *= 2
+        levels -= 1
+        return levels.astype(np.int8)
 
     # fixed-length families: words drawn uniformly, bridges in between
     cb = enumerate_codebook(fam)
@@ -87,21 +89,76 @@ def generate_stream(config):
     return out.reshape(-1)[:n]
 
 
-def estimate_autocorr(stream, kmax):
-    """Biased-normalization lag products, phase-averaged by construction."""
-    v = stream.astype(np.float64)
-    n = len(v)
-    out = np.empty(kmax + 1)
-    for k in range(kmax + 1):
-        out[k] = float(np.dot(v[: n - k], v[k:])) / (n - k)
+# Most symbols one chunk of the lag-product accumulation casts to float32;
+# bounds the estimator's copy of the stream (4 MB).
+CHUNK_SYMBOLS = 1 << 20
+# Lags one pass of the Gram-matrix accumulation covers; bounds its B x B
+# matrices when many lags are asked for.
+LAG_BLOCK = 512
+
+
+def _lag_sums(stream, k0, lags):
+    """sum_a s[a] s[a+k] for k0 <= k < k0 + lags, exact, as float64.
+
+    With u = s[:n-k0] and w = s[k0:] cut into rows of B symbols, a pair at
+    lag k0 + j (j < B) lies in one row or in two adjacent rows, so its sum
+    is the j-th diagonal of U^T W plus the (j-B)-th diagonal of
+    U[:-1]^T W[1:], plus the pairs that reach past the last full row.  Each
+    product is in {-1, 0, 1} and a chunk of at most CHUNK_SYMBOLS symbols
+    keeps every partial sum an integer below 2^24, so the float32 matrix
+    products are exact in any summation order.
+    """
+    n = len(stream) - k0
+    b = max(lags, 64)  # shorter rows make matrix products too small to be fast
+    rows = n // b
+    step = max(1, CHUNK_SYMBOLS // b)
+    c0 = np.zeros((b, b))
+    c1 = np.zeros((b, b))
+    for r0 in range(0, rows, step):
+        r1 = min(r0 + step, rows)
+        hi = min(r1 + 1, rows) * b  # one overlap row for pairs across rows
+        w = stream[k0 + r0 * b:k0 + hi].astype(np.float32).reshape(-1, b)
+        u = w if k0 == 0 else (
+            stream[r0 * b:hi].astype(np.float32).reshape(-1, b))
+        c0 += u[:r1 - r0].T @ w[:r1 - r0]
+        c1 += u[:-1].T @ w[1:]
+    out = np.empty(lags)
+    tail = rows * b
+    for j in range(lags):
+        lo = max(0, tail - j)
+        rest = np.dot(stream[lo:n - j].astype(np.int64),
+                      stream[k0 + lo + j:k0 + n].astype(np.int64))
+        out[j] = np.trace(c0, j) + np.trace(c1, j - b) + float(rest)
     return out
+
+
+def estimate_autocorr(stream, kmax):
+    """Biased-normalization lag products, phase-averaged by construction.
+
+    ``stream`` is an integer array with values in {-1, 0, 1}.  The lag sums
+    come from blocked Gram matrices of the stream (see ``_lag_sums``), which
+    are exact, so each lag equals one dot product over the whole stream.
+    """
+    stream = np.asarray(stream)
+    if stream.ndim != 1 or not np.issubdtype(stream.dtype, np.integer):
+        raise ValueError("stream must be a one-dimensional integer array")
+    n = len(stream)
+    if not 0 <= kmax < n:
+        raise ValueError(f"kmax={kmax} must lie in [0, {n})")
+    if stream.min() < -1 or stream.max() > 1:
+        raise ValueError("stream values must lie in {-1, 0, 1}")
+    out = np.empty(kmax + 1)
+    for k0 in range(0, kmax + 1, LAG_BLOCK):
+        lags = min(LAG_BLOCK, kmax + 1 - k0)
+        out[k0:k0 + lags] = _lag_sums(stream, k0, lags)
+    return out / (n - np.arange(kmax + 1))
 
 
 def _estimate_periodic(stream, period, kmax):
     """Autocorrelation of the per-phase mean profile."""
-    v = stream.astype(np.float64)
-    n = (len(v) // period) * period
-    prof = v[:n].reshape(-1, period).mean(axis=0)
+    rows = len(stream) // period
+    prof = (stream[:rows * period].reshape(-1, period)
+            .sum(axis=0, dtype=np.int64) / rows)
     out = np.empty(kmax + 1)
     for k in range(kmax + 1):
         out[k] = float(np.mean(prof * np.roll(prof, -k % period)))
@@ -126,7 +183,7 @@ def estimate_psd(stream, freqs, family=None, kmax=None, with_pulse=False):
     else:
         kmax = kmax if kmax is not None else 64
         r = estimate_autocorr(stream, kmax)
-        ra = r - np.mean(stream.astype(np.float64)) ** 2
+        ra = r - (np.float64(stream.sum(dtype=np.int64)) / len(stream)) ** 2
     out = np.full(len(freqs), ra[0])
     for k in range(1, kmax + 1):
         out += 2.0 * ra[k] * np.cos(2 * np.pi * freqs * k)

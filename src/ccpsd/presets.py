@@ -75,15 +75,26 @@ def continuous_psd(family, freqs, with_pulse=True, method="auto"):
     return vals
 
 
-def discrete_lines(family, with_pulse=True):
+def psd_and_lines(family, freqs, with_pulse=True):
+    """Continuous PSD at ``freqs`` and the discrete lines, as ``psd`` writes.
+
+    Both come from one exact computation: the autocorrelation of a finite
+    code, or the transfer matrix and stationary distribution of a stream.
+    """
+    freqs = np.asarray(freqs, dtype=float)
     if family.m is not None:
-        cb = enumerate_codebook(family)
-        series = cyclo.exact_autocorr(cb, "y")
-        return cyclo.discrete_lines(series, with_pulse=with_pulse)
+        series = cyclo.exact_autocorr(enumerate_codebook(family), "y")
+        return (cyclo.continuous_psd_from_aperiodic(series, freqs,
+                                                    with_pulse=with_pulse),
+                cyclo.discrete_lines(series, with_pulse=with_pulse))
     tm = transfer_matrix_for(family)
-    if family.kind in ("ax",):
-        return [(0.0, float(spectrum.dc_line_weight(tm)))]
-    return []  # symmetric infinite streams carry no lines
+    pi = spectrum.stationary_distribution(tm)
+    vals = spectrum.spectrum_y(tm, freqs, pi)
+    if with_pulse:
+        vals = spectrum.pulse_shape(freqs) * vals
+    if family.kind == "ax":
+        return vals, [(0.0, float(spectrum.dc_line_weight(tm, pi)))]
+    return vals, []  # symmetric and i.i.d. streams carry no lines
 
 
 def bandwidth(family):

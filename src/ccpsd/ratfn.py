@@ -104,7 +104,7 @@ def poly_reverse(a, degree):
 class RationalFn:
     """A ratio of polynomials in D, always stored in canonical form."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_rounded")
 
     def __init__(self, num, den=(Fraction(1),)):
         num = poly(num)
@@ -206,13 +206,19 @@ class RationalFn:
         """Evaluate at a complex/float point (exact if z is a Fraction).
 
         A numpy array of points is evaluated elementwise in one pass, with
-        the coefficients rounded to floats once.
+        the coefficients rounded to floats on the first such call only.
         """
         if isinstance(z, np.ndarray):
-            den = np.polyval([float(c) for c in reversed(self.den)], z)
+            try:
+                num, den = self._rounded
+            except AttributeError:
+                num = [float(c) for c in reversed(self.num)]
+                den = [float(c) for c in reversed(self.den)]
+                self._rounded = num, den
+            den = np.polyval(den, z)
             if np.any(den == 0):
                 raise ZeroDivisionError("evaluation at a pole")
-            return np.polyval([float(c) for c in reversed(self.num)], z) / den
+            return np.polyval(num, z) / den
         den = poly_eval(self.den, z)
         if den == 0:
             raise ZeroDivisionError("evaluation at a pole")

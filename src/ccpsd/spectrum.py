@@ -67,37 +67,43 @@ def prob_one(tm, pi=None):
 BLOCK_ENTRIES = 1 << 18
 
 
-def spectrum_x(tm, freqs):
+def spectrum_x(tm, freqs, pi=None):
     """Continuous PSD of the 0/1 indicator stream at the given frequencies.
 
     Valid away from discrete-line frequencies, where I - G(z) is invertible.
-    G(z) is evaluated over a block of the grid at once and (I - G) v = 1 is
-    solved for every point of the block in one batched call.
+    G(z) is evaluated over a block of the grid at once, each distinct entry
+    once, and (I - G) v = 1 is solved for every point of the block in one
+    batched call.  ``pi`` is the exact stationary distribution, when the
+    caller has it already.
     """
-    pi = stationary_distribution(tm)
+    pi = pi or stationary_distribution(tm)
     p1 = float(prob_one(tm, pi))
     pi_f = np.array([float(p) for p in pi])
     n = tm.n
     z = np.exp(-2j * np.pi * np.asarray(freqs, dtype=float))
-    nonzero = [(i, j, e) for i, row in enumerate(tm.entries)
-               for j, e in enumerate(row) if e]
+    where = {}  # distinct nonzero entry -> the positions that hold it
+    for i, row in enumerate(tm.entries):
+        for j, e in enumerate(row):
+            if e:
+                where.setdefault(e, []).append((i, j))
     out = np.empty(len(z))
     step = max(1, BLOCK_ENTRIES // (n * n))
     for start in range(0, len(z), step):
         zb = z[start:start + step]
         a = np.zeros((len(zb), n, n), dtype=complex)
         a[:, np.arange(n), np.arange(n)] = 1.0
-        for i, j, e in nonzero:
-            a[:, i, j] -= e.evaluate(zb)
+        for e, positions in where.items():
+            rows, cols = zip(*positions)
+            a[:, rows, cols] -= e.evaluate(zb)[:, None]
         v = np.linalg.solve(a, np.ones((len(zb), n, 1)))[:, :, 0]
         # a sum per row, so a point's value does not depend on its block
         out[start:start + step] = p1 * (2.0 * (v.real * pi_f).sum(axis=1) - 1.0)
     return out
 
 
-def spectrum_y(tm, freqs):
+def spectrum_y(tm, freqs, pi=None):
     """Antipodal (+1/-1) signaling: continuous part scales by four."""
-    return 4.0 * spectrum_x(tm, freqs)
+    return 4.0 * spectrum_x(tm, freqs, pi)
 
 
 def pulse_shape(freqs):
@@ -105,9 +111,9 @@ def pulse_shape(freqs):
     return np.sinc(np.asarray(freqs, dtype=float)) ** 2
 
 
-def dc_line_weight(tm):
+def dc_line_weight(tm, pi=None):
     """Weight of the f=0 spectral line of the antipodal signal."""
-    p1 = prob_one(tm)
+    p1 = prob_one(tm, pi)
     return (2 * p1 - 1) ** 2
 
 

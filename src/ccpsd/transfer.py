@@ -145,10 +145,16 @@ def alternate_sx(x):
 
 
 def _beta(a, b, n_words, period):
-    """a * D^b / (N - D^period)."""
-    num = [Fraction(0)] * b + [Fraction(a)]
-    den = [Fraction(n_words)] + [Fraction(0)] * (period - 1) + [-Fraction(1)]
-    return RationalFn(num, den)
+    """a * D^b / (N - D^period) for a != 0, built in canonical form.
+
+    The only root of a D^b is 0 and N - D^period (N != 0) does not vanish
+    there, so the two are coprime and no gcd is needed; making the
+    denominator monic negates both.
+    """
+    r = RationalFn.zero()
+    r.num = (Fraction(0),) * b + (-Fraction(a),)
+    r.den = (-Fraction(n_words),) + (Fraction(0),) * (period - 1) + (Fraction(1),)
+    return r
 
 
 def _lambda_chain(fam, d, g):

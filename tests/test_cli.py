@@ -117,6 +117,15 @@ class TestExitCodes:
         assert r.stderr.startswith("error:")
         assert "m >= 1" in r.stderr
 
+    def test_codebook_over_the_word_limit(self, tmp_path):
+        # N = 26,931,732 words, about 8 GB as tuples: refused before listing
+        r = run(["autocorr", "--family", "aloco", "--x", "1", "--m", "30"],
+                tmp_path)
+        assert r.returncode == 1, r.stderr
+        assert r.stderr.startswith("error:")
+        assert "26931732 words" in r.stderr
+        assert "Traceback" not in r.stderr
+
     def test_zero_symbols_is_usage_error(self, tmp_path):
         r = run(["mc", "--family", "iid", "--x", "0", "--symbols", "0"],
                 tmp_path)

@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from brute_force import brute_force_ostd
 from ccpsd.clocked import (
     bfs_ostd,
-    brute_force_ostd,
     clocked_inputs_from_fstd,
     effective_run_bound,
 )

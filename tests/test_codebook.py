@@ -3,11 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from brute_force import brute_force_codebook
 from ccpsd.codebook import (
     CLOCKED_KINDS,
+    ENUMERATION_LIMIT,
     ConstraintFamily,
     alpha,
-    brute_force_codebook,
     contains_forbidden,
     enumerate_codebook,
     forbidden_patterns,
@@ -60,6 +61,18 @@ class TestEnumeration:
         # clocked variants drop the all-zero/all-one words
         assert enumerate_codebook(ConstraintFamily("caloco", 1, 4)).N == 10
         assert enumerate_codebook(ConstraintFamily("cloco", 1, 4)).N == 8
+
+    def test_refuses_codebooks_over_the_word_limit(self):
+        # N = 922,111 words is listed; N = 2,839,729 is refused before any is
+        assert group_cardinalities(ConstraintFamily("aloco", 1, 24), 24)[0] \
+            <= ENUMERATION_LIMIT
+        with pytest.raises(ValueError, match="2839729 words"):
+            enumerate_codebook(ConstraintFamily("aloco", 1, 26))
+
+    def test_lists_long_words_under_the_limit(self):
+        # m beyond the old bound of 30 on the length, with few words
+        cb = enumerate_codebook(ConstraintFamily("loco", 8, 40))
+        assert cb.N == group_cardinalities(cb.family, 40)[0]
 
     def test_sorted_lexicographically(self):
         cb = enumerate_codebook(ConstraintFamily("loco", 1, 4))

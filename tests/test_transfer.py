@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from ccpsd import transfer
 from ccpsd.codebook import ConstraintFamily, enumerate_codebook
 from ccpsd.fstd import build_grid_fstd, build_infinite_fstd, reduce_to_ostd
 from ccpsd.ratfn import RationalFn, D, ZERO
@@ -104,6 +105,18 @@ class TestFiniteClosedForms:
     def test_aloco_beyond_enumeration_limit(self):
         # the closed form needs only group cardinalities, never the codebook
         assert closed_form_aloco(32, 1).check_stochastic()
+
+    @pytest.mark.parametrize("maker", [closed_form_aloco, closed_form_loco_A])
+    def test_entries_equal_gcd_built(self, maker, monkeypatch):
+        # _beta builds its canonical form directly; the gcd must agree
+        cases = [(m, x) for x in (1, 2, 3) for m in range(x + 2, 13)]
+        direct = [maker(m, x) for m, x in cases]
+        monkeypatch.setattr(transfer, "_beta", beta)
+        for (m, x), tm in zip(cases, direct):
+            ref = maker(m, x)
+            for row, ref_row in zip(tm.entries, ref.entries):
+                for e, r in zip(row, ref_row):
+                    assert e == r == RationalFn(e.num, e.den), (m, x)
 
 
 class TestIid:

@@ -166,19 +166,22 @@ def cmd_bandwidth(args):
 
 def cmd_mc(args):
     fam = _family(args)
-    stream = oracle.generate_stream(
-        oracle.StreamConfig(fam, args.symbols, args.seed))
     if args.against:
         rows = Path(args.against).read_text().strip().splitlines()
-        if rows[0] != CSV_HEADER:
+        if not rows or rows[0] != CSV_HEADER:
             raise ValueError("unexpected CSV header in theory file")
-        data = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
-        freqs, theory = data[:, 0], data[:, 1]
+        data = [[float(v) for v in r.split(",")] for r in rows[1:]]
+        if not data or any(len(r) != 2 for r in data) \
+                or not np.isfinite(data).all():
+            raise ValueError("theory file rows must hold two finite numbers")
+        freqs, theory = np.array(data).T
         with_pulse = True
     else:
         freqs = spectrum.default_grid(args.points)
         theory = presets.continuous_psd(fam, freqs, with_pulse=False)
         with_pulse = False
+    stream = oracle.generate_stream(
+        oracle.StreamConfig(fam, args.symbols, args.seed))
     est = oracle.estimate_psd(stream, freqs, family=fam, with_pulse=with_pulse)
     report = oracle.deviation_report(est, theory, freqs)
     report.update({"family": fam.kind, "m": fam.m, "x": fam.x,
@@ -232,7 +235,7 @@ def cmd_reproduce(args):
 
     # periodic autocorrelation fixture
     fam = ConstraintFamily("aloco", 1, 4)
-    series = cyclo.exact_autocorr(enumerate_codebook(fam), "y")
+    series = presets.autocorr_for(fam)
     got = [float(v) for v in series.periodic[:5]]
     ok = all(abs(g - t) <= 1e-4 for g, t in zip(got, presets.AC41_PERIODIC))
     (outdir / "ac41_periodic.json").write_text(json.dumps(

@@ -1,4 +1,4 @@
-"""Constrained codebooks, forbidden-pattern sets, and group cardinalities.
+"""Constrained codebooks, forbidden patterns, their automaton, group cardinalities.
 
 Families:
 
@@ -10,12 +10,12 @@ Families:
                        bridged by x no-write symbols
 * ``caloco``/``cloco`` -- the self-clocked variants (all-zero/all-one words removed)
 
-Words are stored most-significant-bit first and listed in ascending
-lexicographic order.  The group cardinalities that the closed forms need
-come from a cached dynamic program over the constraint automaton, so their
-cost grows with the length, not with N.  ``enumerate_codebook`` counts N
-that way first and lists no codebook of more than ``ENUMERATION_LIMIT``
-words.
+Every count and listing comes from one model of the constraint: an
+Aho-Corasick automaton over ``forbidden_patterns`` and its cached table of
+pattern-free continuations.  Group cardinalities read the table, so their
+cost grows with the length, not with N.  ``enumerate_codebook`` lists words
+depth first over the automaton, most-significant bit first and in ascending
+lexicographic order, and refuses more than ``ENUMERATION_LIMIT`` words.
 """
 
 from __future__ import annotations
@@ -78,18 +78,76 @@ def forbidden_patterns(family):
     return pats
 
 
-def contains_forbidden(bits, patterns):
-    n = len(bits)
-    for p in patterns:
-        k = len(p)
-        for i in range(n - k + 1):
-            if tuple(bits[i : i + k]) == p:
-                return True
-    return False
+class Automaton:
+    """Aho-Corasick table of a forbidden-pattern set, with completion counts.
+
+    States are the proper prefixes of the patterns, shortest first, then one
+    dead state; state 0 is the empty prefix.  A live state stands for the
+    longest suffix of the bits read that is a proper pattern prefix, and
+    ``delta[s][b]`` is the state after reading bit b: dead once a pattern
+    has ended, and dead ever after.
+    """
+
+    def __init__(self, patterns):
+        prefixes = sorted({p[:k] for p in patterns for k in range(len(p))},
+                          key=lambda q: (len(q), q))
+        index = {q: i for i, q in enumerate(prefixes)}
+        patterns = set(patterns)
+        dead = len(prefixes)
+        self.delta = [[dead, dead] for _ in range(dead + 1)]
+        fail = {0: 0}  # the longest proper suffix state of a live prefix
+        for q in prefixes:
+            i = index[q]
+            if i not in fail:  # a shorter pattern ends inside q
+                continue
+            for b in (0, 1):
+                t = q + (b,)
+                # where the longest proper suffix of t leads
+                back = self.delta[fail[i]][b] if q else 0
+                if t in patterns or back == dead:
+                    continue
+                self.delta[i][b] = index.get(t, back)
+                if t in index:
+                    fail[index[t]] = back
+        self._counts = [[1] * dead + [0]]
+
+    def count(self, r, s):
+        """Pattern-free r-bit continuations from state s."""
+        if r < 0:
+            return 0
+        rows = self._counts
+        while len(rows) <= r:
+            prev = rows[-1]
+            rows.append([prev[a] + prev[b] for a, b in self.delta])
+        return rows[r][s]
+
+    def walk(self, length):
+        """Every pattern-free ``length``-bit string, lexicographically
+        ascending, listed depth first."""
+        self.count(length, 0)  # fills the rows read below
+        rows, delta, bits = self._counts, self.delta, []
+        stack = [(-1, None, 0)]  # (index of the bit, the bit, state after)
+        while stack:
+            depth, b, s = stack.pop()
+            if depth >= 0:
+                del bits[depth:]
+                bits.append(b)
+            left = length - depth - 1
+            if not left:
+                yield tuple(bits)
+                continue
+            for c in (1, 0):  # 0 is popped, and so listed, first
+                t = delta[s][c]
+                if rows[left - 1][t]:
+                    stack.append((depth + 1, c, t))
 
 
-def _max_pattern_len(family):
-    return family.x + 2
+_automaton = lru_cache(maxsize=None)(Automaton)
+
+
+def automaton(family):
+    """The cached constraint automaton of a family's forbidden patterns."""
+    return _automaton(tuple(forbidden_patterns(family)))
 
 
 def enumerate_codebook(family):
@@ -102,24 +160,9 @@ def enumerate_codebook(family):
         raise ValueError(
             f"{family.kind} x={family.x} m={m} has {n_words} words, more than "
             f"the enumeration limit of {ENUMERATION_LIMIT}")
-    patterns = forbidden_patterns(family)
-    ctx = _max_pattern_len(family) - 1  # bits of history that matter
-
-    words = []
-
-    def extend(prefix):
-        if len(prefix) == m:
-            words.append(tuple(prefix))
-            return
-        for b in (0, 1):
-            tail = prefix[-ctx:] + [b]
-            if not contains_forbidden(tail, patterns):
-                extend(prefix + [b])
-
-    extend([])
-    if family.kind in CLOCKED_KINDS:
-        allzero, allone = (0,) * m, (1,) * m
-        words = [w for w in words if w != allzero and w != allone]
+    clocked = family.kind in CLOCKED_KINDS
+    words = [w for w in automaton(family).walk(m)
+             if not clocked or 0 < sum(w) < m]  # clocked: no constant word
     return Codebook(family=family, words=words)
 
 
@@ -154,42 +197,20 @@ class Codebook:
         return ["".join(map(str, w)) for w in self.words]
 
 
-@lru_cache(maxsize=None)
-def _prefix_class_counts(family):
-    """(N, N1, N2, N3) of pattern-free words of length family.m >= 2.
-
-    Dynamic program over the constraint automaton: a state is (first two
-    bits, last x+1 bits), and appending a bit is allowed when no forbidden
-    pattern ends at it.  Nothing is enumerated.
-    """
-    patterns = forbidden_patterns(family)
-    counts = {(w, w): 1 for w in ((0, 0), (0, 1), (1, 0), (1, 1))}
-    for _ in range(family.m - 2):
-        nxt = {}
-        for (head, tail), c in counts.items():
-            for b in (0, 1):
-                cand = tail + (b,)
-                if any(cand[-len(p):] == p for p in patterns):
-                    continue
-                key = (head, cand[-(family.x + 1):])
-                nxt[key] = nxt.get(key, 0) + c
-        counts = nxt
-    by_head = dict.fromkeys(((0, 0), (1, 1), (1, 0), (0, 1)), 0)
-    for (head, _), c in counts.items():
-        by_head[head] += c
-    return (sum(by_head.values()), by_head[(0, 0)], by_head[(1, 1)],
-            by_head[(1, 0)])
-
-
 def group_cardinalities(family, length):
-    """(N, N1, N2, N3) at a given word length; 0 below prefix length."""
+    """(N, N1, N2, N3) at a given word length; 0 below prefix length.
+
+    Read from the automaton's completion counts; nothing is enumerated.
+    """
     if length < 1:
         raise ValueError("length must be >= 1")
     # rejects the kinds without codewords, as enumeration would
-    at_length = ConstraintFamily(family.kind, family.x, length)
-    if length < 2:
-        return 2, 0, 0, 0
-    n, n1, n2, n3 = _prefix_class_counts(at_length)
+    ConstraintFamily(family.kind, family.x, length)
+    auto = automaton(family)
+    d = auto.delta
+    n = auto.count(length, 0)
+    n1, n2, n3 = (auto.count(length - 2, d[d[0][a]][b])
+                  for a, b in ((0, 0), (1, 1), (1, 0)))
     if family.kind in CLOCKED_KINDS:
         # the all-zero and all-one words are always pattern-free
         return n - 2, n1 - 1, n2 - 1, n3

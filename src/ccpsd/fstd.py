@@ -3,13 +3,16 @@
 Two constructions are provided:
 
 * ``build_infinite_fstd`` -- the stationary diagram of an infinite-length
-  constrained sequence, over histories of the last x+1 bits, with 1/2-1/2
-  branching wherever two continuations are allowed.
+  constrained sequence, over the histories of the last x+1 bits that the
+  constraint automaton allows, with 1/2-1/2 branching wherever two
+  continuations are allowed.
 
 * ``build_grid_fstd`` -- the positional grid for a stream of uniformly drawn
   fixed-length codewords with bridging: one column per position of the
-  codeword-plus-bridge period, states keyed by (column, last x+1 bits), with
-  exact rational edge probabilities derived from codeword statistics.
+  codeword-plus-bridge period, states keyed by (column, last x+1 bits).  Each
+  edge probability is a ratio of completion counts of the automaton.  A
+  self-clocked word that is constant so far keeps its whole history, since
+  it lacks the one constant completion; this makes its grid exact.
 
 ``reduce_to_ostd`` aggregates all label-free paths between labeled states
 (states whose most recent bit is a 1) into run-length distributions; 0-cycles
@@ -21,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .codebook import ConstraintFamily, contains_forbidden, forbidden_patterns
+from .codebook import CLOCKED_KINDS, ConstraintFamily, automaton
 from .ratfn import RationalFn, ZERO, solve
 
 
@@ -130,26 +133,18 @@ def _trailing_run(history, bit):
 def build_infinite_fstd(family):
     if family.kind not in ("ax", "sx"):
         raise ValueError("infinite FSTDs exist only for the ax/sx families")
-    x = family.x
-    patterns = forbidden_patterns(family)
-    width = x + 1
-
-    histories = [
-        h
-        for h in _all_bits(width)
-        if not contains_forbidden(h, patterns)
-    ]
-    # prune histories that can never occur in a bi-infinite valid stream
-    histories = [h for h in histories if _extendable(h, patterns)]
-
+    windows = set(automaton(family).walk(family.x + 2))
+    # histories of the last x+1 bits that occur in a bi-infinite valid
+    # stream: each ends one pattern-free window and starts another
+    histories = sorted({w[1:] for w in windows} & {w[:-1] for w in windows})
     index = {h: i for i, h in enumerate(histories)}
     edges = []
     for h in histories:
-        allowed = [b for b in (0, 1) if not contains_forbidden(h + (b,), patterns)
-                   and (h + (b,))[1:] in index]
+        allowed = [b for b in (0, 1) if h + (b,) in windows
+                   and h[1:] + (b,) in index]
         p = Fraction(1, len(allowed))
         for b in allowed:
-            edges.append((index[h], index[(h + (b,))[1:]], b, p))
+            edges.append((index[h], index[h[1:] + (b,)], b, p))
 
     states = []
     for h in histories:
@@ -159,17 +154,6 @@ def build_infinite_fstd(family):
     fstd = Fstd(family=family, states=states, edges=edges)
     fstd.check()
     return fstd
-
-
-def _all_bits(n):
-    return [tuple((v >> (n - 1 - i)) & 1 for i in range(n)) for v in range(2 ** n)]
-
-
-def _extendable(h, patterns):
-    # must admit at least one successor and one predecessor window
-    succ = any(not contains_forbidden(h + (b,), patterns) for b in (0, 1))
-    pred = any(not contains_forbidden((b,) + h, patterns) for b in (0, 1))
-    return succ and pred
 
 
 # ---------------------------------------------------------------------------
@@ -182,64 +166,9 @@ def stream_signal_kind(family):
     return "flipped_a" if family.kind in ("loco", "cloco") else "bits"
 
 
-def _stream_words(codebook, signal):
-    if signal == "flipped_a":
-        return [tuple(1 - b for b in w) for w in codebook.words]
-    return [tuple(w) for w in codebook.words]
-
-
-def _bridge_bits(family, signal, last_bit, first_bit):
-    """Stream-domain bridge bits between two consecutive stream words."""
-    x = family.x
-    if signal == "flipped_a":
-        # z symbols carry no pulse; on the flipped indicator signal they read 1
-        return (1,) * x
-    if last_bit == 1 and first_bit == 1:
-        return (1,) * x
-    return (0,) * x
-
-
-def window_distribution(codebook):
-    """Exact distribution of length-(x+2) windows ending at each stream phase.
-
-    Phase 0 is the first codeword position; phases m..m+x-1 are bridge
-    positions.  Returns a list of dicts {window tuple: Fraction}.
-    """
-    family = codebook.family
-    signal = stream_signal_kind(family)
+def _grid_category(family, signal, col, hist):
     m, x = family.m, family.x
-    period = m + x
-    words = _stream_words(codebook, signal)
-    n = len(words)
-    if n == 0:
-        raise ValueError("empty codebook")
-    n_last = [sum(1 for w in words if w[-1] == b) for b in (0, 1)]
-    n_first = [sum(1 for w in words if w[0] == b) for b in (0, 1)]
-
-    width = x + 2
-    dist = [dict() for _ in range(period)]
-    denom = n ** 3
-    for l1 in (0, 1):
-        if n_last[l1] == 0:
-            continue
-        for w2 in words:
-            seg_mid = (l1,) + _bridge_bits(family, signal, l1, w2[0]) + w2
-            for f3 in (0, 1):
-                if n_first[f3] == 0:
-                    continue
-                seg = seg_mid + _bridge_bits(family, signal, w2[-1], f3)
-                weight = Fraction(n_last[l1] * n_first[f3], denom)
-                # seg[0] sits at stream position m-1
-                for phase in range(period):
-                    end = (m + x + phase) - (m - 1)  # index within seg
-                    win = seg[end - width + 1 : end + 1]
-                    dist[phase][win] = dist[phase].get(win, Fraction(0)) + weight
-    return dist
-
-
-def _grid_category(family, signal, col, hist, labeled):
-    m, x = family.m, family.x
-    if not labeled:
+    if hist[-1] == 0:
         return ("u", col)
     if signal == "bits":
         return (0, col)
@@ -253,41 +182,83 @@ def _grid_category(family, signal, col, hist, labeled):
 
 
 def build_grid_fstd(codebook, merge=True):
-    """Positional-grid FSTD for a finite family under uniform codeword usage."""
+    """Positional-grid FSTD for a finite family under uniform codeword usage.
+
+    Only ``codebook.family`` is read: every edge probability is a ratio of
+    completion counts of the constraint automaton.
+    """
     family = codebook.family
     signal = stream_signal_kind(family)
-    period = family.m + family.x
-    dist = window_distribution(codebook)
+    m, x = family.m, family.x
+    period = m + x
+    auto = automaton(family)
+    clocked = family.kind in CLOCKED_KINDS
 
-    states = []
-    index = {}
-    for col in range(period):
-        hists = set()
-        for win in dist[col]:
-            hists.add(win[1:])
-        for h in sorted(hists):
-            labeled = h[-1] == 1
-            cat = _grid_category(family, signal, col, h, labeled)
-            index[(col, h)] = len(states)
-            states.append(State(col, h, labeled, cat))
+    def completions(r, s, const):
+        # a clocked word that is constant so far loses its constant completion
+        return auto.count(r, s) - (clocked and const)
 
-    edges = []
-    for col in range(period):
-        nxt = (col + 1) % period
-        for (c, h), i in list(index.items()):
-            if c != col:
-                continue
-            denom = sum(
-                (dist[nxt].get(h + (b,), Fraction(0)) for b in (0, 1)), Fraction(0)
-            )
-            if denom == 0:
-                continue
-            for b in (0, 1):
-                pr = dist[nxt].get(h + (b,), Fraction(0))
-                if pr == 0:
-                    continue
-                edges.append((i, index[(nxt, (h + (b,))[1:])], b, pr / denom))
+    # Stream words are uniform over the codebook.  The loco patterns are
+    # symmetric, so the flipped words obey the same automaton.
+    first = auto.delta[0]
+    n_first = [completions(m - 1, s, True) for s in first]
+    draw_first = [(b, Fraction(n_first[b], sum(n_first))) for b in (0, 1)]
 
+    def successors(col, hist, s, const):
+        """(bit, probability, automaton state, constant flag) of each edge."""
+        if col < m - 1:  # word bits
+            total = completions(m - 1 - col, s, const)
+            steps = []
+            for b, t in enumerate(auto.delta[s]):
+                c = const and b == hist[-1]
+                steps.append((b, Fraction(completions(m - 2 - col, t, c), total),
+                              t, c))
+            return steps
+        if col == period - 1:  # the first bit of the next word
+            if signal == "bits" and hist[-1] == 1:
+                pairs = [(1, Fraction(1))]
+            elif signal == "bits" and hist[0] == 1:
+                pairs = [(0, Fraction(1))]
+            else:
+                pairs = draw_first
+            return [(b, p, first[b], True) for b, p in pairs]
+        # Bridge bits repeat the first one.  z symbols read 1; ones bridge a
+        # 1 to a word starting with 1, and zeros bridge the rest.
+        if col >= m or (signal == "bits" and hist[-1] == 0):
+            pairs = [(hist[-1], Fraction(1))]
+        elif signal == "flipped_a":
+            pairs = [(1, Fraction(1))]
+        else:
+            pairs = draw_first
+        return [(b, p, None, False) for b, p in pairs]
+
+    # A state is a column and the stream bits it remembers: the last x+1,
+    # or the whole word while a clocked word is constant.  The walk starts
+    # after a word ending in 0 and its bridge, which every stream visits.
+    start = (period - 1, (0,) + (int(signal == "flipped_a"),) * x)
+    info = {start: (None, False)}  # automaton state and constant flag
+    out = {}
+    todo = [start]
+    while todo:
+        col, hist = node = todo.pop()
+        out[node] = []
+        for b, p, s, const in successors(col, hist, *info[node]):
+            if p:
+                nxt = (col + 1) % period
+                keep = max(x + 1, nxt + 1 if clocked and const else 0)
+                target = (nxt, (hist + (b,))[-keep:])
+                out[node].append((b, p, target))
+                if target not in info:
+                    info[target] = (s, const)
+                    todo.append(target)
+
+    nodes = sorted(out)
+    index = {node: i for i, node in enumerate(nodes)}
+    states = [State(col, hist, hist[-1] == 1,
+                    _grid_category(family, signal, col, hist))
+              for col, hist in nodes]
+    edges = [(index[node], index[target], b, p)
+             for node in nodes for b, p, target in out[node]]
     fstd = Fstd(family=family, states=states, edges=edges)
     fstd.check()
     if merge:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -60,16 +61,19 @@ def transfer_matrix_for(family, method="auto"):
         enumerate_codebook(family))))
 
 
-def continuous_psd(family, freqs, with_pulse=True, method="auto"):
+@lru_cache(maxsize=None)
+def autocorr_for(family):
+    """Exact autocorrelation of a finite family's antipodal signal, once."""
+    return cyclo.exact_autocorr(enumerate_codebook(family), "y")
+
+
+def continuous_psd(family, freqs, with_pulse=True):
     """Continuous PSD of the antipodal/three-level waveform at ``freqs``."""
     freqs = np.asarray(freqs, dtype=float)
-    if family.m is not None and method in ("auto", "autocorr"):
-        cb = enumerate_codebook(family)
-        series = cyclo.exact_autocorr(cb, "y")
-        return cyclo.continuous_psd_from_aperiodic(series, freqs,
-                                                   with_pulse=with_pulse)
-    tm = transfer_matrix_for(family, method if method != "autocorr" else "auto")
-    vals = spectrum.spectrum_y(tm, freqs)
+    if family.m is not None:
+        return cyclo.continuous_psd_from_aperiodic(
+            autocorr_for(family), freqs, with_pulse=with_pulse)
+    vals = spectrum.spectrum_y(transfer_matrix_for(family), freqs)
     if with_pulse:
         vals = spectrum.pulse_shape(freqs) * vals
     return vals
@@ -83,7 +87,7 @@ def psd_and_lines(family, freqs, with_pulse=True):
     """
     freqs = np.asarray(freqs, dtype=float)
     if family.m is not None:
-        series = cyclo.exact_autocorr(enumerate_codebook(family), "y")
+        series = autocorr_for(family)
         return (cyclo.continuous_psd_from_aperiodic(series, freqs,
                                                     with_pulse=with_pulse),
                 cyclo.discrete_lines(series, with_pulse=with_pulse))
@@ -100,8 +104,7 @@ def psd_and_lines(family, freqs, with_pulse=True):
 def bandwidth(family):
     """3 dB bandwidth of the continuous pulse-shaped PSD."""
     if family.m is not None:
-        cb = enumerate_codebook(family)
-        series = cyclo.exact_autocorr(cb, "y")
+        series = autocorr_for(family)
         return cyclo.bandwidth_3db(
             lambda f: cyclo.continuous_psd_from_aperiodic(series, f))
     sym = spectrum.spectrum_x_symbolic(transfer_matrix_for(family))

@@ -2,12 +2,18 @@
 
 from fractions import Fraction
 
-from ccpsd.codebook import (
-    CLOCKED_KINDS,
-    Codebook,
-    contains_forbidden,
-    forbidden_patterns,
-)
+from ccpsd.codebook import CLOCKED_KINDS, Codebook, forbidden_patterns
+
+
+def contains_forbidden(bits, patterns):
+    """Whether any pattern occurs in ``bits``, by scanning every window."""
+    n = len(bits)
+    for p in patterns:
+        k = len(p)
+        for i in range(n - k + 1):
+            if tuple(bits[i : i + k]) == p:
+                return True
+    return False
 
 
 def brute_force_codebook(family):

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import ccpsd
 
 # The directory that holds the imported package. The child runs in tmp_path,
@@ -124,6 +126,17 @@ class TestExitCodes:
         assert r.returncode == 1, r.stderr
         assert r.stderr.startswith("error:")
         assert "26931732 words" in r.stderr
+        assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("body", ["", "0.0\n0.5\n"],
+                             ids=["header_only", "one_column"])
+    def test_malformed_theory_file(self, tmp_path, body):
+        theory = tmp_path / "theory.csv"
+        theory.write_text("f,psd_continuous\n" + body)
+        r = run(["mc", "--family", "iid", "--symbols", "1000",
+                 "--against", str(theory)], tmp_path)
+        assert r.returncode == 1, r.stderr
+        assert r.stderr.startswith("error:")
         assert "Traceback" not in r.stderr
 
     def test_zero_symbols_is_usage_error(self, tmp_path):

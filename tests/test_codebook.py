@@ -3,13 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brute_force import brute_force_codebook
+from brute_force import brute_force_codebook, contains_forbidden
 from ccpsd.codebook import (
     CLOCKED_KINDS,
     ENUMERATION_LIMIT,
     ConstraintFamily,
     alpha,
-    contains_forbidden,
     enumerate_codebook,
     forbidden_patterns,
     group_cardinalities,
@@ -71,8 +70,10 @@ class TestEnumeration:
 
     def test_lists_long_words_under_the_limit(self):
         # m beyond the old bound of 30 on the length, with few words
-        cb = enumerate_codebook(ConstraintFamily("loco", 8, 40))
-        assert cb.N == group_cardinalities(cb.family, 40)[0]
+        for x, m, n in [(8, 40, 7324), (100, 150, 2652)]:
+            cb = enumerate_codebook(ConstraintFamily("loco", x, m))
+            assert cb.N == group_cardinalities(cb.family, m)[0] == n
+            assert cb.words == sorted(set(cb.words))
 
     def test_sorted_lexicographically(self):
         cb = enumerate_codebook(ConstraintFamily("loco", 1, 4))
@@ -98,12 +99,13 @@ class TestCardinalities:
             cb = brute_force_codebook(ConstraintFamily(kind, x, length))
             assert group_cardinalities(fam, length) == (cb.N, cb.N1, cb.N2, cb.N3)
 
-    @pytest.mark.parametrize("x", [1, 2, 3])
+    @pytest.mark.parametrize("x", [1, 2, 3, 100])
     def test_loco_recurrence(self, x):
         # N(m) = N(m-1) + N(m-x-1), far beyond the enumeration limit
-        fam = ConstraintFamily("loco", x, 40)
-        n = {L: group_cardinalities(fam, L)[0] for L in range(1, 41)}
-        for m in range(x + 2, 41):
+        top = 2 * x + 50
+        fam = ConstraintFamily("loco", x, top)
+        n = {L: group_cardinalities(fam, L)[0] for L in range(1, top + 1)}
+        for m in range(x + 2, top + 1):
             assert n[m] == n[m - 1] + n[m - x - 1]
 
     def test_prefix_groups(self):

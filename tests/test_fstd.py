@@ -1,16 +1,21 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ccpsd.codebook import ConstraintFamily, enumerate_codebook
+from ccpsd.clocked import bfs_ostd, clocked_inputs_from_fstd
+from ccpsd.codebook import CLOCKED_KINDS, ConstraintFamily, enumerate_codebook
 from ccpsd.fstd import (
     build_grid_fstd,
     build_infinite_fstd,
     merge_equivalent_states,
     reduce_to_ostd,
-    window_distribution,
 )
-from ccpsd.transfer import ostm_from_ostd
+from ccpsd.presets import continuous_psd, transfer_matrix_for
+from ccpsd.ratfn import ZERO, RationalFn
+from ccpsd.spectrum import default_grid, spectrum_y
+from ccpsd.transfer import TransferMatrix, ostm_from_ostd
 
 
 class TestInfiniteDiagrams:
@@ -26,11 +31,11 @@ class TestInfiniteDiagrams:
 
     def test_structural_invariants(self):
         for kind in ("ax", "sx"):
-            for x in (1, 2, 3):
+            for x in (1, 2, 3, 20):
                 assert build_infinite_fstd(ConstraintFamily(kind, x)).check()
 
     def test_reduction_size_matches_run_categories(self):
-        for x in (1, 2, 3):
+        for x in (1, 2, 3, 20):
             o = reduce_to_ostd(build_infinite_fstd(ConstraintFamily("ax", x)))
             assert o.n == x + 1
 
@@ -39,28 +44,63 @@ class TestInfiniteDiagrams:
             build_infinite_fstd(ConstraintFamily("aloco", 1, 4))
 
 
-class TestWindowDistribution:
-    def test_normalized_per_phase(self):
-        cb = enumerate_codebook(ConstraintFamily("aloco", 2, 5))
-        dist = window_distribution(cb)
-        assert len(dist) == 7
-        for phase in dist:
-            assert sum(phase.values()) == 1
+def _word_probability(raw, word):
+    """Product of raw-grid edge probabilities along one stream word.
 
-    def test_marginal_consistency(self):
-        # history distribution must agree between adjacent phases
-        cb = enumerate_codebook(ConstraintFamily("loco", 1, 4))
-        dist = window_distribution(cb)
-        p = len(dist)
-        for phase in range(p):
-            nxt = (phase + 1) % p
-            hists = {}
-            for win, w in dist[phase].items():
-                hists[win[1:]] = hists.get(win[1:], 0) + w
-            hists2 = {}
-            for win, w in dist[nxt].items():
-                hists2[win[:-1]] = hists2.get(win[:-1], 0) + w
-            assert hists == hists2
+    The walk starts in the last-column state after a word ending in 0 and
+    its bridge, from which the next word is drawn with no condition.
+    """
+    fam = raw.family
+    flipped = fam.kind in ("loco", "cloco")  # the grid's stream reads 1 - bit
+    bridge = (1,) * fam.x if flipped else (0,) * fam.x
+    state = next(i for i, s in enumerate(raw.states)
+                 if s.position == fam.m + fam.x - 1
+                 and s.history == (0,) + bridge)
+    step = {(f, sym): (t, p) for f, t, sym, p in raw.edges}
+    prob = Fraction(1)
+    for bit in word:
+        state, p = step[(state, 1 - bit if flipped else bit)]
+        prob *= p
+    return prob
+
+
+class TestCountedGrid:
+    @pytest.mark.parametrize("kind", ["aloco", "loco", "caloco", "cloco"])
+    def test_grid_draws_uniform_words(self, kind):
+        for x in (1, 2, 3):
+            for m in range(2 if kind in CLOCKED_KINDS else 1, 9):
+                cb = enumerate_codebook(ConstraintFamily(kind, x, m))
+                raw = build_grid_fstd(cb, merge=False)
+                for w in cb.words:
+                    assert _word_probability(raw, w) == Fraction(1, cb.N), \
+                        (kind, x, m, w)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(["aloco", "loco", "caloco", "cloco"]),
+           st.integers(min_value=1, max_value=4),
+           st.integers(min_value=1, max_value=12))
+    def test_routes_agree(self, kind, x, m):
+        if kind in CLOCKED_KINDS:
+            m = max(m, 2)
+        fam = ConstraintFamily(kind, x, m)
+        freqs = default_grid(64)
+        diagram = build_grid_fstd(enumerate_codebook(fam))
+        grid = ostm_from_ostd(reduce_to_ostd(diagram))
+        grid_psd = spectrum_y(grid, freqs)
+        autocorr_psd = continuous_psd(fam, freqs, with_pulse=False)
+        assert np.max(np.abs(grid_psd - autocorr_psd)) < 1e-9
+        if kind in ("aloco", "loco") and m >= x + 2:
+            assert transfer_matrix_for(fam, "closed") == grid
+        if kind in CLOCKED_KINDS:
+            # raises unless every run ends within k_eff + 1 steps
+            edges = bfs_ostd(clocked_inputs_from_fstd(diagram))
+            n = sum(s.labeled for s in diagram.states)
+            entries = [[ZERO] * n for _ in range(n)]
+            for (a, b), runs in edges.items():
+                for steps, p in runs:
+                    entries[a][b] = entries[a][b] + RationalFn.monomial(p, steps)
+            bfs = TransferMatrix(fam, entries, list(range(n)), origin="bfs")
+            assert np.max(np.abs(spectrum_y(bfs, freqs) - grid_psd)) < 1e-9
 
 
 class TestGridDiagrams:

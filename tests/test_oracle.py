@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from brute_force import contains_forbidden
 from ccpsd import oracle
-from ccpsd.codebook import ConstraintFamily, contains_forbidden, forbidden_patterns
+from ccpsd.codebook import ConstraintFamily, forbidden_patterns
 from ccpsd.oracle import (
     StreamConfig,
     estimate_autocorr,

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, clocked, cyclo, oracle, presets, spectrum
-from .codebook import ConstraintFamily, enumerate_codebook
+from .codebook import Codebook, ConstraintFamily, enumerate_codebook
 from .fstd import build_grid_fstd, build_infinite_fstd
 
 CSV_HEADER = "f,psd_continuous"
@@ -72,11 +72,11 @@ def _write_csv(path, freqs, values):
 def cmd_codebook(args):
     fam = _family(args)
     cb = enumerate_codebook(fam)
-    payload = {
-        "family": fam.kind, "m": fam.m, "x": fam.x, "N": cb.N,
-        "words": cb.as_bitstrings(),
-    }
-    _write_json(args, payload)
+    if args.out:
+        _write_json(args, {
+            "family": fam.kind, "m": fam.m, "x": fam.x, "N": cb.N,
+            "words": cb.as_bitstrings(),
+        })
     print(f"{fam.kind} m={fam.m} x={fam.x}: {cb.N} codewords")
     return 0
 
@@ -86,7 +86,7 @@ def cmd_fstd(args):
     if fam.m is None:
         diagram = build_infinite_fstd(fam)
     else:
-        diagram = build_grid_fstd(enumerate_codebook(fam), merge=not args.no_merge)
+        diagram = build_grid_fstd(Codebook(fam), merge=not args.no_merge)
     payload = {
         "family": fam.kind, "m": fam.m, "x": fam.x,
         "states": [
@@ -194,7 +194,7 @@ def cmd_mc(args):
 
 def cmd_clocked_ostd(args):
     fam = _family(args)
-    diagram = build_grid_fstd(enumerate_codebook(fam))
+    diagram = build_grid_fstd(Codebook(fam))
     inputs = clocked.clocked_inputs_from_fstd(diagram)
     edges = clocked.bfs_ostd(inputs)
     payload = {

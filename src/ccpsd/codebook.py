@@ -31,6 +31,8 @@ CLOCKED_KINDS = ("caloco", "cloco")
 # 640 MB RSS for the N = 922,111 words of aloco x=1 m=24; m=26 would take
 # about three times that.
 ENUMERATION_LIMIT = 1 << 20
+# Maps the bytes 0 and 1 of a word to the characters "0" and "1".
+_BIT_CHARS = bytes.maketrans(b"\0\1", b"01")
 
 
 @dataclass(frozen=True)
@@ -194,7 +196,7 @@ class Codebook:
         return sum(1 for w in self.words if w[:2] == (1, 0))
 
     def as_bitstrings(self):
-        return ["".join(map(str, w)) for w in self.words]
+        return [bytes(w).translate(_BIT_CHARS).decode() for w in self.words]
 
 
 def group_cardinalities(family, length):

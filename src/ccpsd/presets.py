@@ -8,7 +8,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import cyclo, spectrum, transfer
-from .codebook import enumerate_codebook
+from .codebook import Codebook, enumerate_codebook
 from .fstd import build_grid_fstd, build_infinite_fstd, reduce_to_ostd
 
 # Published 3 dB bandwidths (keyed by (m, x)).
@@ -58,7 +58,7 @@ def transfer_matrix_for(family, method="auto"):
             return transfer.closed_form_aloco(family.m, family.x)
         return transfer.closed_form_loco_A(family.m, family.x)
     return transfer.ostm_from_ostd(reduce_to_ostd(build_grid_fstd(
-        enumerate_codebook(family))))
+        Codebook(family))))
 
 
 @lru_cache(maxsize=None)

@@ -4,6 +4,21 @@ Polynomials are coefficient tuples in ascending powers of the indeterminate
 (written D throughout this package).  Rational functions are kept in a
 canonical form -- numerator and denominator coprime, denominator monic -- so
 that structural equality of transfer-matrix entries is a plain ``==``.
+
+The kernel skips arithmetic that cannot change a result:
+
+* Canonicalisation runs Euclid's gcd only where a factor can cancel.  A
+  constant denominator needs none, so sums and products of polynomials build
+  no gcd; if either side is a monomial c D^k, the gcd is D to the smaller
+  valuation and is sliced off.
+* A sum with a zero operand is the other operand, and summands with equal
+  denominators add their numerators over that denominator.
+* Products and scalings skip zero coefficients, and coefficients that are
+  already ``Fraction`` are not converted again.
+* At an exact D = 1, p(1) is the sum of the coefficients, so ``evaluate`` and
+  ``derivative_at`` there read coefficient sums instead of running Horner.
+* ``solve`` updates only the columns where the normalised pivot row is
+  nonzero.
 """
 
 from __future__ import annotations
@@ -22,7 +37,7 @@ def _trim(coeffs):
 
 def poly(coeffs):
     """Normalize a coefficient iterable into a trimmed Fraction tuple."""
-    return _trim(Fraction(v) for v in coeffs)
+    return _trim(v if isinstance(v, Fraction) else Fraction(v) for v in coeffs)
 
 
 def poly_add(a, b):
@@ -40,17 +55,17 @@ def poly_mul(a, b):
     if not a or not b:
         return ()
     out = [Fraction(0)] * (len(a) + len(b) - 1)
+    terms = [(j, bj) for j, bj in enumerate(b) if bj]
     for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
+        if ai:
+            for j, bj in terms:
+                out[i + j] += ai * bj
     return _trim(out)
 
 
 def poly_scale(a, s):
     s = Fraction(s)
-    return _trim(v * s for v in a)
+    return _trim(v * s if v else v for v in a)
 
 
 def poly_divmod(a, b):
@@ -80,7 +95,12 @@ def poly_gcd(a, b):
 
 
 def poly_eval(a, z):
-    """Horner evaluation; works for complex, float, or Fraction arguments."""
+    """Horner evaluation; works for complex, float, or Fraction arguments.
+
+    At an exact 1 (an int or a Fraction) the value is the coefficient sum.
+    """
+    if isinstance(z, (int, Fraction)) and z == 1:
+        return sum((c for c in a if c), Fraction(0))
     acc = 0 * z if not isinstance(z, Fraction) else Fraction(0)
     for c in reversed(a):
         acc = acc * z + (complex(c) if isinstance(z, complex) else c)
@@ -88,7 +108,12 @@ def poly_eval(a, z):
 
 
 def poly_derivative(a):
-    return _trim(i * a[i] for i in range(1, len(a)))
+    return _trim(i * a[i] if a[i] else a[i] for i in range(1, len(a)))
+
+
+def _valuation(p):
+    """Index of the lowest nonzero coefficient of a nonzero polynomial."""
+    return next(i for i, c in enumerate(p) if c)
 
 
 def poly_reverse(a, degree):
@@ -114,10 +139,17 @@ class RationalFn:
         if not num:
             self.num, self.den = (), (Fraction(1),)
             return
-        g = poly_gcd(num, den)
-        if len(g) > 1:
-            num = poly_divmod(num, g)[0]
-            den = poly_divmod(den, g)[0]
+        if len(den) > 1:  # a constant denominator shares no factor
+            vn, vd = _valuation(num), _valuation(den)
+            if vn == len(num) - 1 or vd == len(den) - 1:
+                # a monomial's only factor is D: the gcd is D^min(valuations)
+                k = min(vn, vd)
+                num, den = num[k:], den[k:]
+            else:
+                g = poly_gcd(num, den)
+                if len(g) > 1:
+                    num = poly_divmod(num, g)[0]
+                    den = poly_divmod(den, g)[0]
         lead = den[-1]
         if lead != 1:
             num = poly_scale(num, 1 / lead)
@@ -150,6 +182,12 @@ class RationalFn:
 
     def __add__(self, other):
         other = _coerce(other)
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        if self.den == other.den:
+            return RationalFn(poly_add(self.num, other.num), self.den)
         num = poly_add(poly_mul(self.num, other.den), poly_mul(other.num, self.den))
         return RationalFn(num, poly_mul(self.den, other.den))
 
@@ -288,16 +326,19 @@ def solve(a, b):
     """
     n = len(a)
     m = [list(a[i]) + list(b[i]) for i in range(n)]
-    width = len(m[0]) if m else 0
     for col in range(n):
         piv = next(r for r in range(col, n) if m[r][col])
         m[col], m[piv] = m[piv], m[col]
         inv = 1 / m[col][col]
-        m[col] = [inv * v for v in m[col]]
+        pivot_row = m[col] = [inv * v if v else v for v in m[col]]
+        # a zero of the pivot row leaves its column of every row unchanged
+        support = [c for c, v in enumerate(pivot_row) if v]
         for r in range(n):
             f = m[r][col]
             if r != col and f:
-                m[r] = [m[r][c] - f * m[col][c] for c in range(width)]
+                row = m[r]
+                for c in support:
+                    row[c] = row[c] - f * pivot_row[c]
     return [row[n:] for row in m]
 
 

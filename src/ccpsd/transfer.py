@@ -31,12 +31,14 @@ class TransferMatrix:
         return len(self.entries)
 
     def derivative_at_one(self):
-        """Exact G'(1) as nested Fractions."""
-        return [[e.derivative_at(Fraction(1)) for e in row]
+        """Exact G'(1) as nested Fractions, from coefficient sums."""
+        return [[e.derivative_at(1) if e else Fraction(0) for e in row]
                 for row in self.entries]
 
     def at_one(self):
-        return [[e.evaluate(Fraction(1)) for e in row] for row in self.entries]
+        """Exact G(1) as nested Fractions, from coefficient sums."""
+        return [[e.evaluate(1) if e else Fraction(0) for e in row]
+                for row in self.entries]
 
     def check_stochastic(self):
         for i, row in enumerate(self.at_one()):
@@ -145,16 +147,11 @@ def alternate_sx(x):
 
 
 def _beta(a, b, n_words, period):
-    """a * D^b / (N - D^period) for a != 0, built in canonical form.
-
-    The only root of a D^b is 0 and N - D^period (N != 0) does not vanish
-    there, so the two are coprime and no gcd is needed; making the
-    denominator monic negates both.
-    """
-    r = RationalFn.zero()
-    r.num = (Fraction(0),) * b + (-Fraction(a),)
-    r.den = (-Fraction(n_words),) + (Fraction(0),) * (period - 1) + (Fraction(1),)
-    return r
+    """a * D^b / (N - D^period); the monomial numerator needs no gcd."""
+    return RationalFn(
+        (Fraction(0),) * b + (Fraction(a),),
+        (Fraction(n_words),) + (Fraction(0),) * (period - 1) + (-Fraction(1),),
+    )
 
 
 def _lambda_chain(fam, d, g):

@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 import ccpsd
+from brute_force import brute_force_codebook
+from ccpsd.codebook import ConstraintFamily
 
 # The directory that holds the imported package. The child runs in tmp_path,
 # where a relative PYTHONPATH such as "src" would not resolve.
@@ -127,6 +129,33 @@ class TestExitCodes:
         assert r.stderr.startswith("error:")
         assert "26931732 words" in r.stderr
         assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("args", [
+        ["fstd", "--family", "aloco"],
+        ["ostm", "--family", "aloco", "--method", "grid"],
+        ["ostm", "--family", "caloco", "--method", "grid"],
+        ["clocked-ostd", "--family", "caloco"],
+    ], ids=["fstd", "ostm_grid", "ostm_grid_clocked", "clocked_ostd"])
+    def test_grid_commands_beyond_the_word_limit(self, tmp_path, args):
+        # aloco x=1 m=26 has 2,839,729 words; the grid reads only counts
+        out = tmp_path / "g.json"
+        r = run(args + ["--x", "1", "--m", "26", "--out", str(out)], tmp_path)
+        assert r.returncode == 0, r.stderr
+        if args[0] == "fstd":
+            assert len(json.loads(out.read_text())["states"]) == 79
+
+    def test_codebook_payload_only_with_out(self, tmp_path):
+        r = run(["codebook", "--family", "aloco", "--x", "1", "--m", "4"],
+                tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert list(tmp_path.iterdir()) == []
+        out = tmp_path / "cb.json"
+        r = run(["codebook", "--family", "aloco", "--x", "1", "--m", "4",
+                 "--out", str(out)], tmp_path)
+        assert r.returncode == 0, r.stderr
+        words = brute_force_codebook(ConstraintFamily("aloco", 1, 4)).words
+        assert json.loads(out.read_text())["words"] == [
+            "".join(map(str, w)) for w in words]
 
     @pytest.mark.parametrize("body", ["", "0.0\n0.5\n"],
                              ids=["header_only", "one_column"])

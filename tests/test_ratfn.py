@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,8 @@ from ccpsd.ratfn import (
     D, ONE, ZERO, RationalFn, poly_add, poly_derivative, poly_divmod, poly_gcd,
     poly_mul, poly_neg, solve,
 )
+
+from brute_force import dense_gauss_jordan, euclid_canonical, reference_op
 
 
 def frac(n, d=1):
@@ -56,6 +59,58 @@ class TestCanonicalization:
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             RationalFn([1], [0])
+
+
+@st.composite
+def shaped_polys(draw):
+    """A nonzero polynomial shaped to reach each canonicalisation shortcut:
+    a constant, a monomial, a power of D, or a general polynomial, times a
+    power of D that the other operand may share."""
+    c = draw(st.fractions(min_value=-4, max_value=4, max_denominator=6)
+             .filter(bool))
+    shape = draw(st.sampled_from(["const", "monomial", "d_power", "general"]))
+    if shape == "const":
+        p = [c]
+    elif shape == "monomial":
+        p = [0] * draw(st.integers(1, 3)) + [c]
+    elif shape == "d_power":
+        p = [0] * draw(st.integers(1, 3)) + [1]
+    else:
+        p = draw(coeffs.filter(any))
+    return [0] * draw(st.integers(0, 2)) + p
+
+
+@st.composite
+def operand_pairs(draw):
+    """(a, b) with b's numerator possibly zero and its denominator possibly
+    a's own."""
+    a = RationalFn(draw(shaped_polys()), draw(shaped_polys()))
+    num = draw(st.one_of(st.just([]), shaped_polys()))
+    den = a.den if draw(st.booleans()) else draw(shaped_polys())
+    return a, RationalFn(num, den)
+
+
+class TestShortcutsMatchEuclid:
+    """Canonical forms equal those of plain cross-multiplication and Euclid."""
+
+    @relaxed
+    @given(shaped_polys(), shaped_polys())
+    def test_constructor(self, num, den):
+        f = RationalFn(num, den)
+        assert (f.num, f.den) == euclid_canonical(num, den)
+
+    @settings(deadline=None, max_examples=200,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(operand_pairs(), st.sampled_from(["+", "-", "*", "/"]))
+    def test_operations(self, pair, op):
+        apply = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+                 "/": operator.truediv}[op]
+        for left, right in (pair, pair[::-1]):
+            if op == "/" and not right:
+                continue
+            got = apply(left, right)
+            assert (got.num, got.den) == reference_op(
+                op, (left.num, left.den), (right.num, right.den))
 
 
 class TestArithmetic:
@@ -167,6 +222,30 @@ class TestPolynomialHelpers:
         assert g[-1] == 1
 
 
+nonzero_fractions = st.fractions(min_value=-3, max_value=3,
+                                 max_denominator=4).filter(bool)
+sparse_fractions = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
+                             nonzero_fractions)
+# degree at most 2 over degree at most 2, so that 3 x 3 eliminations stay small
+small_coeffs = st.lists(
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    min_size=1, max_size=3).filter(any)
+small_fns = st.builds(RationalFn, small_coeffs, small_coeffs)
+sparse_fns = st.one_of(st.just(ZERO), st.just(ZERO), small_fns)
+
+
+@st.composite
+def sparse_systems(draw, entries, nonzero, max_n, width):
+    """(a, b) with mostly zero entries and a nonzero permuted diagonal, so
+    that a is usually regular and its pivots need row swaps."""
+    n = draw(st.integers(1, max_n))
+    a = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    for i, j in enumerate(draw(st.permutations(range(n)))):
+        a[i][j] = draw(nonzero)
+    b = [[draw(entries) for _ in range(width)] for _ in range(n)]
+    return a, b
+
+
 class TestSolve:
     def test_fraction_system_with_row_swap(self):
         a = [[frac(0), frac(2)], [frac(3), frac(1)]]
@@ -181,6 +260,36 @@ class TestSolve:
         half_d = RationalFn.monomial(frac(1, 2), 1)
         [[v]] = solve([[ONE - half_d]], [[ONE]])
         assert v == RationalFn([2], [2, -1])
+
+    @relaxed
+    @given(sparse_systems(sparse_fractions, nonzero_fractions, 5, 2))
+    def test_fraction_systems_match_dense(self, system):
+        a, b = system
+        try:
+            want = dense_gauss_jordan(a, b)
+        except StopIteration:  # singular
+            return
+        assert solve(a, b) == want
+
+    @relaxed
+    @given(sparse_systems(sparse_fns, small_fns, 3, 1))
+    def test_rational_function_systems_match_dense(self, system):
+        a, b = system
+        try:
+            want = dense_gauss_jordan(a, b)
+        except StopIteration:  # singular
+            return
+        got = solve(a, b)
+        assert [[(v.num, v.den) for v in row] for row in got] == \
+            [[(v.num, v.den) for v in row] for row in want]
+
+    def test_zero_pattern_with_row_swaps(self):
+        # a permuted bidiagonal system: every column pivots on a swap
+        a = [[frac(0), frac(0), frac(2)],
+             [frac(1), frac(-1), frac(0)],
+             [frac(0), frac(3), frac(1)]]
+        b = [[frac(1)], [frac(0)], [frac(5)]]
+        assert solve(a, b) == dense_gauss_jordan(a, b)
 
 
 def _condition(p, z):

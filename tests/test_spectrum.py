@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from brute_force import horner
 from ccpsd.codebook import ConstraintFamily, enumerate_codebook
 from ccpsd.fstd import build_grid_fstd, reduce_to_ostd
 from ccpsd.ratfn import RationalFn
@@ -56,6 +57,18 @@ class TestStationary:
         for j in range(tm.n):
             assert sum(pi[i] * g1[i][j] for i in range(tm.n)) == pi[j]
         assert sum(pi) == 1
+
+    @pytest.mark.parametrize("make", [closed_form_ax, closed_form_sx])
+    def test_stationary_of_large_stream_matrix(self, make):
+        # 121 states with about 2n nonzero entries of G(1)
+        tm = make(120)
+        pi = stationary_distribution(tm)
+        g1 = [[horner(e.num, F(1)) / horner(e.den, F(1)) for e in row]
+              for row in tm.entries]
+        assert sum(pi) == 1
+        for j in range(tm.n):
+            assert sum(pi[i] * g1[i][j] for i in range(tm.n) if g1[i][j]) \
+                == pi[j]
 
 
 class TestDcWeight:

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from ccpsd import transfer
+from brute_force import euclid_canonical, horner
+from ccpsd import presets, transfer
 from ccpsd.codebook import ConstraintFamily, enumerate_codebook
 from ccpsd.fstd import build_grid_fstd, build_infinite_fstd, reduce_to_ostd
 from ccpsd.ratfn import RationalFn, D, ZERO
@@ -108,7 +109,7 @@ class TestFiniteClosedForms:
 
     @pytest.mark.parametrize("maker", [closed_form_aloco, closed_form_loco_A])
     def test_entries_equal_gcd_built(self, maker, monkeypatch):
-        # _beta builds its canonical form directly; the gcd must agree
+        # entries are canonical, as Euclid's gcd would reduce them
         cases = [(m, x) for x in (1, 2, 3) for m in range(x + 2, 13)]
         direct = [maker(m, x) for m, x in cases]
         monkeypatch.setattr(transfer, "_beta", beta)
@@ -117,6 +118,48 @@ class TestFiniteClosedForms:
             for row, ref_row in zip(tm.entries, ref.entries):
                 for e, r in zip(row, ref_row):
                     assert e == r == RationalFn(e.num, e.den), (m, x)
+                    assert (e.num, e.den) == euclid_canonical(e.num, e.den)
+
+
+def _finite_matrices():
+    for x in (1, 2, 3):
+        for m in range(2, 11):
+            if m >= x + 2:
+                yield closed_form_aloco(m, x)
+                yield closed_form_loco_A(m, x)
+            for kind in ("aloco", "loco", "caloco", "cloco"):
+                yield presets.transfer_matrix_for(ConstraintFamily(kind, x, m),
+                                                  "grid")
+
+
+def _stream_matrices():
+    for x in range(1, 7):
+        yield from (closed_form_ax(x), closed_form_sx(x),
+                    transfer.alternate_ax(x), transfer.alternate_sx(x))
+        for kind in ("ax", "sx"):
+            yield presets.transfer_matrix_for(ConstraintFamily(kind, x), "grid")
+
+
+def _horner_at_one(e):
+    """(R(1), R'(1)) by Horner's rule and the quotient rule."""
+    one = F(1)
+    n, d = horner(e.num, one), horner(e.den, one)
+    dn = horner([i * c for i, c in enumerate(e.num)][1:], one)
+    dd = horner([i * c for i, c in enumerate(e.den)][1:], one)
+    return n / d, (dn * d - n * dd) / (d * d)
+
+
+class TestAtOne:
+    """G(1) and G'(1) from coefficient sums equal Horner evaluation at 1."""
+
+    @pytest.mark.parametrize("matrices", [_finite_matrices, _stream_matrices],
+                             ids=["finite_x3_m10", "streams_x6"])
+    def test_matches_horner(self, matrices):
+        for tm in matrices():
+            want = [[_horner_at_one(e) for e in row] for row in tm.entries]
+            assert tm.at_one() == [[v for v, _ in row] for row in want]
+            assert tm.derivative_at_one() == [[s for _, s in row]
+                                              for row in want]
 
 
 class TestIid:

@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, clocked, cyclo, oracle, presets, spectrum
-from .codebook import Codebook, ConstraintFamily, enumerate_codebook
+from .codebook import (Codebook, ConstraintFamily, enumerate_codebook,
+                       group_cardinalities)
 from .fstd import build_grid_fstd, build_infinite_fstd
 
 CSV_HEADER = "f,psd_continuous"
@@ -39,6 +40,15 @@ def positive_int(text):
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"invalid positive_int value: {text!r}")
+    return value
+
+
+def nonnegative_int(text):
+    """Argument type for seeds: an integer of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"invalid nonnegative_int value: {text!r}")
     return value
 
 
@@ -71,13 +81,16 @@ def _write_csv(path, freqs, values):
 
 def cmd_codebook(args):
     fam = _family(args)
-    cb = enumerate_codebook(fam)
     if args.out:
+        cb = enumerate_codebook(fam)
+        n_words = cb.N
         _write_json(args, {
-            "family": fam.kind, "m": fam.m, "x": fam.x, "N": cb.N,
+            "family": fam.kind, "m": fam.m, "x": fam.x, "N": n_words,
             "words": cb.as_bitstrings(),
         })
-    print(f"{fam.kind} m={fam.m} x={fam.x}: {cb.N} codewords")
+    else:  # the count alone needs no listing
+        n_words = group_cardinalities(fam, fam.m)[0]
+    print(f"{fam.kind} m={fam.m} x={fam.x}: {n_words} codewords")
     return 0
 
 
@@ -295,7 +308,7 @@ def build_parser():
     sp.add_argument("--signal", choices=["y", "x"], default="y")
     add("bandwidth", cmd_bandwidth, ["ax", "sx"] + finite)
     sp = add("mc", cmd_mc, all_fams)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=nonnegative_int, default=0)
     sp.add_argument("--symbols", type=positive_int, default=10_000_000)
     sp.add_argument("--points", type=positive_int, default=256)
     sp.add_argument("--against", default=None)

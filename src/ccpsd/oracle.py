@@ -22,79 +22,178 @@ class StreamConfig:
     seed: int = 0
 
 
-def _rng(seed):
-    return np.random.Generator(np.random.Philox(seed))
-
-
-def _runs_to_levels(runs, n_symbols):
-    """Bit process with a one terminating each run, as +-1 levels."""
-    ones = np.cumsum(runs)
-    ones -= 1
-    ones = ones[ones < n_symbols]
-    y = -np.ones(n_symbols, dtype=np.int8)
-    y[ones] = 1
-    return y
-
-
-def generate_stream(config):
-    """Generate n_symbols of the +-1 (or three-level) waveform samples."""
-    fam = config.family
-    n = config.n_symbols
-    rng = _rng(config.seed)
-    x = fam.x
-
-    if fam.kind == "ax":
-        # run = 1 with prob 1/2, else x+1 zeros then a geometric tail
-        n_runs = int(n / 1.4) + 2 * x + 64
-        short = rng.random(n_runs) < 0.5
-        runs = np.where(short, 1, x + 1 + rng.geometric(0.5, size=n_runs))
-        while runs.sum() < n:
-            extra_short = rng.random(n_runs) < 0.5
-            extra = np.where(extra_short, 1, x + 1 + rng.geometric(0.5, n_runs))
-            runs = np.concatenate([runs, extra])
-        return _runs_to_levels(runs, n)
-
-    if fam.kind == "sx":
-        # alternating one-runs and zero-runs, each of length x + geometric
-        n_blocks = int(n / (x + 1.5)) + 64
-        lens = x + rng.geometric(0.5, size=n_blocks)
-        while lens.sum() < n:
-            lens = np.concatenate([lens, x + rng.geometric(0.5, size=n_blocks)])
-        signs = np.empty(len(lens), dtype=np.int8)
-        signs[0::2] = 1
-        signs[1::2] = -1
-        return np.repeat(signs, lens)[:n]
-
-    if fam.kind == "iid":
-        levels = rng.integers(0, 2, size=n)
-        levels *= 2
-        levels -= 1
-        return levels.astype(np.int8)
-
-    # fixed-length families: words drawn uniformly, bridges in between
-    cb = enumerate_codebook(fam)
-    words = np.array(cb.words, dtype=np.int8)
-    m = fam.m
-    period = m + x
-    n_words = (n // period) + 2
-    idx = rng.integers(0, len(cb.words), size=n_words)
-    w = words[idx]  # (n_words, m)
-    out = np.zeros((n_words - 1, period), dtype=np.int8)
-    if fam.bridging == "z_symbols":
-        out[:, :m] = 2 * w[:-1] - 1  # word bits as levels, bridges stay 0
-    else:
-        out[:, :m] = 2 * w[:-1] - 1
-        both = (w[:-1, -1] == 1) & (w[1:, 0] == 1)
-        out[:, m:] = np.where(both[:, None], 1, -1)
-    return out.reshape(-1)[:n]
-
-
-# Most symbols one chunk of the lag-product accumulation casts to float32;
-# bounds the estimator's copy of the stream (4 MB).
+# Most draws one chunk of stream generation makes, and most symbols one
+# chunk of the lag-product accumulation casts to float32; bounds the scratch
+# of each (a few arrays of 8 bytes a draw, 4 MB of float32 stream).
 CHUNK_SYMBOLS = 1 << 20
 # Lags one pass of the Gram-matrix accumulation covers; bounds its B x B
 # matrices when many lags are asked for.
 LAG_BLOCK = 512
+
+
+def _rng(seed, offset=0):
+    """Generator whose next 64-bit draw is draw ``offset`` of Philox(seed).
+
+    Philox is counter based: each counter value gives four 64-bit draws, so
+    moving the counter by offset // 4 and dropping offset % 4 draws lands on
+    any draw without making the ones before it.
+    """
+    bits = np.random.Philox(seed)
+    bits.advance(offset // 4)
+    bits.random_raw(offset % 4, output=False)
+    return np.random.Generator(bits)
+
+
+def _geometric_half(rng, size, shift=0):
+    """``shift + rng.geometric(0.5, size)`` from the same draws, as int64.
+
+    numpy draws a geometric with p >= 1/3 by search: X is the least X >= 1
+    with U <= 1 - 2^-X for one uniform U per draw, and at p = 1/2 each
+    partial sum 1 - 2^-X is exact.  With 1 - U = f 2^e, 1/2 <= f < 1, that
+    X is 1 - e, or 1 where U = 0 gives e = 1.
+    """
+    u = rng.random(size)
+    np.subtract(1.0, u, out=u)
+    e = np.frexp(u)[1]
+    np.minimum(e, 0, out=e)
+    return np.subtract(shift + 1, e, dtype=np.int64)
+
+
+def _chunk(n_left, mean, draws_left):
+    """Draws for the next chunk: enough for the expected n_left symbols."""
+    return min(CHUNK_SYMBOLS, draws_left, int(n_left / mean) + 64)
+
+
+def _ax_batch_runs(n, x):
+    """Runs in one batch of ax draws; one batch nearly always covers n."""
+    return int(n / 1.4) + 2 * x + 64
+
+
+def _ax_levels(seed, n, x):
+    """Runs of one with prob 1/2, else x+1 zeros and a geometric tail.
+
+    A batch of n_runs runs takes its n_runs short-or-long uniforms and then
+    its n_runs geometric tails; batch b starts at draw 2 b n_runs.  Runs are
+    drawn in chunks, each end marked with a one, until n symbols are set.
+    """
+    n_runs = _ax_batch_runs(n, x)
+    y = np.full(n, -1, dtype=np.int8)
+    pos = 0  # symbols set so far; the next run starts here
+    batch = 0
+    while True:
+        short = _rng(seed, 2 * batch * n_runs)
+        tail = _rng(seed, (2 * batch + 1) * n_runs)
+        done = 0
+        while done < n_runs:
+            c = _chunk(n - pos, (x + 4) / 2, n_runs - done)
+            # a uniform (draw >> 11) 2^-53 is >= 1/2 when the draw's top
+            # bit is set: then the run is long, 1 + x + geometric
+            long = short.bit_generator.random_raw(c)
+            long >>= 63
+            ends = _geometric_half(tail, c, x)
+            ends *= long.view(np.int64)
+            ends += 1
+            ends[0] += pos - 1  # the cumulative sums become end positions
+            np.cumsum(ends, out=ends)
+            y[ends[:np.searchsorted(ends, n)]] = 1
+            pos = int(ends[-1]) + 1
+            if pos >= n:
+                return y
+            done += c
+        batch += 1
+
+
+def _sx_levels(seed, n, x):
+    """Alternating one-runs and zero-runs, each of length x + geometric.
+
+    Blocks draw one after another (top-up batches continue the same
+    draws), block i a one-run when i is even.
+    """
+    rng = _rng(seed)
+    y = np.empty(n, dtype=np.int8)
+    pos = 0
+    odd = False  # whether the next block is a zero-run
+    while pos < n:
+        c = _chunk(n - pos, x + 2, CHUNK_SYMBOLS)
+        lens = _geometric_half(rng, c, x)
+        end = np.cumsum(lens) + pos
+        k = int(np.searchsorted(end, n))  # first block reaching symbol n
+        if k < c:
+            lens = lens[:k + 1]
+            lens[k] -= end[k] - n
+        signs = np.full(len(lens), -1, dtype=np.int8)
+        signs[int(odd)::2] = 1
+        top = pos + int(lens.sum())
+        y[pos:top] = np.repeat(signs, lens)
+        pos = top
+        odd ^= len(lens) % 2 == 1
+    return y
+
+
+def _iid_levels(seed, n):
+    rng = _rng(seed)
+    y = np.empty(n, dtype=np.int8)
+    for a in range(0, n, CHUNK_SYMBOLS):
+        levels = rng.integers(0, 2, size=min(CHUNK_SYMBOLS, n - a))
+        levels *= 2
+        levels -= 1
+        y[a:a + len(levels)] = levels
+    return y
+
+
+def _word_levels(seed, n, fam):
+    """Words drawn uniformly, one per period of m + x, bridges in between.
+
+    Bridge symbols are 0 under z_symbols bridging; otherwise they are 1
+    where the word before ends and the word after starts with a one, else
+    -1.  So a row of one period is set by its word w and the first bit b of
+    the next word: it is row 2 w + b of a table.  Rows are filled in chunks
+    of at most CHUNK_SYMBOLS symbols, each drawing the indices of the words
+    after its own.
+    """
+    words = np.array(enumerate_codebook(fam).words, dtype=np.int8)
+    m = fam.m
+    period = m + fam.x
+    table = np.empty((len(words), 2, period), dtype=np.int8)
+    table[:, :, :m] = 2 * words[:, None, :] - 1
+    if fam.bridging == "z_symbols":
+        table[:, :, m:] = 0
+    else:
+        table[:, :, m:] = -1
+        table[words[:, -1] == 1, 1, m:] = 1
+    table = table.reshape(-1, period)
+    rng = _rng(seed)
+    rows = -(-n // period)
+    y = np.empty((rows, period), dtype=np.int8)
+    step = max(1, CHUNK_SYMBOLS // period)
+    idx = rng.integers(0, len(words), size=1)  # word of the first row
+    for r0 in range(0, rows, step):
+        r1 = min(r0 + step, rows)
+        idx = np.concatenate([idx[-1:],
+                              rng.integers(0, len(words), size=r1 - r0)])
+        key = 2 * idx[:-1]
+        key += words[idx[1:], 0]
+        np.take(table, key, axis=0, out=y[r0:r1])
+    return y.reshape(-1)[:n]
+
+
+def generate_stream(config):
+    """Generate n_symbols of the +-1 (or three-level) waveform samples.
+
+    Each kind fills one int8 array in chunks of at most CHUNK_SYMBOLS draws
+    and stops at the last draw the stream uses; the draws are those of one
+    Philox(seed) generator drawing whole arrays, so a seed gives the same
+    stream at any chunk size.
+    """
+    fam = config.family
+    n = config.n_symbols
+    if fam.kind == "ax":
+        return _ax_levels(config.seed, n, fam.x)
+    if fam.kind == "sx":
+        return _sx_levels(config.seed, n, fam.x)
+    if fam.kind == "iid":
+        return _iid_levels(config.seed, n)
+    return _word_levels(config.seed, n, fam)
 
 
 def _lag_sums(stream, k0, lags):

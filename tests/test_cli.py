@@ -8,6 +8,7 @@ import pytest
 
 import ccpsd
 from brute_force import brute_force_codebook
+from ccpsd.cli import main
 from ccpsd.codebook import ConstraintFamily
 
 # The directory that holds the imported package. The child runs in tmp_path,
@@ -156,6 +157,39 @@ class TestExitCodes:
         words = brute_force_codebook(ConstraintFamily("aloco", 1, 4)).words
         assert json.loads(out.read_text())["words"] == [
             "".join(map(str, w)) for w in words]
+
+    def test_codebook_count_beyond_the_word_limit(self, tmp_path):
+        # without --out the count comes from the automaton, no listing
+        args = ["codebook", "--family", "aloco", "--x", "1", "--m", "26"]
+        r = run(args, tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == "aloco m=26 x=1: 2839729 codewords\n"
+        r = run(args + ["--out", str(tmp_path / "cb.json")], tmp_path)
+        assert r.returncode == 1, r.stderr
+        assert "2839729 words" in r.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind", ["aloco", "loco", "caloco", "cloco"])
+    def test_codebook_count_equals_listing(self, tmp_path, capsys, kind):
+        out = tmp_path / "cb.json"
+        for x in (1, 2):
+            for m in range(2, 11):
+                args = ["codebook", "--family", kind, "--x", str(x),
+                        "--m", str(m)]
+                assert main(args) == 0
+                counted = capsys.readouterr().out
+                assert main(args + ["--out", str(out)]) == 0
+                assert capsys.readouterr().out == counted
+                n = len(json.loads(out.read_text())["words"])
+                assert counted.endswith(f": {n} codewords\n")
+
+    @pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+    def test_mc_seed_must_be_nonnegative(self, tmp_path, seed):
+        r = run(["mc", "--family", "ax", "--x", "1", "--symbols", "1000",
+                 "--seed", seed], tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert "--seed" in r.stderr
+        assert "Traceback" not in r.stderr
 
     @pytest.mark.parametrize("body", ["", "0.0\n0.5\n"],
                              ids=["header_only", "one_column"])

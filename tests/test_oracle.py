@@ -1,9 +1,13 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from brute_force import contains_forbidden
 from ccpsd import oracle
-from ccpsd.codebook import ConstraintFamily, forbidden_patterns
+from ccpsd.codebook import (ConstraintFamily, enumerate_codebook,
+                            forbidden_patterns)
 from ccpsd.oracle import (
     StreamConfig,
     estimate_autocorr,
@@ -26,6 +30,63 @@ def estimate_autocorr_per_lag(stream, kmax):
     for k in range(kmax + 1):
         out[k] = float(np.dot(v[: n - k], v[k:])) / (n - k)
     return out
+
+
+def ax_batch_runs(n, x):
+    return int(n / 1.4) + 2 * x + 64
+
+
+def sx_batch_blocks(n, x):
+    return int(n / (x + 1.5)) + 64
+
+
+def generate_stream_reference(config, ax_runs=ax_batch_runs,
+                              sx_blocks=sx_batch_blocks):
+    """Reference: every draw of a stream made as one whole array.
+
+    Whole batches of runs (ax), blocks (sx) or word indices are drawn from
+    one Philox(seed) generator, with further batches while the batch falls
+    short of n_symbols, and the stream is cut from them.
+    """
+    fam = config.family
+    n = config.n_symbols
+    rng = np.random.Generator(np.random.Philox(config.seed))
+    x = fam.x
+    if fam.kind == "ax":
+        n_runs = ax_runs(n, x)
+        short = rng.random(n_runs) < 0.5
+        runs = np.where(short, 1, x + 1 + rng.geometric(0.5, size=n_runs))
+        while runs.sum() < n:
+            extra_short = rng.random(n_runs) < 0.5
+            extra = np.where(extra_short, 1, x + 1 + rng.geometric(0.5, n_runs))
+            runs = np.concatenate([runs, extra])
+        ones = np.cumsum(runs) - 1
+        y = -np.ones(n, dtype=np.int8)
+        y[ones[ones < n]] = 1
+        return y
+    if fam.kind == "sx":
+        n_blocks = sx_blocks(n, x)
+        lens = x + rng.geometric(0.5, size=n_blocks)
+        while lens.sum() < n:
+            lens = np.concatenate([lens, x + rng.geometric(0.5, size=n_blocks)])
+        signs = np.empty(len(lens), dtype=np.int8)
+        signs[0::2] = 1
+        signs[1::2] = -1
+        return np.repeat(signs, lens)[:n]
+    if fam.kind == "iid":
+        return (2 * rng.integers(0, 2, size=n) - 1).astype(np.int8)
+    cb = enumerate_codebook(fam)
+    words = np.array(cb.words, dtype=np.int8)
+    m = fam.m
+    period = m + x
+    n_words = (n // period) + 2
+    w = words[rng.integers(0, len(cb.words), size=n_words)]
+    out = np.zeros((n_words - 1, period), dtype=np.int8)
+    out[:, :m] = 2 * w[:-1] - 1
+    if fam.bridging != "z_symbols":
+        both = (w[:-1, -1] == 1) & (w[1:, 0] == 1)
+        out[:, m:] = np.where(both[:, None], 1, -1)
+    return out.reshape(-1)[:n]
 
 
 def estimate_psd_per_lag(stream, freqs, family, kmax):
@@ -87,6 +148,166 @@ class TestGeneration:
         changes = np.flatnonzero(np.diff(s))
         runs = np.diff(changes)
         assert runs.min() >= x + 1
+
+
+# ax and sx take x >= 1 (ConstraintFamily rejects x = 0)
+IDENTITY_FAMILIES = (
+    [("ax", x, None) for x in (1, 2, 5, 20)]
+    + [("sx", x, None) for x in (1, 2, 5, 20)]
+    + [("iid", 0, None)]
+    + [(kind, x, m) for kind in ("aloco", "loco", "caloco", "cloco")
+       for x in (1, 2) for m in (2, 5)])
+
+
+def assert_same_stream(config, **batches):
+    got = generate_stream(config)
+    want = generate_stream_reference(config, **batches)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want), config
+
+
+def search_geometric_half(u):
+    """numpy's search for Geometric(1/2), one uniform at a time."""
+    x, total, prod = 1, 0.5, 0.5
+    while u > total:
+        prod *= 0.5
+        total += prod
+        x += 1
+    return x
+
+
+class FixedUniforms:
+    def __init__(self, values):
+        self.values = np.array(values, dtype=float)
+
+    def random(self, size):
+        assert size == len(self.values)
+        return self.values.copy()
+
+
+class TestChunkedGeneration:
+    """Chunked streams equal the ones drawn as whole arrays."""
+
+    @pytest.mark.parametrize("kind,x,m", IDENTITY_FAMILIES)
+    @pytest.mark.parametrize("n", [1, 2, 63, 1000, 12_345])
+    def test_short_streams(self, kind, x, m, n):
+        for seed in (0, 1, 7, 101):
+            assert_same_stream(cfg(kind, x, m, n=n, seed=seed))
+
+    @pytest.mark.parametrize("kind,x,m", IDENTITY_FAMILIES)
+    def test_chunk_lengths(self, kind, x, m):
+        c = oracle.CHUNK_SYMBOLS
+        for n in (c - 1, c, 2 * c + 1):
+            assert_same_stream(cfg(kind, x, m, n=n, seed=3))
+
+    @pytest.mark.parametrize("kind,x,m", [("ax", 1, None), ("ax", 5, None),
+                                          ("sx", 1, None), ("iid", 0, None),
+                                          ("aloco", 1, 4), ("cloco", 2, 5)])
+    def test_million_symbols(self, kind, x, m):
+        assert_same_stream(cfg(kind, x, m, n=1_000_000, seed=11))
+
+    @pytest.mark.parametrize("kind,x,m", IDENTITY_FAMILIES)
+    def test_small_chunks(self, kind, x, m, monkeypatch):
+        monkeypatch.setattr(oracle, "CHUNK_SYMBOLS", 1000)
+        for n in (1, 999, 1000, 1001, 3001, 54_321):
+            for seed in (0, 5):
+                assert_same_stream(cfg(kind, x, m, n=n, seed=seed))
+
+    @pytest.mark.parametrize("kind,x", [("ax", 1), ("ax", 2), ("ax", 20),
+                                        ("sx", 1), ("sx", 5), ("sx", 20)])
+    @pytest.mark.parametrize("chunk", [7, 1 << 20])
+    def test_top_up_batches(self, kind, x, chunk, monkeypatch):
+        # three runs or blocks of at most x + 54 symbols each cannot reach n,
+        # so each stream needs many top-up batches
+        def three(n, x):
+            return 3
+        n = 3 * (x + 54) + 1000
+        monkeypatch.setattr(oracle, "_ax_batch_runs", three)
+        monkeypatch.setattr(oracle, "CHUNK_SYMBOLS", chunk)
+        for seed in (0, 2, 9):
+            assert_same_stream(cfg(kind, x, n=n, seed=seed),
+                               ax_runs=three, sx_blocks=three)
+
+    def test_geometric_inversion(self):
+        rng = np.random.Generator(np.random.Philox(4))
+        ref = np.random.Generator(np.random.Philox(4))
+        for _ in range(10):  # 10^7 draws in all
+            got = oracle._geometric_half(rng, 1_000_000)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, ref.geometric(0.5, 1_000_000))
+        assert np.array_equal(oracle._geometric_half(rng, 5, 3),
+                              3 + ref.geometric(0.5, 5))
+
+    def test_geometric_inversion_at_edges(self):
+        tiny = 2.0 ** -53
+        u = [0.0, tiny, 0.25, 0.5, 0.5 + tiny, 0.75, 0.875 - tiny, 0.875,
+             1 - 2.0 ** -20, 1 - 2 * tiny, 1 - tiny]
+        got = oracle._geometric_half(FixedUniforms(u), len(u))
+        assert got.tolist() == [search_geometric_half(v) for v in u]
+        assert got[0] == 1 and got[-1] == 53
+
+    @pytest.mark.parametrize("offset", [0, 1, 2, 3, 4, 5, 7, 8, 1001])
+    def test_positioned_generator(self, offset):
+        whole = np.random.Generator(np.random.Philox(6)).random(offset + 9)
+        assert np.array_equal(oracle._rng(6, offset).random(9), whole[offset:])
+
+
+# sha256 of the int8 streams of the acceptance suite's Monte-Carlo cases at
+# 10^6 symbols, at the case seed and at the case seed + 101, as drawn before
+# generation was chunked.
+MC_STREAM_SHA256 = {
+    ("ax", 1, None, 1): "6e0faf6f7d58c16ac20f5b8856e37a4781756f7391e8c61c4b2dff90d134041a",
+    ("ax", 2, None, 1): "465fc0470133b270d3aa0c69eb3cf874a3eb900f536a982c7a33943067875d5e",
+    ("ax", 3, None, 1): "c8266004d11dcda5bbeb31dd93dd2936bf770ef8dbbadc7c28200007cc1b829e",
+    ("ax", 4, None, 1): "50dda82d22b1ef233a956cb2d4e6db7f2d6eac1ee93c201ab57cb61fcb4a826b",
+    ("ax", 5, None, 2): "4074932aed13d2860803c14fca4905924899a633d92bc9a8343e22c8c62a8102",
+    ("sx", 1, None, 1): "e9e72074637619a2cc53bde03f777c78476c639c3157d221ffeca37b890261f7",
+    ("sx", 2, None, 1): "a04348dd4bfcceaaf7ab740ea01075465c5bc78c4af2e08b458350fcebbaff99",
+    ("sx", 3, None, 1): "707f3764fc03aab5493f8ab311220d6e6723cbeaf62f48107317be15ba218cc1",
+    ("sx", 4, None, 1): "6432c368e9e7c763a9e9d6614e43a3c9d94e4b017b8640d3334d12c676c41f29",
+    ("sx", 5, None, 1): "8fdf4f7c813583bdda4b2ce580bd407dba5356fe32f28ccffde7636d3b760d00",
+    ("aloco", 1, 4, 1): "ed0fc442759c3632735547378f9a949533dcb87ca6acbf17bc80175bddab6660",
+    ("loco", 1, 4, 1): "c292665df932c756cb5fd8489896950c1b39f71c81ee776c7bee845ae953499d",
+    ("iid", 0, None, 1): "2bf88173788193847b93fc8ddf6e480321e919e5fbe73f05d201f409a63d301f",
+    ("ax", 1, None, 102): "cf2accca29f75b55d1ba1c94c7dd9165bd82c01f9665dbc27ad21dccdf0fe788",
+    ("ax", 2, None, 102): "c05318ba340836c84593312ddf15e28727be0f9b7ad0eaec559e3bcce84f51b7",
+    ("ax", 3, None, 102): "9d648d5689c60c7929c2f9ca5395daf6ab37a22915083c4155ad1a8daba297e8",
+    ("ax", 4, None, 102): "322ebdd4e04fc8a2756099bb690490d1f0106036d8943b9f4206cc88efe0a398",
+    ("ax", 5, None, 103): "075ad9b7965f06bab1638b90efa7fad015b4daef5dde834019f42da571077743",
+    ("sx", 1, None, 102): "d7aa10004a5892c8d14d74b46f23e63e6ed25008bea9485cd6d40ef40f647050",
+    ("sx", 2, None, 102): "c9015958bb8b31fb980f015bdffb81f6c6bb3b384bfd38f0a01368bdf0f4039f",
+    ("sx", 3, None, 102): "a4cade378dfa0198c4399cdfe6172387fe99dabe29ee3b271ad4463f28311cb7",
+    ("sx", 4, None, 102): "ef9b05a366b5bd0a575f7e690e46c5f63bf416fb318fc5a7b4b10e6f0213b7ce",
+    ("sx", 5, None, 102): "9f6ba88db6a38dd9e60fbdd47aaf1a69c7db44652ec9f2d042be558ab5136160",
+    ("aloco", 1, 4, 102): "9330f92354c0aaff62f9e4ab59c562aa4a4d24227fe5bdaa063d17517ccb942f",
+    ("loco", 1, 4, 102): "bb6e8210f8b4d2d813b7176a24ae5fb0cb8bc0f8aeda25a6901a1b3e84d730d0",
+    ("iid", 0, None, 102): "dbb93568b0c15245d65e802885005406968d1500725f42fa95164bf5c765ff73",
+}
+
+
+@pytest.mark.parametrize("kind,x,m,seed", list(MC_STREAM_SHA256))
+def test_monte_carlo_streams_are_pinned(kind, x, m, seed):
+    s = generate_stream(cfg(kind, x, m, n=1_000_000, seed=seed))
+    assert s.dtype == np.int8
+    digest = hashlib.sha256(s.tobytes()).hexdigest()
+    assert digest == MC_STREAM_SHA256[(kind, x, m, seed)]
+
+
+@pytest.mark.parametrize("kind,x,m", [("ax", 1, None), ("sx", 1, None),
+                                      ("iid", 0, None), ("aloco", 1, 4)])
+def test_generation_memory_is_output_plus_one_chunk(kind, x, m, monkeypatch):
+    # whole-array draws peak at 4.8 n (sx) to 16 n (ax) bytes
+    monkeypatch.setattr(oracle, "CHUNK_SYMBOLS", 1 << 14)
+    n = 1_000_000
+    config = cfg(kind, x, m, n=n, seed=1)
+    generate_stream(cfg(kind, x, m, n=10, seed=1))  # cached codebook
+    tracemalloc.start()
+    try:
+        generate_stream(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n + 64 * oracle.CHUNK_SYMBOLS, f"peak {peak} bytes"
 
 
 class TestEstimation:

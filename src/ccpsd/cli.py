@@ -26,6 +26,10 @@ from .fstd import build_grid_fstd, build_infinite_fstd
 CSV_HEADER = "f,psd_continuous"
 
 
+class UsageError(Exception):
+    """Arguments that parse but cannot work together; exits 2 like argparse."""
+
+
 def _frac_str(v):
     f = Fraction(v)
     return f"{f.numerator}/{f.denominator}"
@@ -179,6 +183,11 @@ def cmd_bandwidth(args):
 
 def cmd_mc(args):
     fam = _family(args)
+    shortest = oracle.default_kmax(fam) + 1
+    if args.symbols < shortest:
+        raise UsageError(
+            f"argument --symbols: must be at least {shortest} for this"
+            f" family (the estimator's lag cutoff is {shortest - 1})")
     if args.against:
         rows = Path(args.against).read_text().strip().splitlines()
         if not rows or rows[0] != CSV_HEADER:
@@ -327,6 +336,8 @@ def main(argv=None):
         args.x = 0 if args.family == "iid" else 1
     try:
         return args.func(args)
+    except UsageError as exc:
+        parser.error(str(exc))
     except (ValueError, NotImplementedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -358,7 +358,8 @@ def reduce_to_ostd(fstd):
                     row[lab_pos[t]] = row[lab_pos[t]] + w
                 elif t not in scc:
                     zt = z[t]
-                    row = [row[j] + w * zt[j] for j in range(nl)]
+                    row = [row[j] + w * zt[j] if zt[j] else row[j]
+                           for j in range(nl)]
             rhs[u] = row
         if len(scc) == 1 and not any(t == scc[0] for t, _ in out[scc[0]]):
             z[scc[0]] = rhs[scc[0]]
@@ -373,7 +374,8 @@ def reduce_to_ostd(fstd):
             else:
                 zt = z[t]
                 for j in range(nl):
-                    fns[k][j] = fns[k][j] + w * zt[j]
+                    if zt[j]:  # w * 0 would build a zero to add
+                        fns[k][j] = fns[k][j] + w * zt[j]
 
     edges = {}
     for a in range(nl):

@@ -24,11 +24,15 @@ class StreamConfig:
 
 # Most draws one chunk of stream generation makes, and most symbols one
 # chunk of the lag-product accumulation casts to float32; bounds the scratch
-# of each (a few arrays of 8 bytes a draw, 4 MB of float32 stream).
-CHUNK_SYMBOLS = 1 << 20
+# of each (a few arrays of 8 bytes a draw, 512 KB of float32 stream), which
+# then stays in cache.
+CHUNK_SYMBOLS = 1 << 17
 # Lags one pass of the Gram-matrix accumulation covers; bounds its B x B
 # matrices when many lags are asked for.
 LAG_BLOCK = 512
+# Periods one row of the per-phase profile sum spans; wide rows make the
+# column sums fast, and folding a row gives the per-phase sums.
+PROFILE_FOLD = 1024
 
 
 def _rng(seed, offset=0):
@@ -254,14 +258,31 @@ def estimate_autocorr(stream, kmax):
 
 
 def _estimate_periodic(stream, period, kmax):
-    """Autocorrelation of the per-phase mean profile."""
+    """Autocorrelation of the per-phase mean profile.
+
+    The per-phase sums are exact integers, taken over rows of
+    PROFILE_FOLD periods and folded, plus the periods left over.
+    """
     rows = len(stream) // period
-    prof = (stream[:rows * period].reshape(-1, period)
-            .sum(axis=0, dtype=np.int64) / rows)
+    wide = rows - rows % PROFILE_FOLD
+    sums = (stream[:wide * period].reshape(-1, PROFILE_FOLD * period)
+            .sum(axis=0, dtype=np.int64).reshape(-1, period).sum(axis=0))
+    sums += stream[wide * period:rows * period].reshape(-1, period).sum(
+        axis=0, dtype=np.int64)
+    prof = sums / rows
     out = np.empty(kmax + 1)
     for k in range(kmax + 1):
         out[k] = float(np.mean(prof * np.roll(prof, -k % period)))
     return out
+
+
+def default_kmax(family):
+    """Lag cutoff ``estimate_psd`` uses unless told otherwise: the reach
+    m + 2x - 1 of a fixed-length family's aperiodic part, else 64.  A
+    stream must be longer than the cutoff."""
+    if family is not None and family.m is not None:
+        return family.m + 2 * family.x - 1
+    return 64
 
 
 def estimate_psd(stream, freqs, family=None, kmax=None, with_pulse=False):
@@ -272,15 +293,13 @@ def estimate_psd(stream, freqs, family=None, kmax=None, with_pulse=False):
     do not leak into the continuous estimate.
     """
     freqs = np.asarray(freqs, dtype=float)
+    if kmax is None:
+        kmax = default_kmax(family)
     if family is not None and family.m is not None:
-        m, x = family.m, family.x
-        period = m + x
-        kmax = kmax if kmax is not None else m + 2 * x - 1
         r = estimate_autocorr(stream, kmax)
-        rp = _estimate_periodic(stream, period, kmax)
+        rp = _estimate_periodic(stream, family.m + family.x, kmax)
         ra = r - rp
     else:
-        kmax = kmax if kmax is not None else 64
         r = estimate_autocorr(stream, kmax)
         ra = r - (np.float64(stream.sum(dtype=np.int64)) / len(stream)) ** 2
     out = np.full(len(freqs), ra[0])

@@ -83,7 +83,8 @@ def psd_and_lines(family, freqs, with_pulse=True):
     """Continuous PSD at ``freqs`` and the discrete lines, as ``psd`` writes.
 
     Both come from one exact computation: the autocorrelation of a finite
-    code, or the transfer matrix and stationary distribution of a stream.
+    code, or the transfer matrix of a stream, whose stationary statistics
+    it computes once.
     """
     freqs = np.asarray(freqs, dtype=float)
     if family.m is not None:
@@ -92,12 +93,11 @@ def psd_and_lines(family, freqs, with_pulse=True):
                                                     with_pulse=with_pulse),
                 cyclo.discrete_lines(series, with_pulse=with_pulse))
     tm = transfer_matrix_for(family)
-    pi = spectrum.stationary_distribution(tm)
-    vals = spectrum.spectrum_y(tm, freqs, pi)
+    vals = spectrum.spectrum_y(tm, freqs)
     if with_pulse:
         vals = spectrum.pulse_shape(freqs) * vals
     if family.kind == "ax":
-        return vals, [(0.0, float(spectrum.dc_line_weight(tm, pi)))]
+        return vals, [(0.0, float(spectrum.dc_line_weight(tm)))]
     return vals, []  # symmetric and i.i.d. streams carry no lines
 
 

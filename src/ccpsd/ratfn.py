@@ -15,15 +15,20 @@ The kernel skips arithmetic that cannot change a result:
   denominators add their numerators over that denominator.
 * Products and scalings skip zero coefficients, and coefficients that are
   already ``Fraction`` are not converted again.
-* At an exact D = 1, p(1) is the sum of the coefficients, so ``evaluate`` and
-  ``derivative_at`` there read coefficient sums instead of running Horner.
-* ``solve`` updates only the columns where the normalised pivot row is
-  nonzero.
+* At an exact D = 1, p(1) is the sum of the coefficients and p'(1) the sum
+  of i c_i, so ``evaluate`` and ``derivative_at`` there read coefficient sums,
+  taken over ints, instead of running Horner.
+* ``solve`` eliminates a system of ``Fraction`` entries over Python ints,
+  on each row's nonzero entries only; over ``RationalFn`` it updates only the
+  columns where the normalised pivot row is nonzero.
+* ``HornerStack`` evaluates many rational functions at an array of points
+  in one pass of Horner's rule, with the coefficients rounded to floats once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
@@ -99,12 +104,37 @@ def poly_eval(a, z):
 
     At an exact 1 (an int or a Fraction) the value is the coefficient sum.
     """
-    if isinstance(z, (int, Fraction)) and z == 1:
-        return sum((c for c in a if c), Fraction(0))
+    if _is_exact_one(z):
+        return _sum_at_one(a)
     acc = 0 * z if not isinstance(z, Fraction) else Fraction(0)
     for c in reversed(a):
         acc = acc * z + (complex(c) if isinstance(z, complex) else c)
     return acc
+
+
+def _is_exact_one(z):
+    return isinstance(z, (int, Fraction)) and z == 1
+
+
+def _sum_at_one(a, weighted=False):
+    """p(1), or p'(1) when ``weighted``: sum of c_i (or i c_i), exact.
+
+    The sum runs over int numerators on the lcm of the denominators seen so
+    far, with one Fraction made at the end.
+    """
+    num, den = 0, 1
+    for i, c in enumerate(a):
+        if c:
+            top, bottom = c.numerator, c.denominator
+            if weighted:
+                top *= i
+            if bottom != den:
+                common = lcm(den, bottom)
+                num *= common // den
+                top *= common // bottom
+                den = common
+            num += top
+    return Fraction(num, den)
 
 
 def poly_derivative(a):
@@ -129,7 +159,7 @@ def poly_reverse(a, degree):
 class RationalFn:
     """A ratio of polynomials in D, always stored in canonical form."""
 
-    __slots__ = ("num", "den", "_rounded")
+    __slots__ = ("num", "den", "_stack")
 
     def __init__(self, num, den=(Fraction(1),)):
         num = poly(num)
@@ -248,15 +278,10 @@ class RationalFn:
         """
         if isinstance(z, np.ndarray):
             try:
-                num, den = self._rounded
+                stack = self._stack
             except AttributeError:
-                num = [float(c) for c in reversed(self.num)]
-                den = [float(c) for c in reversed(self.den)]
-                self._rounded = num, den
-            den = np.polyval(den, z)
-            if np.any(den == 0):
-                raise ZeroDivisionError("evaluation at a pole")
-            return np.polyval(num, z) / den
+                stack = self._stack = HornerStack([self])
+            return stack(z)[0]
         den = poly_eval(self.den, z)
         if den == 0:
             raise ZeroDivisionError("evaluation at a pole")
@@ -268,8 +293,12 @@ class RationalFn:
         if den == 0:
             raise ZeroDivisionError("evaluation at a pole")
         num = poly_eval(self.num, z)
-        dnum = poly_eval(poly_derivative(self.num), z)
-        dden = poly_eval(poly_derivative(self.den), z)
+        if _is_exact_one(z):
+            dnum = _sum_at_one(self.num, weighted=True)
+            dden = _sum_at_one(self.den, weighted=True)
+        else:
+            dnum = poly_eval(poly_derivative(self.num), z)
+            dden = poly_eval(poly_derivative(self.den), z)
         return (dnum * den - num * dden) / (den * den)
 
     def substitute_inverse(self):
@@ -322,10 +351,13 @@ def solve(a, b):
 
     ``a`` is n x n and ``b`` is n x r, both lists of rows over ``Fraction``
     or ``RationalFn``; returns X as n rows.  The pivot of each column is its
-    first nonzero entry at or below the diagonal.
+    first nonzero entry at or below the diagonal.  A system with no
+    ``RationalFn`` entry is eliminated over Python ints (``_solve_integer``).
     """
     n = len(a)
     m = [list(a[i]) + list(b[i]) for i in range(n)]
+    if not any(isinstance(v, RationalFn) for row in m for v in row):
+        return _solve_integer(m, n)
     for col in range(n):
         piv = next(r for r in range(col, n) if m[r][col])
         m[col], m[piv] = m[piv], m[col]
@@ -340,6 +372,92 @@ def solve(a, b):
                 for c in support:
                     row[c] = row[c] - f * pivot_row[c]
     return [row[n:] for row in m]
+
+
+def _primitive(row):
+    """A sparse integer row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return row if g == 1 else {c: v // g for c, v in row.items()}
+
+
+def _solve_integer(m, n):
+    """Gauss-Jordan on the augmented rows ``m`` of Fractions, over ints.
+
+    Each row is scaled by the lcm of its denominators and kept as a sparse
+    {column: int} map.  Eliminating column ``col`` from row r, with pivot
+    value p and entry f of r (both divided by their gcd), sets r to
+    p r - f pivot, which touches only the nonzero entries of the two rows,
+    and divides it by the gcd of its entries.  The pivot rule is that of
+    ``solve``.  Row i ends with one nonzero d_i left of column n, at i, so
+    X_i is the rest of the row over d_i, read off as Fractions.
+    """
+    rows = []
+    for row in m:
+        scale = lcm(*(v.denominator for v in row if v))
+        rows.append(_primitive({c: int(v * scale)
+                                for c, v in enumerate(row) if v}))
+    for col in range(n):
+        piv = next(r for r in range(col, n) if col in rows[r])
+        rows[col], rows[piv] = rows[piv], rows[col]
+        pivot = rows[col]
+        p = pivot[col]
+        for r in range(n):
+            f = rows[r].get(col)
+            if r == col or f is None:
+                continue
+            g = gcd(p, f)
+            ps, fs = p // g, f // g
+            row = {c: ps * v for c, v in rows[r].items()}
+            for c, v in pivot.items():
+                v = row.get(c, 0) - fs * v
+                if v:
+                    row[c] = v
+                else:
+                    del row[c]
+            rows[r] = _primitive(row)
+    width = len(m[0])
+    return [[Fraction(rows[i].get(c, 0), rows[i][i]) for c in range(n, width)]
+            for i in range(n)]
+
+
+class HornerStack:
+    """Float values of several rational functions at an array of points.
+
+    The coefficients are rounded to floats once and stacked highest power
+    first, each polynomial zero-padded at the high-degree end.  A padded
+    step of Horner's rule leaves the accumulator at +0, so each row equals
+    ``np.polyval`` of its own coefficients bit for bit, while one pass of
+    max-degree steps serves every function.
+    """
+
+    def __init__(self, fns):
+        self.num = _stack_coeffs([f.num for f in fns])
+        self.den = _stack_coeffs([f.den for f in fns])
+
+    def __call__(self, z):
+        """Array of shape (functions,) + z.shape."""
+        den = _horner(self.den, z)
+        if np.any(den == 0):
+            raise ZeroDivisionError("evaluation at a pole")
+        return _horner(self.num, z) / den
+
+
+def _stack_coeffs(polys):
+    width = max(len(p) for p in polys)
+    out = np.zeros((len(polys), width))
+    for r, p in enumerate(polys):
+        out[r, width - len(p):] = [float(c) for c in reversed(p)]
+    return out
+
+
+def _horner(coeffs, z):
+    """Each row of ``coeffs`` (highest power first) evaluated at ``z``."""
+    acc = np.zeros((len(coeffs),) + z.shape, dtype=np.result_type(z, 0.0))
+    shape = (len(coeffs),) + (1,) * z.ndim
+    for c in coeffs.T:
+        acc *= z
+        acc += c.reshape(shape)
+    return acc
 
 
 def _coerce(v):

@@ -3,7 +3,7 @@
 Main entry points:
 
 * ``stationary_distribution`` / ``prob_one`` -- exact rational stationary
-  statistics of a transfer matrix.
+  statistics of a transfer matrix, computed once per matrix and kept on it.
 * ``spectrum_x`` -- continuous PSD of the 0/1 indicator process on a
   frequency grid (off the discrete-line frequencies).
 * ``spectrum_y`` / ``pulse_shape`` -- antipodal mapping of the indicator PSD
@@ -33,28 +33,17 @@ def default_grid(points=2048):
 
 
 def stationary_distribution(tm):
-    """Exact pi with pi G(1) = pi and sum(pi) = 1."""
-    g1 = tm.at_one()
-    n = tm.n
-    # (G(1)^T - I) pi = 0 with normalization replacing the last equation
-    a = [[g1[j][i] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    a[n - 1] = [Fraction(1)] * n
-    b = [[Fraction(0)]] * (n - 1) + [[Fraction(1)]]
-    pi = [row[0] for row in solve(a, b)]
-    if any(p < 0 for p in pi):
-        raise ValueError("stationary distribution has negative entries")
-    return pi
+    """Exact pi with pi G(1) = pi and sum(pi) = 1, solved once per matrix."""
+    return list(tm.stationary)
 
 
-def mean_run_length(tm, pi=None):
-    pi = pi or stationary_distribution(tm)
-    dg = tm.derivative_at_one()
-    return sum(pi[i] * sum(dg[i]) for i in range(tm.n))
+def mean_run_length(tm):
+    return 1 / tm.prob_one
 
 
-def prob_one(tm, pi=None):
+def prob_one(tm):
     """Stationary density of labeled symbols: one per run."""
-    return 1 / mean_run_length(tm, pi)
+    return tm.prob_one
 
 
 # ---------------------------------------------------------------------------
@@ -67,43 +56,35 @@ def prob_one(tm, pi=None):
 BLOCK_ENTRIES = 1 << 18
 
 
-def spectrum_x(tm, freqs, pi=None):
+def spectrum_x(tm, freqs):
     """Continuous PSD of the 0/1 indicator stream at the given frequencies.
 
     Valid away from discrete-line frequencies, where I - G(z) is invertible.
     G(z) is evaluated over a block of the grid at once, each distinct entry
-    once, and (I - G) v = 1 is solved for every point of the block in one
-    batched call.  ``pi`` is the exact stationary distribution, when the
-    caller has it already.
+    once in one Horner pass (``tm.entry_stack``), and (I - G) v = 1 is
+    solved for every point of the block in one batched call.
     """
-    pi = pi or stationary_distribution(tm)
-    p1 = float(prob_one(tm, pi))
-    pi_f = np.array([float(p) for p in pi])
+    p1 = float(prob_one(tm))
+    pi_f = np.array([float(p) for p in stationary_distribution(tm)])
+    stack, rows, cols, which = tm.entry_stack
     n = tm.n
     z = np.exp(-2j * np.pi * np.asarray(freqs, dtype=float))
-    where = {}  # distinct nonzero entry -> the positions that hold it
-    for i, row in enumerate(tm.entries):
-        for j, e in enumerate(row):
-            if e:
-                where.setdefault(e, []).append((i, j))
     out = np.empty(len(z))
     step = max(1, BLOCK_ENTRIES // (n * n))
     for start in range(0, len(z), step):
         zb = z[start:start + step]
         a = np.zeros((len(zb), n, n), dtype=complex)
         a[:, np.arange(n), np.arange(n)] = 1.0
-        for e, positions in where.items():
-            rows, cols = zip(*positions)
-            a[:, rows, cols] -= e.evaluate(zb)[:, None]
+        a[:, rows, cols] -= stack(zb)[which].T
         v = np.linalg.solve(a, np.ones((len(zb), n, 1)))[:, :, 0]
         # a sum per row, so a point's value does not depend on its block
         out[start:start + step] = p1 * (2.0 * (v.real * pi_f).sum(axis=1) - 1.0)
     return out
 
 
-def spectrum_y(tm, freqs, pi=None):
+def spectrum_y(tm, freqs):
     """Antipodal (+1/-1) signaling: continuous part scales by four."""
-    return 4.0 * spectrum_x(tm, freqs, pi)
+    return 4.0 * spectrum_x(tm, freqs)
 
 
 def pulse_shape(freqs):
@@ -111,9 +92,9 @@ def pulse_shape(freqs):
     return np.sinc(np.asarray(freqs, dtype=float)) ** 2
 
 
-def dc_line_weight(tm, pi=None):
+def dc_line_weight(tm):
     """Weight of the f=0 spectral line of the antipodal signal."""
-    p1 = prob_one(tm, pi)
+    p1 = prob_one(tm)
     return (2 * p1 - 1) ** 2
 
 
@@ -129,7 +110,7 @@ def spectrum_x_symbolic(tm):
     continuous indicator PSD.  Only practical for small matrices.
     """
     pi = stationary_distribution(tm)
-    p1 = prob_one(tm, pi)
+    p1 = prob_one(tm)
     n = tm.n
     a = [
         [
@@ -153,7 +134,7 @@ def nrzi_psd_symbolic(tm):
     antipodal PSD of the corresponding level signal on the unit circle.
     """
     pi = stationary_distribution(tm)
-    p1 = prob_one(tm, pi)
+    p1 = prob_one(tm)
     n = tm.n
     d = RationalFn.monomial(Fraction(1), 1)
     one_minus_d = ONE - d

@@ -14,17 +14,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+
+import numpy as np
 
 from .codebook import ConstraintFamily, alpha, group_cardinalities, lam, zeta
-from .ratfn import RationalFn, ZERO
+from .ratfn import HornerStack, RationalFn, ZERO, solve
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransferMatrix:
+    """G(D) and the exact statistics of G(1) and G'(1), each computed once.
+
+    ``entries`` is stored as a tuple of tuples, so a matrix never changes
+    after construction and its cached statistics stay valid.
+    """
+
     family: ConstraintFamily
-    entries: list  # n x n nested lists of RationalFn
+    entries: tuple  # n x n nested tuples of RationalFn
     labels: list  # state descriptors, canonical order
     origin: str = "closed_form"
+
+    def __post_init__(self):
+        object.__setattr__(self, "entries",
+                           tuple(tuple(row) for row in self.entries))
 
     @property
     def n(self):
@@ -36,12 +49,53 @@ class TransferMatrix:
                 for row in self.entries]
 
     def at_one(self):
-        """Exact G(1) as nested Fractions, from coefficient sums."""
-        return [[e.evaluate(1) if e else Fraction(0) for e in row]
-                for row in self.entries]
+        """Exact G(1) as nested lists of Fractions, from coefficient sums."""
+        return [list(row) for row in self._g1]
+
+    @cached_property
+    def _g1(self):
+        return tuple(tuple(e.evaluate(1) if e else Fraction(0) for e in row)
+                     for row in self.entries)
+
+    @cached_property
+    def stationary(self):
+        """Exact pi with pi G(1) = pi and sum(pi) = 1, as a tuple."""
+        g1 = self._g1
+        n = self.n
+        # (G(1)^T - I) pi = 0 with normalization replacing the last equation
+        a = [[g1[j][i] - (1 if i == j else 0) for j in range(n)]
+             for i in range(n)]
+        a[n - 1] = [Fraction(1)] * n
+        b = [[Fraction(0)]] * (n - 1) + [[Fraction(1)]]
+        pi = tuple(row[0] for row in solve(a, b))
+        if any(p < 0 for p in pi):
+            raise ValueError("stationary distribution has negative entries")
+        return pi
+
+    @cached_property
+    def prob_one(self):
+        """Exact density of labeled symbols: 1 / (pi G'(1) 1)."""
+        dg = self.derivative_at_one()
+        mean = sum(p * sum(row) for p, row in zip(self.stationary, dg))
+        return 1 / mean
+
+    @cached_property
+    def entry_stack(self):
+        """(HornerStack of the distinct nonzero entries, rows, columns,
+        stack index) over the nonzero positions, as index arrays."""
+        index = {}
+        rows, cols, which = [], [], []
+        for i, row in enumerate(self.entries):
+            for j, e in enumerate(row):
+                if e:
+                    rows.append(i)
+                    cols.append(j)
+                    which.append(index.setdefault(e, len(index)))
+        return (HornerStack(list(index)), np.array(rows), np.array(cols),
+                np.array(which))
 
     def check_stochastic(self):
-        for i, row in enumerate(self.at_one()):
+        for i, row in enumerate(self._g1):
             if sum(row) != 1:
                 raise ValueError(f"row {i} of G(1) sums to {sum(row)} != 1")
         return True

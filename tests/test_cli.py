@@ -209,6 +209,32 @@ class TestExitCodes:
         assert "--symbols" in r.stderr
         assert "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("args,shortest", [
+        (["--family", "ax", "--x", "1"], 65),
+        (["--family", "iid"], 65),
+        (["--family", "aloco", "--x", "1", "--m", "4"], 6),
+        (["--family", "cloco", "--x", "2", "--m", "5"], 9),
+    ], ids=["ax", "iid", "aloco", "cloco"])
+    def test_symbols_up_to_the_lag_cutoff(self, tmp_path, args, shortest):
+        # the estimator takes lags 0 .. shortest - 1 of the stream
+        r = run(["mc"] + args + ["--symbols", str(shortest - 1)], tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert "--symbols" in r.stderr
+        assert f"at least {shortest}" in r.stderr
+        assert "Traceback" not in r.stderr
+        r = run(["mc"] + args + ["--symbols", str(shortest)], tmp_path)
+        assert r.returncode == 0, r.stderr
+
+    def test_symbols_checked_before_generation(self, monkeypatch, capsys):
+        def unexpected(config):
+            raise AssertionError("stream generated")
+
+        monkeypatch.setattr(ccpsd.oracle, "generate_stream", unexpected)
+        with pytest.raises(SystemExit) as exc:
+            main(["mc", "--family", "ax", "--x", "1", "--symbols", "10"])
+        assert exc.value.code == 2
+        assert "--symbols: must be at least 65" in capsys.readouterr().err
+
     def test_negative_points_is_usage_error(self, tmp_path):
         r = run(["psd", "--family", "ax", "--x", "1", "--points", "-3"],
                 tmp_path)

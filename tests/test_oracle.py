@@ -379,6 +379,22 @@ class TestBlockedLagProducts:
         assert np.array_equal(estimate_psd(s, freqs, family=fam, kmax=kmax),
                               estimate_psd_per_lag(s, freqs, fam, kmax))
 
+    @pytest.mark.parametrize("period", [5, 6, 13])
+    def test_periodic_part_equals_per_row_sum(self, period):
+        # lengths around whole folds of PROFILE_FOLD periods, and between
+        fold = oracle.PROFILE_FOLD * period
+        rng = np.random.default_rng(period)
+        for n in (period, fold - 1, fold, fold + period - 1, 3 * fold + 7,
+                  100_003):
+            s = rng.integers(-1, 2, size=n).astype(np.int8)
+            rows = n // period
+            prof = (s[:rows * period].reshape(-1, period)
+                    .sum(axis=0, dtype=np.int64) / rows)
+            want = [float(np.mean(prof * np.roll(prof, -k % period)))
+                    for k in range(2 * period)]
+            got = oracle._estimate_periodic(s, period, 2 * period - 1)
+            assert np.array_equal(got, want), n
+
     @pytest.mark.parametrize("stream", [np.array([1.0, -1.0, 1.0]),
                                         np.array([1, 2, -1], dtype=np.int8),
                                         np.array([1, -2, -1]),

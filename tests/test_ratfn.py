@@ -11,8 +11,8 @@ relaxed = settings(deadline=None, max_examples=50,
                    suppress_health_check=[HealthCheck.too_slow])
 
 from ccpsd.ratfn import (
-    D, ONE, ZERO, RationalFn, poly_add, poly_derivative, poly_divmod, poly_gcd,
-    poly_mul, poly_neg, solve,
+    D, ONE, ZERO, HornerStack, RationalFn, poly_add, poly_derivative,
+    poly_divmod, poly_gcd, poly_mul, poly_neg, solve,
 )
 
 from brute_force import dense_gauss_jordan, euclid_canonical, reference_op
@@ -283,6 +283,23 @@ class TestSolve:
         assert [[(v.num, v.den) for v in row] for row in got] == \
             [[(v.num, v.den) for v in row] for row in want]
 
+    @relaxed
+    @given(sparse_systems(st.one_of(sparse_fractions, st.integers(-3, 3)),
+                          nonzero_fractions, 12, 3))
+    def test_larger_integer_eliminations_match_dense(self, system):
+        # int and Fraction entries mixed; rows scaled to ints by their lcm
+        a, b = system
+        try:
+            want = dense_gauss_jordan([[Fraction(v) for v in row] for row in a],
+                                      [[Fraction(v) for v in row] for row in b])
+        except StopIteration:  # singular
+            with pytest.raises(StopIteration):
+                solve(a, b)
+            return
+        got = solve(a, b)
+        assert got == want
+        assert all(isinstance(v, Fraction) for row in got for v in row)
+
     def test_zero_pattern_with_row_swaps(self):
         # a permuted bidiagonal system: every column pivots on a swap
         a = [[frac(0), frac(0), frac(2)],
@@ -324,3 +341,41 @@ class TestArrayEvaluate:
         f = ONE / (ONE - D)
         with pytest.raises(ZeroDivisionError):
             f.evaluate(np.array([0.5, 1.0, -1.0], dtype=complex))
+
+
+def _same_bits(a, b):
+    """Equal arrays, signs of zero included."""
+    return (np.array_equal(a, b)
+            and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+            and np.array_equal(np.signbit(a.imag), np.signbit(b.imag)))
+
+
+class TestHornerStack:
+    """One padded Horner pass equals np.polyval of each function, bit for bit."""
+
+    @relaxed
+    @given(st.lists(fns(), min_size=1, max_size=6),
+           st.lists(coeffs, min_size=0, max_size=2))
+    def test_rows_equal_polyval(self, fs, long_nums):
+        # long numerators pad the other rows over many high-degree steps
+        fs = fs + [RationalFn(c * 4 + [frac(1)], [frac(2), frac(-1)])
+                   for c in long_nums]
+        for z in (np.exp(-2j * np.pi * (np.arange(67) + 0.5) / 134),
+                  np.linspace(-0.4, 0.4, 33)):
+            want = []
+            for f in fs:
+                den = np.polyval([float(c) for c in reversed(f.den)], z)
+                if np.any(den == 0):
+                    return
+                want.append(np.polyval([float(c) for c in reversed(f.num)],
+                                       z) / den)
+            got = HornerStack(fs)(z)
+            assert got.shape == (len(fs),) + z.shape
+            for g, w in zip(got, want):
+                assert _same_bits(g, w)
+            assert all(_same_bits(f.evaluate(z), w) for f, w in zip(fs, want))
+
+    def test_pole_in_any_row_raises(self):
+        stack = HornerStack([D, ONE / (ONE - D)])
+        with pytest.raises(ZeroDivisionError):
+            stack(np.array([0.5, 1.0]))

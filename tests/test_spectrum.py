@@ -3,10 +3,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from brute_force import horner
+from brute_force import dense_gauss_jordan, horner
+from ccpsd import transfer
+from ccpsd.clocked import bfs_ostd, clocked_inputs_from_fstd
 from ccpsd.codebook import ConstraintFamily, enumerate_codebook
 from ccpsd.fstd import build_grid_fstd, reduce_to_ostd
-from ccpsd.ratfn import RationalFn
+from ccpsd.ratfn import ZERO, RationalFn
 from ccpsd.spectrum import (
     BLOCK_ENTRIES,
     dc_line_weight,
@@ -21,6 +23,7 @@ from ccpsd.spectrum import (
     stationary_distribution,
 )
 from ccpsd.transfer import (
+    TransferMatrix,
     alternate_ax,
     alternate_sx,
     closed_form_aloco,
@@ -32,6 +35,18 @@ from ccpsd.transfer import (
 )
 
 F = Fraction
+
+
+def dense_stationary(tm):
+    """pi from G(1) by Horner and the dense Gauss-Jordan reference, on the
+    system ``stationary_distribution`` solves."""
+    n = tm.n
+    g1 = [[horner(e.num, F(1)) / horner(e.den, F(1)) for e in row]
+          for row in tm.entries]
+    a = [[g1[j][i] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
+    a[n - 1] = [F(1)] * n
+    b = [[F(0)]] * (n - 1) + [[F(1)]]
+    return [row[0] for row in dense_gauss_jordan(a, b)]
 
 
 class TestStationary:
@@ -69,6 +84,43 @@ class TestStationary:
         for j in range(tm.n):
             assert sum(pi[i] * g1[i][j] for i in range(tm.n) if g1[i][j]) \
                 == pi[j]
+        assert pi == dense_stationary(tm)
+
+
+class TestIntegerElimination:
+    """The stationary solve over ints gives the unique exact pi, once."""
+
+    @pytest.mark.parametrize("kind,x,m", [("aloco", 2, 5), ("loco", 1, 6),
+                                          ("caloco", 1, 4), ("cloco", 2, 6)])
+    def test_grid_ostm_matches_dense(self, kind, x, m):
+        tm = _grid_ostm(kind, x, m)
+        pi = stationary_distribution(tm)
+        assert pi == dense_stationary(tm)
+        assert mean_run_length(tm) == sum(
+            p * sum(row) for p, row in zip(pi, tm.derivative_at_one()))
+
+    def test_statistics_are_computed_once(self, monkeypatch):
+        solves = []
+        real_solve = transfer.solve
+
+        def counting_solve(a, b):
+            solves.append(len(a))
+            return real_solve(a, b)
+
+        monkeypatch.setattr(transfer, "solve", counting_solve)
+        tm = closed_form_aloco(6, 2)
+        freqs = default_grid(32)
+        first = spectrum_y(tm, freqs)
+        assert solves == [tm.n]
+        assert np.array_equal(spectrum_y(tm, freqs), first)
+        assert prob_one(tm) == 1 / mean_run_length(tm)
+        assert solves == [tm.n]
+
+    def test_entries_cannot_change(self):
+        tm = closed_form_ax(2)
+        assert all(isinstance(row, tuple) for row in tm.entries)
+        with pytest.raises(AttributeError):
+            tm.entries = ()
 
 
 class TestDcWeight:
@@ -105,7 +157,7 @@ class TestNumericRoutes:
 def spectrum_x_per_point(tm, freqs):
     """Reference: scalar evaluation of every entry and one solve per point."""
     pi = stationary_distribution(tm)
-    p1 = float(prob_one(tm, pi))
+    p1 = float(prob_one(tm))
     pi_c = np.array([complex(p) for p in pi])
     eye = np.eye(tm.n, dtype=complex)
     out = np.empty(len(freqs))
@@ -118,9 +170,49 @@ def spectrum_x_per_point(tm, freqs):
     return out
 
 
-def _grid_ostm():
-    cb = enumerate_codebook(ConstraintFamily("aloco", 2, 5))
+def spectrum_x_per_entry(tm, freqs):
+    """Reference: the batched kernel with one np.polyval per distinct entry,
+    as it was before the entries were evaluated in one Horner pass."""
+    pi_f = np.array([float(p) for p in stationary_distribution(tm)])
+    p1 = float(prob_one(tm))
+    n = tm.n
+    z = np.exp(-2j * np.pi * np.asarray(freqs, dtype=float))
+    where = {}
+    for i, row in enumerate(tm.entries):
+        for j, e in enumerate(row):
+            if e:
+                where.setdefault(e, []).append((i, j))
+    out = np.empty(len(z))
+    step = max(1, BLOCK_ENTRIES // (n * n))
+    for start in range(0, len(z), step):
+        zb = z[start:start + step]
+        a = np.zeros((len(zb), n, n), dtype=complex)
+        a[:, np.arange(n), np.arange(n)] = 1.0
+        for e, positions in where.items():
+            rows, cols = zip(*positions)
+            num = np.polyval([float(c) for c in reversed(e.num)], zb)
+            den = np.polyval([float(c) for c in reversed(e.den)], zb)
+            a[:, rows, cols] -= (num / den)[:, None]
+        v = np.linalg.solve(a, np.ones((len(zb), n, 1)))[:, :, 0]
+        out[start:start + step] = p1 * (2.0 * (v.real * pi_f).sum(axis=1) - 1.0)
+    return out
+
+
+def _grid_ostm(kind="aloco", x=2, m=5):
+    cb = enumerate_codebook(ConstraintFamily(kind, x, m))
     return ostm_from_ostd(reduce_to_ostd(build_grid_fstd(cb)))
+
+
+def _bfs_matrix(kind, x, m):
+    """Transfer matrix of the self-clocked BFS run-length distributions."""
+    fam = ConstraintFamily(kind, x, m)
+    inputs = clocked_inputs_from_fstd(build_grid_fstd(enumerate_codebook(fam)))
+    n = sum(inputs.labeled)
+    entries = [[ZERO] * n for _ in range(n)]
+    for (a, b), runs in bfs_ostd(inputs).items():
+        for steps, p in runs:
+            entries[a][b] = entries[a][b] + RationalFn.monomial(p, steps)
+    return TransferMatrix(fam, entries, list(range(n)), origin="bfs")
 
 
 class TestBatchedKernel:
@@ -137,6 +229,33 @@ class TestBatchedKernel:
         freqs = default_grid(256)
         diff = np.abs(spectrum_x(tm, freqs) - spectrum_x_per_point(tm, freqs))
         assert np.max(diff) < 1e-10
+
+    @pytest.mark.parametrize("make", [
+        *(lambda x=x: closed_form_ax(x) for x in (1, 5)),
+        *(lambda x=x: closed_form_sx(x) for x in (1, 5)),
+        iid_matrix,
+        lambda: closed_form_aloco(6, 2),
+        lambda: closed_form_loco_A(6, 1),
+        _grid_ostm,
+        lambda: _grid_ostm("loco", 1, 5),
+        lambda: _grid_ostm("cloco", 2, 6),
+        lambda: _bfs_matrix("caloco", 1, 5),
+        lambda: _bfs_matrix("cloco", 2, 6),
+    ], ids=["ax1", "ax5", "sx1", "sx5", "iid", "aloco6_2", "loco6_1",
+            "grid_aloco5_2", "grid_loco5_1", "grid_cloco6_2", "bfs_caloco5_1",
+            "bfs_cloco6_2"])
+    def test_equals_per_entry_kernel(self, make):
+        tm = make()
+        freqs = default_grid(256)
+        assert np.array_equal(spectrum_x(tm, freqs),
+                              spectrum_x_per_entry(tm, freqs))
+
+    def test_equals_per_entry_kernel_over_blocks(self):
+        tm = closed_form_ax(30)
+        freqs = default_grid(2048)
+        assert len(freqs) * tm.n ** 2 > 7 * BLOCK_ENTRIES  # eight blocks
+        assert np.array_equal(spectrum_x(tm, freqs),
+                              spectrum_x_per_entry(tm, freqs))
 
     def test_blocks_change_no_value(self):
         tm = closed_form_ax(30)

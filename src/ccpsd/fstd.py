@@ -459,17 +459,18 @@ def _solve_scc(scc, out, rhs):
 
 def _decompose_runs(fn):
     """Split a path generating function into finite runs + geometric families."""
-    if fn.den == (Fraction(1),):
-        finite = [(t, p) for t, p in enumerate(fn.num) if p != 0]
+    num, den = fn.num, fn.den  # built on each access
+    if den == (Fraction(1),):
+        finite = [(t, p) for t, p in enumerate(num) if p != 0]
         _check_runs(finite)
         return RunSet(finite=finite)
-    support = [i for i, c in enumerate(fn.den) if c != 0]
+    support = [i for i, c in enumerate(den) if c != 0]
     if len(support) != 2 or support[0] != 0:
         raise NotImplementedError(
             "run-length structure beyond a single geometric family"
         )
     period = support[1]
-    a0 = fn.den[0]  # denominator is monic: a0 + D^period
+    a0 = den[0]  # denominator is monic: a0 + D^period
     ratio = -1 / a0
     if not 0 < ratio < 1:
         raise NotImplementedError("non-probabilistic geometric family")
@@ -477,10 +478,10 @@ def _decompose_runs(fn):
     # Power-series coefficients s_1..s_T; beyond T the recurrence gives
     # s_t = ratio * s_{t-period}, so each residue class tails off
     # geometrically from its last explicit coefficient.
-    top = len(fn.num) - 1
+    top = len(num) - 1
     series = [Fraction(0)] * (top + 1)
     for t in range(top + 1):
-        acc = fn.num[t]
+        acc = num[t]
         if t >= period:
             acc -= series[t - period]
         series[t] = acc / a0

@@ -1,23 +1,36 @@
-"""Exact univariate rational functions with Fraction coefficients.
+"""Exact univariate rational functions over the integers.
 
 Polynomials are coefficient tuples in ascending powers of the indeterminate
-(written D throughout this package).  Rational functions are kept in a
-canonical form -- numerator and denominator coprime, denominator monic -- so
-that structural equality of transfer-matrix entries is a plain ``==``.
+(written D throughout this package).  A ``RationalFn`` holds its value
+n / (c d) in three parts, all Python ints:
 
-The kernel skips arithmetic that cannot change a result:
+* ``n``, the integer coefficients of the numerator;
+* ``c``, a positive scale, coprime to the content (the gcd of the
+  coefficients) of ``n``;
+* ``d``, a primitive denominator with a positive leading coefficient,
+  coprime to ``n`` as a polynomial.
 
-* Canonicalisation runs Euclid's gcd only where a factor can cancel.  A
-  constant denominator needs none, so sums and products of polynomials build
-  no gcd; if either side is a monomial c D^k, the gcd is D to the smaller
-  valuation and is sliced off.
-* A sum with a zero operand is the other operand, and summands with equal
-  denominators add their numerators over that denominator.
-* Products and scalings skip zero coefficients, and coefficients that are
-  already ``Fraction`` are not converted again.
-* At an exact D = 1, p(1) is the sum of the coefficients and p'(1) the sum
-  of i c_i, so ``evaluate`` and ``derivative_at`` there read coefficient sums,
-  taken over ints, instead of running Horner.
+That form is unique, so structural equality and hashing of transfer-matrix
+entries are plain tuple compares.  ``num`` and ``den`` give the canonical
+``Fraction`` form -- numerator and denominator coprime, denominator monic --
+built on demand from the three parts.
+
+Arithmetic runs on ints only:
+
+* Products are convolutions.  A common factor is found by a primitive
+  pseudo-remainder gcd and divided out exactly: by Gauss's lemma a primitive
+  divisor leaves an integral quotient.  The powers of D are split off before
+  the gcd, so with a monomial c D^k on either side it is a power of D; a
+  constant on either side shares nothing.
+* A sum reduces only by the gcd g of the two denominators: its numerator is
+  coprime to both cofactors, so it can share factors with g alone.  Hence a
+  polynomial plus a reduced fraction needs no gcd, and equal denominators
+  need one against that denominator.
+* A product cancels only gcd(a_n, b_d) and gcd(b_n, a_d), and a quotient
+  multiplies by the inverse, which is canonical as it stands.
+* At an exact point P/Q, values and derivatives are integer sums scaled by a
+  power of Q, with one ``Fraction`` made at the end; at D = 1 they are the
+  plain coefficient sums.
 * ``solve`` eliminates a system of ``Fraction`` entries over Python ints,
   on each row's nonzero entries only; over ``RationalFn`` it updates only the
   columns where the normalised pivot row is nonzero.
@@ -32,201 +45,287 @@ from math import gcd, lcm
 
 import numpy as np
 
+_ONE = (1,)
 
-def _trim(coeffs):
-    c = list(coeffs)
-    while c and c[-1] == 0:
+
+def _trim(c):
+    """A coefficient list without trailing zeros, as a tuple."""
+    while c and not c[-1]:
         c.pop()
     return tuple(c)
 
 
-def poly(coeffs):
-    """Normalize a coefficient iterable into a trimmed Fraction tuple."""
-    return _trim(v if isinstance(v, Fraction) else Fraction(v) for v in coeffs)
+def _integer_poly(coeffs):
+    """(p, s): integer coefficients p and a positive int s with coeffs = p/s."""
+    fr = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in coeffs]
+    s = lcm(*(v.denominator for v in fr if v))
+    return _trim([v.numerator * (s // v.denominator) if v else 0
+                  for v in fr]), s
 
 
-def poly_add(a, b):
-    n = max(len(a), len(b))
-    return _trim(
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
-    )
+def _scale(p, s):
+    return p if s == 1 else tuple(s * v for v in p)
 
 
-def poly_neg(a):
-    return tuple(-v for v in a)
-
-
-def poly_mul(a, b):
+def _mul(a, b):
+    """Product of two integer polynomials."""
     if not a or not b:
         return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    terms = [(j, bj) for j, bj in enumerate(b) if bj]
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in terms:
-                out[i + j] += ai * bj
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        return _scale(a, b[0])
+    out = [0] * (len(a) + len(b) - 1)
+    for j, bj in enumerate(b):
+        if bj:
+            for i, ai in enumerate(a, j):
+                out[i] += ai * bj
+    return tuple(out)  # the leading product is nonzero
+
+
+def _combine(a, sa, b, sb):
+    """sa a + sb b for integer polynomials a, b and ints sa, sb."""
+    if len(a) < len(b):
+        a, sa, b, sb = b, sb, a, sa
+    out = [sa * v for v in a]
+    for i, v in enumerate(b):
+        if v:
+            out[i] += sb * v
     return _trim(out)
 
 
-def poly_scale(a, s):
-    s = Fraction(s)
-    return _trim(v * s if v else v for v in a)
+def _primitive_part(p):
+    g = gcd(*p)
+    return p if g == 1 else tuple(v // g for v in p)
 
 
-def poly_divmod(a, b):
-    """Polynomial division with remainder; b must be nonzero."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
+def _lowest_power(p):
+    """Index of the lowest nonzero coefficient of a nonzero polynomial."""
+    return next(i for i, v in enumerate(p) if v)
+
+
+def _pseudo_remainder(a, b):
+    """A nonzero integer multiple of a mod b, for len(a) >= len(b) > 1."""
+    r = list(a)
+    nb, lb = len(b), b[-1]
+    terms = [(j, bj) for j, bj in enumerate(b[:-1]) if bj]
+    while len(r) >= nb:
+        top = r.pop()  # cancelled below
+        g = gcd(top, lb)
+        ms, fs = lb // g, top // g
+        if ms != 1:
+            r = [ms * v for v in r]
+        shift = len(r) - nb + 1
+        for j, bj in terms:
+            r[shift + j] -= fs * bj
+        while r and not r[-1]:
+            r.pop()
+    return tuple(r)
+
+
+def _gcd(a, b):
+    """Primitive gcd, with a positive leading coefficient, of two nonzero
+    integer polynomials."""
+    if len(a) == 1 or len(b) == 1:
+        return _ONE
+    va, vb = _lowest_power(a), _lowest_power(b)
+    a, b = a[va:], b[vb:]
+    g = _ONE
+    if len(a) > 1 and len(b) > 1:
+        a, b = _primitive_part(a), _primitive_part(b)
+        if len(a) < len(b):
+            a, b = b, a
+        while True:
+            r = _pseudo_remainder(a, b)
+            if not r:
+                g = b if b[-1] > 0 else tuple(-v for v in b)
+                break
+            if len(r) == 1:
+                break
+            a, b = b, _primitive_part(r)
+    k = min(va, vb)
+    return (0,) * k + g if k else g
+
+
+def _divide_exact(a, b):
+    """a / b for integer polynomials where b, primitive with a positive
+    leading coefficient, divides a."""
+    vb = _lowest_power(b)
+    if vb:  # b = D^vb b', and D^vb divides a as well
+        a, b = a[vb:], b[vb:]
+    if len(b) == 1:  # b = 1
+        return a
     rem = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv_lead = 1 / b[-1]
-    for i in range(len(rem) - len(b), -1, -1):
-        coef = rem[i + len(b) - 1] * inv_lead
-        if coef != 0:
+    nb, lb = len(b), b[-1]
+    terms = [(j, bj) for j, bj in enumerate(b) if bj]
+    q = [0] * (len(a) - nb + 1)
+    for i in range(len(q) - 1, -1, -1):
+        coef = rem[i + nb - 1] // lb
+        if coef:
             q[i] = coef
-            for j, bj in enumerate(b):
+            for j, bj in terms:
                 rem[i + j] -= coef * bj
-    return _trim(q), _trim(rem)
+    return tuple(q)
 
 
-def poly_gcd(a, b):
-    """Monic gcd via the Euclidean algorithm."""
-    a, b = _trim(a), _trim(b)
-    while b:
-        a, b = b, poly_divmod(a, b)[1]
-    if not a:
-        return ()
-    return poly_scale(a, 1 / a[-1])
+def _canonical(n, k, d):
+    """The three parts of n / (k d): integer polynomials n and nonzero d, and
+    a positive int k."""
+    if not n:
+        return (), 1, _ONE
+    if len(d) > 1:
+        g = _gcd(n, d)
+        if len(g) > 1:
+            n, d = _divide_exact(n, g), _divide_exact(d, g)
+    s = gcd(*d)
+    if d[-1] < 0:
+        s = -s
+    if s != 1:
+        d = tuple(v // s for v in d)
+        if s < 0:
+            n, s = tuple(-v for v in n), -s
+        k *= s
+    return _cancel_scale(n, k, d)
 
 
-def poly_eval(a, z):
-    """Horner evaluation; works for complex, float, or Fraction arguments.
+def _cancel_scale(n, k, d):
+    """Parts of n / (k d) with d canonical and coprime to n: only the common
+    factor of k and the content of n is left to cancel."""
+    if k != 1:
+        g = gcd(k, *n)
+        if g != 1:
+            n, k = tuple(v // g for v in n), k // g
+    return n, k, d
 
-    At an exact 1 (an int or a Fraction) the value is the coefficient sum.
-    """
-    if _is_exact_one(z):
-        return _sum_at_one(a)
-    acc = 0 * z if not isinstance(z, Fraction) else Fraction(0)
-    for c in reversed(a):
-        acc = acc * z + (complex(c) if isinstance(z, complex) else c)
+
+def _at(p, z, top):
+    """p(z) Q^top as an int, for an exact z = P/Q and top >= deg p."""
+    num, den = z.numerator, z.denominator
+    if num == den:  # z = 1
+        return sum(p)
+    acc, qpow = 0, 1
+    for v in reversed(p):
+        acc = acc * num + v * qpow
+        qpow *= den
+    return acc * den ** (top - len(p) + 1)
+
+
+def _float_at(p, s, z):
+    """Horner's rule at a float or complex z on the coefficients p / s, each
+    rounded to a float."""
+    acc = 0 * z
+    for v in reversed(p):
+        acc = acc * z + v / s
     return acc
 
 
-def _is_exact_one(z):
-    return isinstance(z, (int, Fraction)) and z == 1
+def _derivative(p):
+    return tuple(i * v for i, v in enumerate(p))[1:]
 
 
-def _sum_at_one(a, weighted=False):
-    """p(1), or p'(1) when ``weighted``: sum of c_i (or i c_i), exact.
-
-    The sum runs over int numerators on the lcm of the denominators seen so
-    far, with one Fraction made at the end.
-    """
-    num, den = 0, 1
-    for i, c in enumerate(a):
-        if c:
-            top, bottom = c.numerator, c.denominator
-            if weighted:
-                top *= i
-            if bottom != den:
-                common = lcm(den, bottom)
-                num *= common // den
-                top *= common // bottom
-                den = common
-            num += top
-    return Fraction(num, den)
-
-
-def poly_derivative(a):
-    return _trim(i * a[i] if a[i] else a[i] for i in range(1, len(a)))
-
-
-def _valuation(p):
-    """Index of the lowest nonzero coefficient of a nonzero polynomial."""
-    return next(i for i, c in enumerate(p) if c)
-
-
-def poly_reverse(a, degree):
-    """Coefficients of D^degree * a(1/D); requires degree >= deg(a)."""
-    if degree < len(a) - 1:
-        raise ValueError("reversal degree smaller than polynomial degree")
-    out = [Fraction(0)] * (degree + 1)
-    for i, c in enumerate(a):
-        out[degree - i] = c
-    return _trim(out)
+def _is_exact(z):
+    return isinstance(z, (int, Fraction))
 
 
 class RationalFn:
     """A ratio of polynomials in D, always stored in canonical form."""
 
-    __slots__ = ("num", "den", "_stack")
+    __slots__ = ("_n", "_c", "_d", "_stack")
 
-    def __init__(self, num, den=(Fraction(1),)):
-        num = poly(num)
-        den = poly(den)
-        if not den:
+    def __init__(self, num, den=_ONE):
+        n, sn = _integer_poly(num)
+        d, sd = _integer_poly(den)
+        if not d:
             raise ZeroDivisionError("zero denominator")
-        if not num:
-            self.num, self.den = (), (Fraction(1),)
-            return
-        if len(den) > 1:  # a constant denominator shares no factor
-            vn, vd = _valuation(num), _valuation(den)
-            if vn == len(num) - 1 or vd == len(den) - 1:
-                # a monomial's only factor is D: the gcd is D^min(valuations)
-                k = min(vn, vd)
-                num, den = num[k:], den[k:]
-            else:
-                g = poly_gcd(num, den)
-                if len(g) > 1:
-                    num = poly_divmod(num, g)[0]
-                    den = poly_divmod(den, g)[0]
-        lead = den[-1]
-        if lead != 1:
-            num = poly_scale(num, 1 / lead)
-            den = poly_scale(den, 1 / lead)
-        self.num, self.den = num, den
+        # (n / sn) / (d / sd) = sd n / (sn d)
+        self._n, self._c, self._d = _canonical(_scale(n, sd), sn, d)
+
+    @classmethod
+    def _of(cls, parts):
+        """A RationalFn of parts (n, c, d) already in canonical form."""
+        r = object.__new__(cls)
+        r._n, r._c, r._d = parts
+        return r
+
+    @property
+    def num(self):
+        """Canonical numerator: Fraction coefficients over the monic den."""
+        s = self._c * self._d[-1]
+        return tuple(Fraction(v, s) for v in self._n)
+
+    @property
+    def den(self):
+        """Canonical denominator: monic, with Fraction coefficients."""
+        lead = self._d[-1]
+        return tuple(Fraction(v, lead) for v in self._d)
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero():
-        return RationalFn(())
+        return RationalFn._of(((), 1, _ONE))
 
     @staticmethod
     def const(v):
-        return RationalFn((Fraction(v),))
+        return RationalFn.monomial(v, 0)
 
     @staticmethod
     def monomial(coef, power):
-        c = [Fraction(0)] * power + [Fraction(coef)]
-        return RationalFn(c)
+        coef = coef if _is_exact(coef) else Fraction(coef)
+        if not coef:
+            return RationalFn.zero()
+        return RationalFn._of(((0,) * power + (coef.numerator,),
+                               coef.denominator, _ONE))
 
     @staticmethod
     def geometric(c0, b, ratio, period):
-        """Sum_{k>=1} c0 * ratio^(k-1) * D^(b + period*(k-1))."""
-        num = [Fraction(0)] * b + [Fraction(c0)]
-        den = [Fraction(1)] + [Fraction(0)] * (period - 1) + [-Fraction(ratio)]
-        return RationalFn(num, den)
+        """Sum_{k>=1} c0 * ratio^(k-1) * D^(b + period*(k-1)).
+
+        That is c0 D^b / (1 - ratio D^period), for period >= 1.  With
+        ratio = p/q in lowest terms the denominator q - p D^period is
+        primitive and, its constant term being nonzero, coprime to the
+        monomial numerator, so only its sign and the scale are normalised.
+        """
+        c0, ratio = Fraction(c0), Fraction(ratio)
+        if not c0 or not ratio:
+            return RationalFn.monomial(c0, b)
+        p, q = ratio.numerator, ratio.denominator
+        sign = 1 if p < 0 else -1  # makes the leading coefficient positive
+        n = (0,) * b + (sign * c0.numerator * q,)
+        d = (sign * q,) + (0,) * (period - 1) + (-sign * p,)
+        return RationalFn._of(_cancel_scale(n, c0.denominator, d))
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
         other = _coerce(other)
-        if not other.num:
+        an, ac, ad = self._n, self._c, self._d
+        bn, bc, bd = other._n, other._c, other._d
+        if not bn:
             return self
-        if not self.num:
+        if not an:
             return other
-        if self.den == other.den:
-            return RationalFn(poly_add(self.num, other.num), self.den)
-        num = poly_add(poly_mul(self.num, other.den), poly_mul(other.num, self.den))
-        return RationalFn(num, poly_mul(self.den, other.den))
+        # a_d = g a1 and b_d = g b1 with g their gcd
+        if ad == bd:
+            g, a1, b1 = ad, _ONE, _ONE
+        else:
+            g = _gcd(ad, bd)
+            a1, b1 = _divide_exact(ad, g), _divide_exact(bd, g)
+        k = lcm(ac, bc)
+        t = _combine(_mul(an, b1), k // ac, _mul(bn, a1), k // bc)
+        if not t:
+            return RationalFn.zero()
+        # t is coprime to a1 and b1, so it can only share factors with g
+        if len(g) > 1:
+            h = _gcd(t, g)
+            if len(h) > 1:
+                t, g = _divide_exact(t, h), _divide_exact(g, h)
+        return RationalFn._of(_cancel_scale(t, k, _mul(_mul(g, a1), b1)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        r = RationalFn.zero()
-        r.num, r.den = poly_neg(self.num), self.den
-        return r
+        return RationalFn._of((tuple(-v for v in self._n), self._c, self._d))
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -236,19 +335,35 @@ class RationalFn:
 
     def __mul__(self, other):
         other = _coerce(other)
-        return RationalFn(
-            poly_mul(self.num, other.num), poly_mul(self.den, other.den)
-        )
+        an, ac, ad = self._n, self._c, self._d
+        bn, bc, bd = other._n, other._c, other._d
+        if not an or not bn:
+            return RationalFn.zero()
+        # each numerator is coprime to its own denominator
+        g = _gcd(an, bd)
+        if len(g) > 1:
+            an, bd = _divide_exact(an, g), _divide_exact(bd, g)
+        g = _gcd(bn, ad)
+        if len(g) > 1:
+            bn, ad = _divide_exact(bn, g), _divide_exact(ad, g)
+        return RationalFn._of(_cancel_scale(_mul(an, bn), ac * bc,
+                                            _mul(ad, bd)))
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if not other.num:
+    def _inverse(self):
+        n, c, d = self._n, self._c, self._d
+        if not n:
             raise ZeroDivisionError("division by zero rational function")
-        return RationalFn(
-            poly_mul(self.num, other.den), poly_mul(self.den, other.num)
-        )
+        s = gcd(*n)
+        if n[-1] < 0:
+            s = -s
+        # c d / n = (c d / s) / (n / s): the content c of c d is coprime to s
+        top = tuple(c * v for v in d) if s > 0 else tuple(-c * v for v in d)
+        return RationalFn._of((top, abs(s), tuple(v // s for v in n)))
+
+    def __truediv__(self, other):
+        return self * _coerce(other)._inverse()
 
     def __rtruediv__(self, other):
         return _coerce(other) / self
@@ -257,18 +372,19 @@ class RationalFn:
         if not isinstance(other, (RationalFn, int, Fraction)):
             return NotImplemented
         other = _coerce(other)
-        return self.num == other.num and self.den == other.den
+        return (self._n == other._n and self._c == other._c
+                and self._d == other._d)
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self._n, self._c, self._d))
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self._n)
 
     # -- queries ---------------------------------------------------------
 
     def is_zero(self):
-        return not self.num
+        return not self._n
 
     def evaluate(self, z):
         """Evaluate at a complex/float point (exact if z is a Fraction).
@@ -282,47 +398,72 @@ class RationalFn:
             except AttributeError:
                 stack = self._stack = HornerStack([self])
             return stack(z)[0]
-        den = poly_eval(self.den, z)
+        n, c, d = self._n, self._c, self._d
+        if _is_exact(z):
+            top = max(len(n), len(d)) - 1
+            den = _at(d, z, top)
+            if not den:
+                raise ZeroDivisionError("evaluation at a pole")
+            return Fraction(_at(n, z, top), c * den)
+        lead = d[-1]
+        den = _float_at(d, lead, z)
         if den == 0:
             raise ZeroDivisionError("evaluation at a pole")
-        return poly_eval(self.num, z) / den
+        return _float_at(n, c * lead, z) / den
 
     def derivative_at(self, z):
         """R'(z) by the quotient rule, without forming R' as a function."""
-        den = poly_eval(self.den, z)
+        n, c, d = self._n, self._c, self._d
+        if _is_exact(z):
+            # with every value scaled by Q^top and every slope by Q^(top-1),
+            # (n' d - n d') / (c d^2) gains one factor Q over the scale
+            top = max(len(n), len(d)) - 1
+            den = _at(d, z, top)
+            if not den:
+                raise ZeroDivisionError("evaluation at a pole")
+            top_d = (_at(_derivative(n), z, top - 1) * den
+                     - _at(n, z, top) * _at(_derivative(d), z, top - 1))
+            return Fraction(top_d * z.denominator, c * den * den)
+        lead = d[-1]
+        s = c * lead
+        den = _float_at(d, lead, z)
         if den == 0:
             raise ZeroDivisionError("evaluation at a pole")
-        num = poly_eval(self.num, z)
-        if _is_exact_one(z):
-            dnum = _sum_at_one(self.num, weighted=True)
-            dden = _sum_at_one(self.den, weighted=True)
-        else:
-            dnum = poly_eval(poly_derivative(self.num), z)
-            dden = poly_eval(poly_derivative(self.den), z)
+        num = _float_at(n, s, z)
+        dnum = _float_at(_derivative(n), s, z)
+        dden = _float_at(_derivative(d), lead, z)
         return (dnum * den - num * dden) / (den * den)
 
     def substitute_inverse(self):
-        """Return R(1/D) as a rational function of D."""
-        deg = max(len(self.num), len(self.den)) - 1
-        return RationalFn(
-            poly_reverse(self.num, deg), poly_reverse(self.den, deg)
-        )
+        """Return R(1/D) as a rational function of D.
+
+        Both parts are reversed over the larger degree; the reversals stay
+        coprime and the denominator primitive, so only a sign can change.
+        """
+        n, c, d = self._n, self._c, self._d
+        deg = max(len(n), len(d)) - 1
+        rn = _trim([0] * (deg + 1 - len(n)) + list(reversed(n)))
+        rd = _trim([0] * (deg + 1 - len(d)) + list(reversed(d)))
+        if rd[-1] < 0:
+            rn, rd = tuple(-v for v in rn), tuple(-v for v in rd)
+        return RationalFn._of((rn, c, rd))
 
     def series_coefficients(self, count):
         """First `count` coefficients of the power-series expansion at D=0."""
-        if self.den and self.den[0] == 0:
+        num, den = self.num, self.den
+        if den[0] == 0:
             raise ValueError("no power series: denominator vanishes at 0")
-        if not self.num:
+        if not num:
             return [Fraction(0)] * count
         out = []
-        d0 = self.den[0]
-        state = list(self.num) + [Fraction(0)] * count
+        d0 = den[0]
+        state = list(num) + [Fraction(0)] * count
         for k in range(count):
             c = state[k] / d0
             out.append(c)
-            for j in range(1, len(self.den)):
+            for j in range(1, len(den)):
                 if k + j < len(state):
-                    state[k + j] -= c * self.den[j]
+                    state[k + j] -= c * den[j]
         return out
 
     def __repr__(self):
@@ -341,7 +482,7 @@ class RationalFn:
                     terms.append(f"{c}*D^{i}" if c != 1 else f"D^{i}")
             return " + ".join(terms)
 
-        if self.den == (Fraction(1),):
+        if self._d == _ONE:
             return fmt(self.num)
         return f"({fmt(self.num)}) / ({fmt(self.den)})"
 
@@ -423,16 +564,16 @@ def _solve_integer(m, n):
 class HornerStack:
     """Float values of several rational functions at an array of points.
 
-    The coefficients are rounded to floats once and stacked highest power
-    first, each polynomial zero-padded at the high-degree end.  A padded
-    step of Horner's rule leaves the accumulator at +0, so each row equals
-    ``np.polyval`` of its own coefficients bit for bit, while one pass of
-    max-degree steps serves every function.
+    The canonical coefficients are rounded to floats once and stacked
+    highest power first, each polynomial zero-padded at the high-degree end.
+    A padded step of Horner's rule leaves the accumulator at +0, so each row
+    equals ``np.polyval`` of its own coefficients bit for bit, while one pass
+    of max-degree steps serves every function.
     """
 
     def __init__(self, fns):
-        self.num = _stack_coeffs([f.num for f in fns])
-        self.den = _stack_coeffs([f.den for f in fns])
+        self.num = _stack_coeffs([(f._n, f._c * f._d[-1]) for f in fns])
+        self.den = _stack_coeffs([(f._d, f._d[-1]) for f in fns])
 
     def __call__(self, z):
         """Array of shape (functions,) + z.shape."""
@@ -443,10 +584,12 @@ class HornerStack:
 
 
 def _stack_coeffs(polys):
-    width = max(len(p) for p in polys)
+    """Rows of p / s for (p, s) in ``polys``: int true division rounds each
+    quotient correctly, as ``float`` of the reduced ``Fraction`` does."""
+    width = max(len(p) for p, _ in polys)
     out = np.zeros((len(polys), width))
-    for r, p in enumerate(polys):
-        out[r, width - len(p):] = [float(c) for c in reversed(p)]
+    for r, (p, s) in enumerate(polys):
+        out[r, width - len(p):] = [v / s for v in reversed(p)]
     return out
 
 

@@ -201,19 +201,23 @@ def alternate_sx(x):
 
 
 def _beta(a, b, n_words, period):
-    """a * D^b / (N - D^period); the monomial numerator needs no gcd."""
-    return RationalFn(
-        (Fraction(0),) * b + (Fraction(a),),
-        (Fraction(n_words),) + (Fraction(0),) * (period - 1) + (-Fraction(1),),
-    )
+    """a * D^b / (N - D^period), a geometric family with ratio 1/N."""
+    return RationalFn.geometric(Fraction(a, n_words), b,
+                                Fraction(1, n_words), period)
 
 
-def _lambda_chain(fam, d, g):
-    """Product of (1 - alpha_c) for c = d down to d-g."""
-    out = Fraction(1)
-    for k in range(g + 1):
-        out *= 1 - alpha(fam, d - k)
-    return out
+def _lambda_chains(fam, m):
+    """chains[d][g]: product of (1 - alpha_c) for c = d down to d-g, for
+    2 <= d-g <= d <= m; each factor computed once."""
+    factor = {c: 1 - alpha(fam, c) for c in range(2, m + 1)}
+    chains = {}
+    for d in range(2, m + 1):
+        acc, row = Fraction(1), []
+        for c in range(d, 1, -1):
+            acc *= factor[c]
+            row.append(acc)
+        chains[d] = row
+    return chains
 
 
 def closed_form_aloco(m, x):
@@ -225,6 +229,7 @@ def closed_form_aloco(m, x):
     period = m + x
     z = zeta(fam)
     n = m + x
+    chains = _lambda_chains(fam, m)
     entries = [[ZERO] * n for _ in range(n)]
     for i in range(1, m + 1):  # 1-based word columns
         for j in range(1, m + 1):
@@ -233,15 +238,15 @@ def closed_form_aloco(m, x):
             elif j == i:
                 val = _beta(Fraction(1), m + x, n_words, period)
             elif j == i + 1 or j > i + 1 + x:
-                lc = _lambda_chain(fam, m + 1 - i, j - i - 1)
+                lc = chains[m + 1 - i][j - i - 1]
                 val = RationalFn.monomial(lc, j - i) + _beta(
                     lc, m - i + j + x, n_words, period
                 )
             elif i + 2 <= j <= i + 1 + x:
-                lc = _lambda_chain(fam, m + 1 - i, j - i - 1)
+                lc = chains[m + 1 - i][j - i - 1]
                 val = _beta(lc, m - i + j + x, n_words, period)
             else:  # j < i
-                lc = _lambda_chain(fam, m + 1 - j, i - j - 1)
+                lc = chains[m + 1 - j][i - j - 1]
                 val = _beta(1 / lc, m - i + j + x, n_words, period)
             entries[i - 1][j - 1] = val
     entries[m - 1][m] = RationalFn.monomial(z, 1)
@@ -286,8 +291,7 @@ def closed_form_loco_A(m, x):
     n = len(states)
     entries = [[ZERO] * n for _ in range(n)]
 
-    def lam_at(a):
-        return lam(fam, a)
+    lam_at = {a: lam(fam, a) for a in range(2, m + 1)}  # each ratio once
 
     def add(src, dst, prob, steps):
         entries[index[src]][index[dst]] = entries[index[src]][index[dst]] + (
@@ -299,13 +303,13 @@ def closed_form_loco_A(m, x):
         return ("forced", c, f) if f <= m else ("forced", c, m + 1)
 
     for p in range(1, m):
-        stay = lam_at(m - p + 1)
+        stay = lam_at[m - p + 1]
         add(("free", p), ("free", p + 1), stay, 1)
         chain = 1 - stay
         for c in range(p + x + 2, m + 1):
-            prob = chain * (1 - lam_at(m - c + 2))
+            prob = chain * (1 - lam_at[m - c + 2])
             add(("free", p), forced_entry(c), prob, c - p)
-            chain *= lam_at(m - c + 2)
+            chain *= lam_at[m - c + 2]
         add(("free", p), ("bridge", 1), chain, m + 1 - p)
     add(("free", m), ("bridge", 1), Fraction(1), 1)
 
@@ -322,9 +326,9 @@ def closed_form_loco_A(m, x):
     add(("bridge", x), ("free", 1), Fraction(1, 2), 1)
     chain = Fraction(1, 2)
     for c in range(2, m + 1):
-        prob = chain * (1 - lam_at(m - c + 2))
+        prob = chain * (1 - lam_at[m - c + 2])
         add(("bridge", x), forced_entry(c), prob, c)
-        chain *= lam_at(m - c + 2)
+        chain *= lam_at[m - c + 2]
     add(("bridge", x), ("bridge", 1), chain, m + 1)
 
     tm = TransferMatrix(fam, entries, states)

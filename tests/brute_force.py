@@ -1,6 +1,7 @@
 """Brute-force oracles the tests compare the package's routes against."""
 
 from fractions import Fraction
+from math import lcm
 
 from ccpsd.codebook import CLOCKED_KINDS, Codebook, forbidden_patterns
 
@@ -72,7 +73,7 @@ def _ref_trim(p):
     return p
 
 
-def _ref_mul(a, b):
+def ref_mul(a, b):
     if not a or not b:
         return []
     out = [Fraction(0)] * (len(a) + len(b) - 1)
@@ -82,10 +83,14 @@ def _ref_mul(a, b):
     return _ref_trim(out)
 
 
-def _ref_add(a, b):
+def ref_add(a, b):
     n = max(len(a), len(b))
     return _ref_trim((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
                      for i in range(n))
+
+
+def ref_derivative(p):
+    return _ref_trim(i * c for i, c in enumerate(p))[1:]
 
 
 def _ref_divmod(a, b):
@@ -118,11 +123,11 @@ def reference_op(op, a, b):
     if op == "-":
         op, bn = "+", [-c for c in bn]
     if op == "+":
-        return euclid_canonical(_ref_add(_ref_mul(an, bd), _ref_mul(bn, ad)),
-                                _ref_mul(ad, bd))
+        return euclid_canonical(ref_add(ref_mul(an, bd), ref_mul(bn, ad)),
+                                ref_mul(ad, bd))
     if op == "*":
-        return euclid_canonical(_ref_mul(an, bn), _ref_mul(ad, bd))
-    return euclid_canonical(_ref_mul(an, bd), _ref_mul(ad, bn))
+        return euclid_canonical(ref_mul(an, bn), ref_mul(ad, bd))
+    return euclid_canonical(ref_mul(an, bd), ref_mul(ad, bn))
 
 
 def horner(p, z):
@@ -149,3 +154,41 @@ def dense_gauss_jordan(a, b):
                 f = m[r][col]
                 m[r] = [m[r][c] - f * m[col][c] for c in range(width)]
     return [row[n:] for row in m]
+
+
+def dense_bareiss(a, b):
+    """a X = b over Fractions by fraction-free (Bareiss) elimination.
+
+    Each row of [a | b] is scaled to ints by the lcm of its denominators.
+    Step k sets every row i > k to (p r_i - r_i[k] r_k) / p_prev, over every
+    column, where p is the pivot of step k and p_prev that of step k - 1; the
+    division is exact, so the entries stay ints of the size of the minors.
+    The pivot of each column is its first nonzero entry at or below the
+    diagonal.  X follows by back-substitution.
+    """
+    n = len(a)
+    rows = []
+    for i in range(n):
+        row = [Fraction(v) for v in list(a[i]) + list(b[i])]
+        scale = lcm(*(v.denominator for v in row))
+        rows.append([v.numerator * (scale // v.denominator) for v in row])
+    width = len(rows[0])
+    prev = 1
+    for k in range(n):
+        piv = next(r for r in range(k, n) if rows[r][k] != 0)
+        rows[k], rows[piv] = rows[piv], rows[k]
+        pivot = rows[k]
+        p = pivot[k]
+        for i in range(k + 1, n):
+            row = rows[i]
+            f = row[k]
+            rows[i] = row[:k] + [(p * row[j] - f * pivot[j]) // prev
+                                 for j in range(k, width)]
+        prev = p
+    x = [None] * n
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        x[i] = [(row[c] - sum(row[j] * x[j][c - n] for j in range(i + 1, n)
+                              if row[j])) / Fraction(row[i])
+                for c in range(n, width)]
+    return x

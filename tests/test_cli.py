@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -241,3 +242,49 @@ class TestExitCodes:
         assert r.returncode == 2, r.stderr
         assert "--points" in r.stderr
         assert "Traceback" not in r.stderr
+
+
+# sha256 of every payload file (manifests excluded) that these commands
+# write, as the Fraction-coefficient kernel wrote them: a change to the exact
+# arithmetic must leave every byte as it is.  ``golden_payloads`` computes a
+# case's mapping.
+GOLDEN = json.loads((Path(__file__).parent / "golden_sha256.json").read_text())
+
+
+def golden_commands(case):
+    """Argument lists of one golden case, each writing into its own --out."""
+    if case.startswith("closed_"):
+        kind = case[len("closed_"):]
+        return [["ostm", "--family", kind, "--x", str(x), "--m", str(m),
+                 "--method", "closed", "--out", f"{kind}_x{x}_m{m}.json"]
+                for x in (1, 2) for m in range(x + 2, 9)]
+    if case == "grid":
+        return [["ostm", "--family", kind, "--x", str(x), "--m", "6",
+                 "--method", "grid", "--out", f"{kind}_x{x}_m6.json"]
+                for kind in ("aloco", "loco", "caloco", "cloco")
+                for x in (1, 2)]
+    if case == "ax_sx":
+        return [["ostm", "--family", kind, "--x", str(x),
+                 "--out", f"{kind}_x{x}.json"]
+                for kind in ("ax", "sx") for x in (1, 2, 3)]
+    if case == "psd_ax4":
+        return [["psd", "--family", "ax", "--x", "4", "--points", "64",
+                 "--out", "psd_ax_x4.csv"]]
+    return [["reproduce-paper", "--points", "64", "--outdir", "paper"]]
+
+
+def golden_payloads(case, workdir):
+    """{relative path: sha256} of the payload files of ``case``."""
+    for args in golden_commands(case):
+        args = [str(workdir / a) if prev in ("--out", "--outdir") else a
+                for prev, a in zip([None] + args, args)]
+        assert main(args) == 0, args
+    return {p.relative_to(workdir).as_posix():
+            hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(workdir.rglob("*"))
+            if p.is_file() and not p.name.endswith(".manifest.json")}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_payloads_match_golden_digests(tmp_path, capsys, case):
+    assert golden_payloads(case, tmp_path) == GOLDEN[case]

@@ -1,5 +1,6 @@
 import operator
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -11,11 +12,13 @@ relaxed = settings(deadline=None, max_examples=50,
                    suppress_health_check=[HealthCheck.too_slow])
 
 from ccpsd.ratfn import (
-    D, ONE, ZERO, HornerStack, RationalFn, poly_add, poly_derivative,
-    poly_divmod, poly_gcd, poly_mul, poly_neg, solve,
+    D, ONE, ZERO, HornerStack, RationalFn, _divide_exact, _gcd, _mul, solve,
 )
 
-from brute_force import dense_gauss_jordan, euclid_canonical, reference_op
+from brute_force import (
+    dense_bareiss, dense_gauss_jordan, euclid_canonical, ref_add,
+    ref_derivative, ref_mul, reference_op,
+)
 
 
 def frac(n, d=1):
@@ -56,9 +59,32 @@ class TestCanonicalization:
         assert (ONE - ONE).is_zero()
         assert not (ONE - ONE) and D
 
+    def test_sum_cancels_part_of_a_shared_factor(self):
+        # (D-3)/((1-D)(2-D)) + 4/((1-D)(3-D)) = -(1-D)^2 / ((1-D)(2-D)(3-D))
+        a = RationalFn([-3, 1], ref_mul([1, -1], [2, -1]))
+        b = RationalFn([4], ref_mul([1, -1], [3, -1]))
+        assert a + b == RationalFn([-1, 1], ref_mul([2, -1], [3, -1]))
+
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             RationalFn([1], [0])
+
+    def test_no_fraction_arithmetic(self, monkeypatch):
+        # the kernel runs on ints: Fraction only carries inputs and results
+        a = RationalFn([frac(1, 3), 0, frac(-2, 5)], [frac(3, 2), frac(-1, 7)])
+        b = RationalFn([frac(0), frac(5, 4)], [frac(1, 2), 0, frac(1, 3)])
+
+        def forbidden(*args):
+            raise AssertionError("Fraction arithmetic")
+
+        for op in ("add", "sub", "mul", "truediv", "floordiv", "mod", "pow"):
+            monkeypatch.setattr(Fraction, f"__{op}__", forbidden)
+            monkeypatch.setattr(Fraction, f"__r{op}__", forbidden)
+        monkeypatch.setattr(Fraction, "__neg__", forbidden)
+        c = RationalFn([frac(2, 3), frac(1, 6)], [frac(-4, 9), frac(2, 3)])
+        for v in (a + b, a - b, a * b, a / b, 1 - a, c, c.substitute_inverse()):
+            v.evaluate(1)
+            v.derivative_at(1)
 
 
 @st.composite
@@ -83,11 +109,28 @@ def shaped_polys(draw):
 @st.composite
 def operand_pairs(draw):
     """(a, b) with b's numerator possibly zero and its denominator possibly
-    a's own."""
+    a's own or a multiple of it."""
     a = RationalFn(draw(shaped_polys()), draw(shaped_polys()))
     num = draw(st.one_of(st.just([]), shaped_polys()))
-    den = a.den if draw(st.booleans()) else draw(shaped_polys())
+    den = draw(st.sampled_from(["own", "multiple", "other"]))
+    if den == "own":
+        den = a.den
+    elif den == "multiple":
+        den = ref_mul(a.den, draw(shaped_polys()))
+    else:
+        den = draw(shaped_polys())
     return a, RationalFn(num, den)
+
+
+def assert_integer_form(f):
+    """The stored parts n / (c d): c > 0 coprime to the content of n, d
+    primitive with a positive leading coefficient and coprime to n."""
+    n, c, d = f._n, f._c, f._d
+    assert all(isinstance(v, int) for v in n + (c,) + d)
+    assert c > 0 and gcd(c, *n) == 1
+    assert gcd(*d) == 1 and d[-1] > 0
+    if n:
+        assert len(euclid_canonical(n, d)[1]) == len(d)
 
 
 class TestShortcutsMatchEuclid:
@@ -99,6 +142,19 @@ class TestShortcutsMatchEuclid:
         f = RationalFn(num, den)
         assert (f.num, f.den) == euclid_canonical(num, den)
 
+    @relaxed
+    @given(st.fractions(min_value=-4, max_value=4, max_denominator=6),
+           st.integers(0, 3),
+           st.fractions(min_value=-4, max_value=4, max_denominator=6),
+           st.integers(1, 3))
+    def test_geometric(self, c0, b, ratio, period):
+        num = [0] * b + [c0]
+        den = [1] + [0] * (period - 1) + [-ratio]
+        g = RationalFn.geometric(c0, b, ratio, period)
+        assert (g.num, g.den) == euclid_canonical(num, den)
+        assert hash(g) == hash(RationalFn(num, den))
+        assert_integer_form(g)
+
     @settings(deadline=None, max_examples=200,
               suppress_health_check=[HealthCheck.too_slow])
     @given(operand_pairs(), st.sampled_from(["+", "-", "*", "/"]))
@@ -109,8 +165,12 @@ class TestShortcutsMatchEuclid:
             if op == "/" and not right:
                 continue
             got = apply(left, right)
-            assert (got.num, got.den) == reference_op(
+            reference = reference_op(
                 op, (left.num, left.den), (right.num, right.den))
+            assert (got.num, got.den) == reference
+            # entry_stack dedupes transfer-matrix entries by hash
+            assert hash(got) == hash(RationalFn(*reference))
+            assert_integer_form(got)
 
 
 class TestArithmetic:
@@ -190,9 +250,9 @@ class TestSubstitution:
     @relaxed
     @given(fns(), st.fractions(min_value=-3, max_value=3, max_denominator=5))
     def test_derivative_at_equals_quotient(self, f, z):
-        num = poly_add(poly_mul(poly_derivative(f.num), f.den),
-                       poly_neg(poly_mul(f.num, poly_derivative(f.den))))
-        quotient = RationalFn(num, poly_mul(f.den, f.den))
+        num = ref_add(ref_mul(ref_derivative(f.num), f.den),
+                      [-c for c in ref_mul(f.num, ref_derivative(f.den))])
+        quotient = RationalFn(num, ref_mul(f.den, f.den))
         try:
             want = quotient.evaluate(z)
         except ZeroDivisionError:
@@ -202,24 +262,35 @@ class TestSubstitution:
         assert f.derivative_at(z) == want
 
 
+int_polys = st.lists(st.integers(-6, 6), min_size=1, max_size=5).map(
+    lambda c: tuple(c)).filter(lambda c: c[-1] != 0)
+
+
 class TestPolynomialHelpers:
+    """The integer gcd and exact division behind every canonical form."""
+
     def test_divmod(self):
-        q, r = poly_divmod(
-            [Fraction(0), Fraction(0), Fraction(0), Fraction(-1, 2)],
-            [Fraction(-2), Fraction(1)],
-        )
-        # check n = q*d + r
-        num = [Fraction(0)] * 4
-        for i, qi in enumerate(q):
-            num[i] += qi * Fraction(-2)
-            num[i + 1] += qi
-        for i, ri in enumerate(r):
-            num[i] += ri
-        assert num == [Fraction(0), Fraction(0), Fraction(0), Fraction(-1, 2)]
+        # 8 - D^3 = (D - 2)(-4 - 2 D - D^2)
+        q = _divide_exact((8, 0, 0, -1), (-2, 1))
+        assert q == (-4, -2, -1)
+        assert _divide_exact((0, 0, 3, 6), (0, 1, 2)) == (0, 3)
 
     def test_gcd_monic(self):
-        g = poly_gcd([Fraction(0), Fraction(2)], [Fraction(0), Fraction(0), Fraction(4)])
-        assert g[-1] == 1
+        assert _gcd((0, 2), (0, 0, 4)) == (0, 1)
+        assert _gcd((-6, 0, 6), (3, 3)) == (1, 1)
+
+    @relaxed
+    @given(int_polys, int_polys, int_polys)
+    def test_gcd_against_euclid(self, a, b, common):
+        # a common factor makes the gcd nontrivial
+        a, b = _mul(a, common), _mul(b, common)
+        g = _gcd(a, b)
+        assert gcd(*g) == 1 and g[-1] > 0
+        qa, qb = _divide_exact(a, g), _divide_exact(b, g)
+        assert _mul(qa, g) == a and _mul(qb, g) == b
+        # what is left is coprime: Euclid over Fractions cancels nothing
+        num, den = euclid_canonical(qa, qb)
+        assert len(num) == len(qa) and len(den) == len(qb)
 
 
 nonzero_fractions = st.fractions(min_value=-3, max_value=3,
@@ -299,6 +370,7 @@ class TestSolve:
         got = solve(a, b)
         assert got == want
         assert all(isinstance(v, Fraction) for row in got for v in row)
+        assert dense_bareiss(a, b) == want
 
     def test_zero_pattern_with_row_swaps(self):
         # a permuted bidiagonal system: every column pivots on a swap

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from brute_force import dense_gauss_jordan, horner
+from brute_force import dense_bareiss, horner
 from ccpsd import transfer
 from ccpsd.clocked import bfs_ostd, clocked_inputs_from_fstd
 from ccpsd.codebook import ConstraintFamily, enumerate_codebook
@@ -38,7 +38,7 @@ F = Fraction
 
 
 def dense_stationary(tm):
-    """pi from G(1) by Horner and the dense Gauss-Jordan reference, on the
+    """pi from G(1) by Horner and the dense Bareiss reference, on the
     system ``stationary_distribution`` solves."""
     n = tm.n
     g1 = [[horner(e.num, F(1)) / horner(e.den, F(1)) for e in row]
@@ -46,7 +46,7 @@ def dense_stationary(tm):
     a = [[g1[j][i] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
     a[n - 1] = [F(1)] * n
     b = [[F(0)]] * (n - 1) + [[F(1)]]
-    return [row[0] for row in dense_gauss_jordan(a, b)]
+    return [row[0] for row in dense_bareiss(a, b)]
 
 
 class TestStationary:

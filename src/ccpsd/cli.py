@@ -1,10 +1,12 @@
 """Command-line interface: spectra, codebooks, diagrams, and reproduction runs.
 
-Every run that writes an output file also writes a ``<name>.manifest.json``
-beside it recording the full configuration, so results can be regenerated.
-CSV outputs use the fixed header ``f,psd_continuous``; discrete spectral
-lines and exact rationals go to JSON sidecars, with rationals rendered as
-"num/den" strings.
+Every file goes through ``_write``.  Each command's main output gets a
+``<name>.manifest.json`` beside it recording the full configuration, so
+results can be regenerated: the ``--out`` file of a JSON command, the CSV of
+``psd`` (its manifest names the ``.lines.json`` sidecar) and the
+``summary.json`` of ``reproduce-paper``.  CSV outputs use the fixed header
+``f,psd_continuous``; discrete spectral lines and exact rationals go to JSON,
+with rationals rendered as "num/den" strings.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, clocked, cyclo, oracle, presets, spectrum
-from .codebook import (Codebook, ConstraintFamily, enumerate_codebook,
+from .codebook import (CLOCKED_KINDS, FINITE_KINDS, INFINITE_KINDS, KINDS,
+                       Codebook, ConstraintFamily, enumerate_codebook,
                        group_cardinalities)
 from .fstd import build_grid_fstd, build_infinite_fstd
 
@@ -56,46 +59,56 @@ def nonnegative_int(text):
     return value
 
 
-def _write_manifest(out_path, args, extra=None):
-    config = {k: v for k, v in vars(args).items() if k != "func"}
-    manifest = {
-        "tool": "ccpsd",
-        "version": __version__,
-        "config": config,
-        "output": os.path.basename(str(out_path)),
-    }
-    if extra:
-        manifest.update(extra)
-    path = Path(str(out_path) + ".manifest.json")
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True, default=str))
+def _write(path, payload, args=None, extra=None):
+    """Write one output file: text as it is, anything else as JSON.
+
+    Given the parsed ``args``, also write ``<path>.manifest.json`` with the
+    tool version, the full configuration, the file's name and ``extra``.
+    """
+    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2)
+    Path(path).write_text(text)
+    if args is not None:
+        manifest = {
+            "tool": "ccpsd",
+            "version": __version__,
+            "config": {k: v for k, v in vars(args).items() if k != "func"},
+            "output": os.path.basename(str(path)),
+            **(extra or {}),
+        }
+        _write(f"{path}.manifest.json", json.dumps(
+            manifest, indent=2, sort_keys=True, default=str))
 
 
-def _write_json(args, payload):
-    """Write the payload and its manifest to ``--out`` when it is given."""
+def _finish(args, message, fields, lead=None):
+    """End a JSON command: with ``--out``, write ``lead``, the family header
+    and ``fields`` there; print ``message``; return exit code 0."""
     if args.out:
-        Path(args.out).write_text(json.dumps(payload, indent=2))
-        _write_manifest(args.out, args)
+        _write(args.out, {**(lead or {}), "family": args.family, "m": args.m,
+                          "x": args.x, **fields}, args)
+    print(message)
+    return 0
 
 
-def _write_csv(path, freqs, values):
-    lines = [CSV_HEADER]
-    lines += [f"{f:.12g},{v:.12g}" for f, v in zip(freqs, values)]
-    Path(path).write_text("\n".join(lines) + "\n")
+def _csv(freqs, values):
+    """The text of a PSD curve file."""
+    rows = [CSV_HEADER] + [f"{f:.12g},{v:.12g}" for f, v in zip(freqs, values)]
+    return "\n".join(rows) + "\n"
+
+
+def _psd_name(fam):
+    """Default file name of a family's PSD curve."""
+    return f"psd_{fam.kind}_x{fam.x}" + (f"_m{fam.m}" if fam.m else "") + ".csv"
 
 
 def cmd_codebook(args):
     fam = _family(args)
     if args.out:
         cb = enumerate_codebook(fam)
-        n_words = cb.N
-        _write_json(args, {
-            "family": fam.kind, "m": fam.m, "x": fam.x, "N": n_words,
-            "words": cb.as_bitstrings(),
-        })
+        n_words, fields = cb.N, {"N": cb.N, "words": cb.as_bitstrings()}
     else:  # the count alone needs no listing
-        n_words = group_cardinalities(fam, fam.m)[0]
-    print(f"{fam.kind} m={fam.m} x={fam.x}: {n_words} codewords")
-    return 0
+        n_words, fields = group_cardinalities(fam, fam.m)[0], {}
+    return _finish(args, f"{fam.kind} m={fam.m} x={fam.x}: {n_words} codewords",
+                   fields)
 
 
 def cmd_fstd(args):
@@ -104,8 +117,8 @@ def cmd_fstd(args):
         diagram = build_infinite_fstd(fam)
     else:
         diagram = build_grid_fstd(Codebook(fam), merge=not args.no_merge)
-    payload = {
-        "family": fam.kind, "m": fam.m, "x": fam.x,
+    message = f"{len(diagram.states)} states, {len(diagram.edges)} edges"
+    return _finish(args, message, {
         "states": [
             {"position": str(s.position), "history": s.history_str(),
              "labeled": s.labeled}
@@ -115,27 +128,20 @@ def cmd_fstd(args):
             {"from": f, "to": t, "symbol": sym, "probability": _frac_str(p)}
             for f, t, sym, p in diagram.edges
         ],
-    }
-    _write_json(args, payload)
-    print(f"{len(diagram.states)} states, {len(diagram.edges)} edges")
-    return 0
+    })
 
 
 def cmd_ostm(args):
-    fam = _family(args)
-    tm = presets.transfer_matrix_for(fam, method=args.method)
-    payload = {
-        "family": fam.kind, "m": fam.m, "x": fam.x, "n": tm.n,
+    tm = presets.transfer_matrix_for(_family(args), method=args.method)
+    return _finish(args, f"{tm.n} x {tm.n} transfer matrix ({tm.origin})", {
+        "n": tm.n,
         "labels": [str(l) for l in tm.labels],
         "entries": [
             [{"num": [_frac_str(c) for c in e.num],
               "den": [_frac_str(c) for c in e.den]} for e in row]
             for row in tm.entries
         ],
-    }
-    _write_json(args, payload)
-    print(f"{tm.n} x {tm.n} transfer matrix ({tm.origin})")
-    return 0
+    })
 
 
 def cmd_psd(args):
@@ -143,13 +149,10 @@ def cmd_psd(args):
     freqs = spectrum.default_grid(args.points)
     vals, lines = presets.psd_and_lines(fam, freqs,
                                         with_pulse=not args.no_pulse)
-    out = args.out or f"psd_{fam.kind}_x{fam.x}" + (
-        f"_m{fam.m}" if fam.m else "") + ".csv"
-    _write_csv(out, freqs, vals)
+    out = args.out or _psd_name(fam)
     sidecar = Path(out).with_suffix(".lines.json")
-    sidecar.write_text(json.dumps(
-        {"lines": [{"f": f, "weight": w} for f, w in lines]}, indent=2))
-    _write_manifest(out, args, {"sidecar": sidecar.name})
+    _write(sidecar, {"lines": [{"f": f, "weight": w} for f, w in lines]})
+    _write(out, _csv(freqs, vals), args, {"sidecar": sidecar.name})
     print(f"wrote {out} ({args.points} points)")
     return 0
 
@@ -158,27 +161,19 @@ def cmd_autocorr(args):
     fam = _family(args)
     if fam.m is None:
         raise ValueError("autocorrelation export applies to fixed-length families")
-    cb = enumerate_codebook(fam)
-    series = cyclo.exact_autocorr(cb, args.signal)
-    payload = {
-        "family": fam.kind, "m": fam.m, "x": fam.x, "period": series.period,
-        "signal": args.signal,
-        "total": [_frac_str(v) for v in series.total],
-        "periodic": [_frac_str(v) for v in series.periodic],
-        "aperiodic": [_frac_str(v) for v in series.aperiodic],
-    }
-    _write_json(args, payload)
-    print("periodic:", [round(float(v), 4) for v in series.periodic[: series.period]])
-    return 0
+    series = cyclo.exact_autocorr(enumerate_codebook(fam), args.signal)
+    periodic = [round(float(v), 4) for v in series.periodic[: series.period]]
+    return _finish(
+        args, f"periodic: {periodic}",
+        {"period": series.period, "signal": args.signal,
+         "total": [_frac_str(v) for v in series.total],
+         "periodic": [_frac_str(v) for v in series.periodic],
+         "aperiodic": [_frac_str(v) for v in series.aperiodic]})
 
 
 def cmd_bandwidth(args):
-    fam = _family(args)
-    bw = presets.bandwidth(fam)
-    _write_json(args, {"family": fam.kind, "m": fam.m, "x": fam.x,
-                       "bandwidth_3db": bw})
-    print(f"{bw:.3f}")
-    return 0
+    bw = presets.bandwidth(_family(args))
+    return _finish(args, f"{bw:.3f}", {"bandwidth_3db": bw})
 
 
 def cmd_mc(args):
@@ -206,30 +201,24 @@ def cmd_mc(args):
         oracle.StreamConfig(fam, args.symbols, args.seed))
     est = oracle.estimate_psd(stream, freqs, family=fam, with_pulse=with_pulse)
     report = oracle.deviation_report(est, theory, freqs)
-    report.update({"family": fam.kind, "m": fam.m, "x": fam.x,
-                   "seed": args.seed, "symbols": args.symbols})
-    _write_json(args, report)
-    print(f"max deviation {report['max_abs_deviation']:.5f} "
-          f"over {report['points']} points")
-    return 0
+    return _finish(args, f"max deviation {report['max_abs_deviation']:.5f} "
+                         f"over {report['points']} points",
+                   {"seed": args.seed, "symbols": args.symbols}, lead=report)
 
 
 def cmd_clocked_ostd(args):
-    fam = _family(args)
-    diagram = build_grid_fstd(Codebook(fam))
-    inputs = clocked.clocked_inputs_from_fstd(diagram)
+    inputs = clocked.clocked_inputs_from_fstd(
+        build_grid_fstd(Codebook(_family(args))))
     edges = clocked.bfs_ostd(inputs)
-    payload = {
-        "family": fam.kind, "m": fam.m, "x": fam.x, "k_eff": inputs.k_eff,
+    message = f"{len(edges)} labeled-to-labeled edges, k_eff={inputs.k_eff}"
+    return _finish(args, message, {
+        "k_eff": inputs.k_eff,
         "edges": [
             {"from": a, "to": b,
              "runs": [{"steps": t, "probability": _frac_str(p)} for t, p in runs]}
             for (a, b), runs in sorted(edges.items())
         ],
-    }
-    _write_json(args, payload)
-    print(f"{len(edges)} labeled-to-labeled edges, k_eff={inputs.k_eff}")
-    return 0
+    })
 
 
 def cmd_reproduce(args):
@@ -253,16 +242,14 @@ def cmd_reproduce(args):
                     {"entry": key, "computed": round(bw, 4), "golden": golden})
             else:
                 summary["fail"].append(key)
-        (outdir / f"{name}.csv").write_text("\n".join(rows) + "\n")
+        _write(outdir / f"{name}.csv", "\n".join(rows) + "\n")
 
     # periodic autocorrelation fixture
-    fam = ConstraintFamily("aloco", 1, 4)
-    series = presets.autocorr_for(fam)
+    series = presets.autocorr_for(ConstraintFamily("aloco", 1, 4))
     got = [float(v) for v in series.periodic[:5]]
     ok = all(abs(g - t) <= 1e-4 for g, t in zip(got, presets.AC41_PERIODIC))
-    (outdir / "ac41_periodic.json").write_text(json.dumps(
-        {"computed": got, "golden": list(presets.AC41_PERIODIC),
-         "pass": ok}, indent=2))
+    _write(outdir / "ac41_periodic.json",
+           {"computed": got, "golden": list(presets.AC41_PERIODIC), "pass": ok})
     summary["pass" if ok else "fail"].append("ac41_periodic")
 
     # spectra for the plotted presets
@@ -273,12 +260,10 @@ def cmd_reproduce(args):
                   for (m, x) in presets.TABLE_I_BANDWIDTH])
     for kind, x, m in spectra:
         fam = ConstraintFamily(kind, x, m)
-        vals = presets.continuous_psd(fam, freqs)
-        name = f"psd_{kind}_x{x}" + (f"_m{m}" if m else "") + ".csv"
-        _write_csv(outdir / name, freqs, vals)
+        _write(outdir / _psd_name(fam),
+               _csv(freqs, presets.continuous_psd(fam, freqs)))
 
-    (outdir / "summary.json").write_text(json.dumps(summary, indent=2))
-    _write_manifest(outdir / "summary.json", args)
+    _write(outdir / "summary.json", summary, args)
     n_fail = len(summary["fail"])
     print(f"{len(summary['pass'])} pass, {n_fail} fail, "
           f"{len(summary['known_deviations'])} known deviations")
@@ -301,27 +286,26 @@ def build_parser():
         sp.set_defaults(func=fn)
         return sp
 
-    finite = ["aloco", "loco", "caloco", "cloco"]
-    all_fams = ["iid", "ax", "sx"] + finite
+    coded = INFINITE_KINDS + FINITE_KINDS  # every family but iid
 
-    add("codebook", cmd_codebook, finite)
-    sp = add("fstd", cmd_fstd, ["ax", "sx"] + finite)
+    add("codebook", cmd_codebook, FINITE_KINDS)
+    sp = add("fstd", cmd_fstd, coded)
     sp.add_argument("--no-merge", action="store_true")
-    sp = add("ostm", cmd_ostm, ["ax", "sx"] + finite)
+    sp = add("ostm", cmd_ostm, coded)
     sp.add_argument("--method", choices=["auto", "closed", "grid"],
                     default="auto")
-    sp = add("psd", cmd_psd, all_fams)
+    sp = add("psd", cmd_psd, KINDS)
     sp.add_argument("--points", type=positive_int, default=2048)
     sp.add_argument("--no-pulse", action="store_true")
-    sp = add("autocorr", cmd_autocorr, finite)
+    sp = add("autocorr", cmd_autocorr, FINITE_KINDS)
     sp.add_argument("--signal", choices=["y", "x"], default="y")
-    add("bandwidth", cmd_bandwidth, ["ax", "sx"] + finite)
-    sp = add("mc", cmd_mc, all_fams)
+    add("bandwidth", cmd_bandwidth, coded)
+    sp = add("mc", cmd_mc, KINDS)
     sp.add_argument("--seed", type=nonnegative_int, default=0)
     sp.add_argument("--symbols", type=positive_int, default=10_000_000)
     sp.add_argument("--points", type=positive_int, default=256)
     sp.add_argument("--against", default=None)
-    add("clocked-ostd", cmd_clocked_ostd, ["caloco", "cloco"])
+    add("clocked-ostd", cmd_clocked_ostd, CLOCKED_KINDS)
     sp = sub.add_parser("reproduce-paper")
     sp.add_argument("--outdir", default="artifacts")
     sp.add_argument("--points", type=positive_int, default=2048)
@@ -338,7 +322,7 @@ def main(argv=None):
         return args.func(args)
     except UsageError as exc:
         parser.error(str(exc))
-    except (ValueError, NotImplementedError, OSError) as exc:
+    except (ValueError, NotImplementedError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .codebook import CLOCKED_KINDS
+
 
 def effective_run_bound(m, x):
     """Longest possible gap between labeled symbols in a clocked stream."""
@@ -28,7 +30,7 @@ class ClockedInputs:
 
 def clocked_inputs_from_fstd(fstd):
     fam = fstd.family
-    if fam.kind not in ("caloco", "cloco"):
+    if fam.kind not in CLOCKED_KINDS:
         raise ValueError("BFS reduction applies to self-clocked families")
     fstd.check()  # per-state symbol consistency and stochasticity
     transitions = [(f, t, p) for (f, t, _, p) in fstd.edges]

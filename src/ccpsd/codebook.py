@@ -24,9 +24,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-KINDS = ("iid", "ax", "sx", "aloco", "loco", "caloco", "cloco")
 INFINITE_KINDS = ("ax", "sx")
 CLOCKED_KINDS = ("caloco", "cloco")
+FINITE_KINDS = ("aloco", "loco") + CLOCKED_KINDS
+KINDS = ("iid",) + INFINITE_KINDS + FINITE_KINDS
 # Most words enumerate_codebook lists.  Enumerating commands peak at about
 # 640 MB RSS for the N = 922,111 words of aloco x=1 m=24; m=26 would take
 # about three times that.
@@ -171,10 +172,7 @@ def enumerate_codebook(family):
 @dataclass
 class Codebook:
     family: ConstraintFamily
-    words: list = field(default_factory=list)
-
-    def __post_init__(self):
-        self.words = sorted(tuple(w) for w in self.words)
+    words: list = field(default_factory=list)  # bit tuples, ascending
 
     @property
     def N(self):

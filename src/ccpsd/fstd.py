@@ -24,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .codebook import CLOCKED_KINDS, ConstraintFamily, automaton
+from .codebook import (CLOCKED_KINDS, INFINITE_KINDS, ConstraintFamily,
+                       automaton)
 from .ratfn import RationalFn, ZERO, solve
 
 
@@ -131,7 +132,7 @@ def _trailing_run(history, bit):
 
 
 def build_infinite_fstd(family):
-    if family.kind not in ("ax", "sx"):
+    if family.kind not in INFINITE_KINDS:
         raise ValueError("infinite FSTDs exist only for the ax/sx families")
     windows = set(automaton(family).walk(family.x + 2))
     # histories of the last x+1 bits that occur in a bi-infinite valid
@@ -161,16 +162,11 @@ def build_infinite_fstd(family):
 # ---------------------------------------------------------------------------
 
 
-def stream_signal_kind(family):
-    """Which bit process the grid describes for this family."""
-    return "flipped_a" if family.kind in ("loco", "cloco") else "bits"
-
-
-def _grid_category(family, signal, col, hist):
+def _grid_category(family, col, hist):
     m, x = family.m, family.x
     if hist[-1] == 0:
         return ("u", col)
-    if signal == "bits":
+    if family.bridging != "z_symbols":
         return (0, col)
     if col >= m:
         return (2, col)
@@ -188,7 +184,9 @@ def build_grid_fstd(codebook, merge=True):
     completion counts of the constraint automaton.
     """
     family = codebook.family
-    signal = stream_signal_kind(family)
+    # With z-symbol bridges the grid tracks the flipped indicator, in which
+    # word zeros and the bridges read 1; otherwise it tracks the bits.
+    flipped = family.bridging == "z_symbols"
     m, x = family.m, family.x
     period = m + x
     auto = automaton(family)
@@ -215,18 +213,18 @@ def build_grid_fstd(codebook, merge=True):
                               t, c))
             return steps
         if col == period - 1:  # the first bit of the next word
-            if signal == "bits" and hist[-1] == 1:
+            if not flipped and hist[-1] == 1:
                 pairs = [(1, Fraction(1))]
-            elif signal == "bits" and hist[0] == 1:
+            elif not flipped and hist[0] == 1:
                 pairs = [(0, Fraction(1))]
             else:
                 pairs = draw_first
             return [(b, p, first[b], True) for b, p in pairs]
         # Bridge bits repeat the first one.  z symbols read 1; ones bridge a
         # 1 to a word starting with 1, and zeros bridge the rest.
-        if col >= m or (signal == "bits" and hist[-1] == 0):
+        if col >= m or (not flipped and hist[-1] == 0):
             pairs = [(hist[-1], Fraction(1))]
-        elif signal == "flipped_a":
+        elif flipped:
             pairs = [(1, Fraction(1))]
         else:
             pairs = draw_first
@@ -235,7 +233,7 @@ def build_grid_fstd(codebook, merge=True):
     # A state is a column and the stream bits it remembers: the last x+1,
     # or the whole word while a clocked word is constant.  The walk starts
     # after a word ending in 0 and its bridge, which every stream visits.
-    start = (period - 1, (0,) + (int(signal == "flipped_a"),) * x)
+    start = (period - 1, (0,) + (int(flipped),) * x)
     info = {start: (None, False)}  # automaton state and constant flag
     out = {}
     todo = [start]
@@ -255,7 +253,7 @@ def build_grid_fstd(codebook, merge=True):
     nodes = sorted(out)
     index = {node: i for i, node in enumerate(nodes)}
     states = [State(col, hist, hist[-1] == 1,
-                    _grid_category(family, signal, col, hist))
+                    _grid_category(family, col, hist))
               for col, hist in nodes]
     edges = [(index[node], index[target], b, p)
              for node in nodes for b, p, target in out[node]]

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 
 import numpy as np
 
 from . import cyclo, spectrum, transfer
-from .codebook import Codebook, enumerate_codebook
+from .codebook import INFINITE_KINDS, Codebook, enumerate_codebook
 from .fstd import build_grid_fstd, build_infinite_fstd, reduce_to_ostd
 
 # Published 3 dB bandwidths (keyed by (m, x)).
@@ -43,7 +43,7 @@ def transfer_matrix_for(family, method="auto"):
     kind = family.kind
     if kind == "iid":
         return transfer.iid_matrix()
-    if kind in ("ax", "sx"):
+    if kind in INFINITE_KINDS:
         if method == "grid":
             return transfer.ostm_from_ostd(
                 reduce_to_ostd(build_infinite_fstd(family)))
@@ -67,55 +67,55 @@ def autocorr_for(family):
     return cyclo.exact_autocorr(enumerate_codebook(family), "y")
 
 
-def continuous_psd(family, freqs, with_pulse=True):
-    """Continuous PSD of the antipodal/three-level waveform at ``freqs``."""
-    freqs = np.asarray(freqs, dtype=float)
-    if family.m is not None:
-        return cyclo.continuous_psd_from_aperiodic(
-            autocorr_for(family), freqs, with_pulse=with_pulse)
-    vals = spectrum.spectrum_y(transfer_matrix_for(family), freqs)
-    if with_pulse:
-        vals = spectrum.pulse_shape(freqs) * vals
-    return vals
+def _route(family):
+    """A family's spectrum from its one exact computation, chosen here alone:
+    the autocorrelation of a finite code, or the transfer matrix of a
+    stream, whose stationary statistics it computes once.
 
-
-def psd_and_lines(family, freqs, with_pulse=True):
-    """Continuous PSD at ``freqs`` and the discrete lines, as ``psd`` writes.
-
-    Both come from one exact computation: the autocorrelation of a finite
-    code, or the transfer matrix of a stream, whose stationary statistics
-    it computes once.
+    Returns ``(psd, lines, shaped)``: ``psd(freqs, with_pulse=True)`` off the
+    line frequencies, ``lines(with_pulse=True)`` the discrete lines, and
+    ``shaped(freqs)`` the pulse-shaped PSD that also takes f = 0, where it
+    gives the continuous DC limit.
     """
-    freqs = np.asarray(freqs, dtype=float)
     if family.m is not None:
         series = autocorr_for(family)
-        return (cyclo.continuous_psd_from_aperiodic(series, freqs,
-                                                    with_pulse=with_pulse),
-                cyclo.discrete_lines(series, with_pulse=with_pulse))
+        psd = partial(cyclo.continuous_psd_from_aperiodic, series)
+        return psd, partial(cyclo.discrete_lines, series), psd
     tm = transfer_matrix_for(family)
-    vals = spectrum.spectrum_y(tm, freqs)
-    if with_pulse:
-        vals = spectrum.pulse_shape(freqs) * vals
-    if family.kind == "ax":
-        return vals, [(0.0, float(spectrum.dc_line_weight(tm)))]
-    return vals, []  # symmetric and i.i.d. streams carry no lines
 
+    def psd(freqs, with_pulse=True):
+        vals = spectrum.spectrum_y(tm, freqs)
+        return spectrum.pulse_shape(freqs) * vals if with_pulse else vals
 
-def bandwidth(family):
-    """3 dB bandwidth of the continuous pulse-shaped PSD."""
-    if family.m is not None:
-        series = autocorr_for(family)
-        return cyclo.bandwidth_3db(
-            lambda f: cyclo.continuous_psd_from_aperiodic(series, f))
-    sym = spectrum.spectrum_x_symbolic(transfer_matrix_for(family))
+    def lines(with_pulse=True):  # symmetric and i.i.d. streams carry none
+        if family.kind != "ax":
+            return []
+        return [(0.0, float(spectrum.dc_line_weight(tm)))]
 
-    def psd_fn(f):
-        f = np.asarray(f, dtype=float)
-        pos = f > 0
+    symbolic = cache(lambda: spectrum.spectrum_x_symbolic(tm))
+
+    def shaped(f):
+        sym, pos = symbolic(), f > 0
         vals = np.empty(f.shape)
         vals[pos] = 4.0 * sym.evaluate(np.exp(-2j * np.pi * f[pos])).real
         if not pos.all():  # the DC limit, exactly
             vals[~pos] = 4.0 * float(sym.evaluate(Fraction(1)))
         return spectrum.pulse_shape(f) * vals
 
-    return cyclo.bandwidth_3db(psd_fn)
+    return psd, lines, shaped
+
+
+def psd_and_lines(family, freqs, with_pulse=True):
+    """Continuous PSD at ``freqs`` and the discrete lines, as ``psd`` writes."""
+    psd, lines, _ = _route(family)
+    return psd(freqs, with_pulse), lines(with_pulse)
+
+
+def continuous_psd(family, freqs, with_pulse=True):
+    """Continuous PSD of the antipodal/three-level waveform at ``freqs``."""
+    return _route(family)[0](freqs, with_pulse)
+
+
+def bandwidth(family):
+    """3 dB bandwidth of the continuous pulse-shaped PSD."""
+    return cyclo.bandwidth_3db(_route(family)[2])

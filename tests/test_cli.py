@@ -68,6 +68,23 @@ class TestPsdCommand:
                    for entry in lines)
 
 
+class TestManifests:
+    def test_one_per_main_output(self, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        assert main(["psd", "--family", "aloco", "--x", "1", "--m", "4",
+                     "--points", "8", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "p.csv.manifest.json").read_text())
+        assert manifest["output"] == "p.csv"
+        assert manifest["sidecar"] == "p.lines.json"
+        assert not (tmp_path / "p.lines.json.manifest.json").exists()
+        paper = tmp_path / "paper"
+        assert main(["reproduce-paper", "--points", "8",
+                     "--outdir", str(paper)]) == 0
+        assert len(list(paper.iterdir())) == 33
+        assert [p.name for p in paper.glob("*.manifest.json")] == [
+            "summary.json.manifest.json"]
+
+
 class TestOtherCommands:
     def test_ostm_rational_entries(self, tmp_path):
         out = tmp_path / "g.json"
@@ -235,6 +252,19 @@ class TestExitCodes:
             main(["mc", "--family", "ax", "--x", "1", "--symbols", "10"])
         assert exc.value.code == 2
         assert "--symbols: must be at least 65" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["mc", "--family", "ax", "--x", "1", "--symbols", str(10**15)],
+        ["psd", "--family", "ax", "--x", "1", "--points", str(10**15)],
+    ], ids=["mc_symbols", "psd_points"])
+    def test_count_beyond_memory(self, tmp_path, monkeypatch, capsys, args):
+        # 10^15 exceeds any address space, so the allocation fails at once
+        monkeypatch.chdir(tmp_path)
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Unable to allocate" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_negative_points_is_usage_error(self, tmp_path):
         r = run(["psd", "--family", "ax", "--x", "1", "--points", "-3"],

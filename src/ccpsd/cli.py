@@ -91,8 +91,8 @@ def _finish(args, message, fields, lead=None):
 
 def _csv(freqs, values):
     """The text of a PSD curve file."""
-    rows = [CSV_HEADER] + [f"{f:.12g},{v:.12g}" for f, v in zip(freqs, values)]
-    return "\n".join(rows) + "\n"
+    pairs = np.column_stack((freqs, values)).ravel().tolist()
+    return f"{CSV_HEADER}\n" + "%.12g,%.12g\n" * (len(pairs) // 2) % tuple(pairs)
 
 
 def _psd_name(fam):

@@ -9,7 +9,7 @@ into discrete spectral lines and a continuous PSD.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -20,10 +20,10 @@ class AutocorrSeries:
     period: int
     total: list  # R(k), k = 0..kmax, exact Fractions
     periodic: list  # same length; R(k) for a hypothetical independent stream
+    aperiodic: list = field(init=False)  # total - periodic
 
-    @property
-    def aperiodic(self):
-        return [t - p for t, p in zip(self.total, self.periodic)]
+    def __post_init__(self):
+        self.aperiodic = [t - p for t, p in zip(self.total, self.periodic)]
 
 
 def _signal_values(codebook, signal):
@@ -48,14 +48,6 @@ def _signal_values(codebook, signal):
     else:
         raise ValueError(f"unknown signal kind {signal!r}")
     return words, w, f
-
-
-def _position_kind(pos, m, period):
-    """('word', word_period) or ('bridge', left_word_period) plus offset."""
-    t, q = divmod(pos, period)
-    if q < m:
-        return ("word", t, q)
-    return ("bridge", t, q - m)
 
 
 def exact_autocorr(codebook, signal="y"):
@@ -92,52 +84,36 @@ def exact_autocorr(codebook, signal="y"):
     w_bcol = [bcol[0] * u + bcol[1] * v for u, v in zip(*(first_ind @ w).tolist())]
     gram = (w.T @ w).tolist()
 
-    word_mean = [Fraction(v, n) for v in w.sum(axis=0).tolist()]
-    bridge_mean = Fraction(bridge_sum, n2)
+    col = w.sum(axis=0).tolist()
+    far = [c * bridge_sum * n for c in col]
 
-    def pos_mean(kind):
-        if kind[0] == "word":
-            return word_mean[kind[2]]
-        return bridge_mean
+    # Every pair mean is an integer over N^4 and every position mean one
+    # over N^2; position q < m of a period is a word bit, q >= m a bridge.
+    def pair(qa, qc, dt):
+        """Mean of position qa of period 0 times position qc of period dt."""
+        if qa < m and qc < m:
+            return gram[qa][qc] * n3 if dt == 0 else col[qa] * col[qc] * n2
+        if qa >= m and qc >= m:
+            if dt == 0:
+                return bridge_sq_sum * n2
+            return bcol_brow * n if dt == 1 else bridge_sum * bridge_sum
+        if qa < m:  # the word, then a bridge dt periods on
+            return w_brow[qa] * n2 if dt == 0 else far[qa]
+        # a bridge, then a word dt >= 1 periods on
+        return w_bcol[qc] * n2 if dt == 1 else far[qc]
 
-    def pair_mean(a, c):
-        ka, kc = _position_kind(a, m, period), _position_kind(c, m, period)
-        if ka[0] == "word" and kc[0] == "word":
-            if ka[1] == kc[1]:
-                return Fraction(gram[ka[2]][kc[2]], n)
-            return word_mean[ka[2]] * word_mean[kc[2]]
-        if ka[0] == "bridge" and kc[0] == "bridge":
-            if ka[1] == kc[1]:
-                return Fraction(bridge_sq_sum, n2)
-            if abs(ka[1] - kc[1]) == 1:
-                return Fraction(bcol_brow, n3)
-            return bridge_mean * bridge_mean
-        if ka[0] == "bridge":
-            ka, kc = kc, ka
-        # word in period t against bridge joining periods t', t'+1
-        t, q = ka[1], ka[2]
-        tb = kc[1]
-        if t == tb:
-            return Fraction(w_brow[q], n2)
-        if t == tb + 1:
-            return Fraction(w_bcol[q], n2)
-        return word_mean[q] * bridge_mean
-
+    pos = [c * n for c in col] + [bridge_sum] * x
+    den = n2 * n2 * period
     total = []
     for k in range(kmax + 1):
-        acc = Fraction(0)
-        for ell in range(period):
-            acc += pair_mean(ell, ell + k)
-        total.append(acc / period)
-
-    periodic = []
-    for k in range(kmax + 1):
-        acc = Fraction(0)
-        for ell in range(period):
-            acc += pos_mean(_position_kind(ell, m, period)) * pos_mean(
-                _position_kind((ell + k) % period, m, period)
-            )
-        periodic.append(acc / period)
+        num = 0
+        for qa in range(period):
+            dt, qc = divmod(qa + k, period)
+            num += pair(qa, qc, dt)
+        total.append(Fraction(num, den))
+    cycle = [Fraction(sum(u * v for u, v in zip(pos, pos[s:] + pos[:s])), den)
+             for s in range(period)]
+    periodic = [cycle[k % period] for k in range(kmax + 1)]
 
     series = AutocorrSeries(period=period, total=total, periodic=periodic)
     _check_aperiodic_support(series, m, x)

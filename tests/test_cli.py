@@ -5,11 +5,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import ccpsd
 from brute_force import brute_force_codebook
-from ccpsd.cli import main
+from ccpsd.cli import CSV_HEADER, _csv, main
 from ccpsd.codebook import ConstraintFamily
 
 # The directory that holds the imported package. The child runs in tmp_path,
@@ -23,6 +26,29 @@ def run(args, cwd):
         filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "ccpsd.cli"] + args,
                           cwd=cwd, env=env, capture_output=True, text=True)
+
+
+# Edge values of float64 formatting, drawn often beside arbitrary floats.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 1e308, -1e308,
+               float("nan"), float("inf"), -float("inf")]
+
+
+@st.composite
+def curves(draw):
+    elements = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(width=64))
+    shape = draw(st.one_of(st.integers(1, 64), st.just(2048)))
+    column = hnp.arrays(np.float64, shape, elements=elements)
+    return draw(column), draw(column)
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(curves())
+def test_csv_equals_per_row_format(curve):
+    freqs, values = curve
+    rows = "".join(f"{a:.12g},{b:.12g}\n" for a, b in zip(freqs, values))
+    assert _csv(freqs, values) == f"{CSV_HEADER}\n{rows}"
 
 
 class TestPsdCommand:
@@ -300,6 +326,14 @@ def golden_commands(case):
     if case == "psd_ax4":
         return [["psd", "--family", "ax", "--x", "4", "--points", "64",
                  "--out", "psd_ax_x4.csv"]]
+    if case == "autocorr":
+        return [["autocorr", "--family", kind, "--x", str(x), "--m", str(m),
+                 "--signal", signal,
+                 "--out", f"{kind}_x{x}_m{m}_{signal}.json"]
+                for kind in ("aloco", "loco", "caloco", "cloco")
+                for x in (1, 2) for m in (6, 10)
+                for signal in (("y", "x") if kind in ("aloco", "caloco")
+                               else ("y",))]
     return [["reproduce-paper", "--points", "64", "--outdir", "paper"]]
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from ccpsd.codebook import ConstraintFamily, enumerate_codebook
 from ccpsd.cyclo import (
-    _position_kind,
     bandwidth_3db,
     continuous_psd_from_aperiodic,
     discrete_lines,
@@ -46,6 +45,14 @@ class TestExactAutocorr:
         s = series_for("aloco", 1, 4)
         assert all(isinstance(v, F) for v in s.periodic)
         assert all(isinstance(v, F) for v in s.aperiodic)
+
+
+def _position_kind(pos, m, period):
+    """('word', word_period) or ('bridge', left_word_period) plus offset."""
+    t, q = divmod(pos, period)
+    if q < m:
+        return ("word", t, q)
+    return ("bridge", t, q - m)
 
 
 def exact_autocorr_dense(codebook, signal):
@@ -106,11 +113,13 @@ class TestBridgeClasses:
     @pytest.mark.parametrize("x", [1, 2, 3])
     def test_equals_dense_reference(self, kind, x):
         signals = ["y"] if kind in ("loco", "cloco") else ["y", "x"]
-        for m in range(2 if kind in ("caloco", "cloco") else 1, 9):
+        for m in range(2 if kind in ("caloco", "cloco") else 1, 11):
             cb = enumerate_codebook(ConstraintFamily(kind, x, m))
             for signal in signals:
                 s = exact_autocorr(cb, signal)
-                assert (s.total, s.periodic) == exact_autocorr_dense(cb, signal)
+                total, periodic = exact_autocorr_dense(cb, signal)
+                assert (s.total, s.periodic) == (total, periodic)
+                assert s.aperiodic == [t - p for t, p in zip(total, periodic)]
 
     def test_memory_is_not_quadratic_in_n(self):
         cb = enumerate_codebook(ConstraintFamily("aloco", 1, 14))

@@ -14,8 +14,10 @@ Every count and listing comes from one model of the constraint: an
 Aho-Corasick automaton over ``forbidden_patterns`` and its cached table of
 pattern-free continuations.  Group cardinalities read the table, so their
 cost grows with the length, not with N.  ``enumerate_codebook`` lists words
-depth first over the automaton, most-significant bit first and in ascending
-lexicographic order, and refuses more than ``ENUMERATION_LIMIT`` words.
+in ascending lexicographic order by joining halves: every pattern-free head
+of m // 2 bits, in order, is followed by each of the ascending pattern-free
+tails read from the automaton state the head ends in, and the tails of each
+state are listed once.  It refuses more than ``ENUMERATION_LIMIT`` words.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ INFINITE_KINDS = ("ax", "sx")
 CLOCKED_KINDS = ("caloco", "cloco")
 FINITE_KINDS = ("aloco", "loco") + CLOCKED_KINDS
 KINDS = ("iid",) + INFINITE_KINDS + FINITE_KINDS
-# Most words enumerate_codebook lists.  Enumerating commands peak at about
-# 640 MB RSS for the N = 922,111 words of aloco x=1 m=24; m=26 would take
+# Most words enumerate_codebook lists.  Enumerating commands peak at 450 to
+# 625 MB RSS for the N = 922,111 words of aloco x=1 m=24; m=26 would take
 # about three times that.
 ENUMERATION_LIMIT = 1 << 20
 # Maps the bytes 0 and 1 of a word to the characters "0" and "1".
@@ -126,23 +128,28 @@ class Automaton:
 
     def walk(self, length):
         """Every pattern-free ``length``-bit string, lexicographically
-        ascending, listed depth first."""
-        self.count(length, 0)  # fills the rows read below
-        rows, delta, bits = self._counts, self.delta, []
-        stack = [(-1, None, 0)]  # (index of the bit, the bit, state after)
-        while stack:
-            depth, b, s = stack.pop()
-            if depth >= 0:
-                del bits[depth:]
-                bits.append(b)
-            left = length - depth - 1
-            if not left:
-                yield tuple(bits)
-                continue
-            for c in (1, 0):  # 0 is popped, and so listed, first
-                t = delta[s][c]
-                if rows[left - 1][t]:
-                    stack.append((depth + 1, c, t))
+        ascending: each head of ``length // 2`` bits, in order, joined to
+        the ascending tails read from the state it ends in.  Tails are
+        listed once per distinct end state."""
+        dead = len(self.delta) - 1
+        # (bit, state after) of each live step, the 0-step first
+        steps = [[((b,), t) for b, t in enumerate(row) if t != dead]
+                 for row in self.delta]
+
+        def strings(state, n):
+            """The ascending n-bit strings read from state, with end states."""
+            level = [((), state)]
+            for _ in range(n):
+                level = [(w + b, t) for w, s in level for b, t in steps[s]]
+            return level
+
+        half = length // 2
+        heads = strings(0, half)
+        tails = {}
+        for _, s in heads:
+            if s not in tails:
+                tails[s] = [w for w, _ in strings(s, length - half)]
+        return [h + t for h, s in heads for t in tails[s]]
 
 
 _automaton = lru_cache(maxsize=None)(Automaton)
@@ -163,9 +170,11 @@ def enumerate_codebook(family):
         raise ValueError(
             f"{family.kind} x={family.x} m={m} has {n_words} words, more than "
             f"the enumeration limit of {ENUMERATION_LIMIT}")
-    clocked = family.kind in CLOCKED_KINDS
-    words = [w for w in automaton(family).walk(m)
-             if not clocked or 0 < sum(w) < m]  # clocked: no constant word
+    words = automaton(family).walk(m)
+    if family.kind in CLOCKED_KINDS:
+        # the all-zero and all-one words are always pattern-free, and are
+        # the first and last in lexicographic order
+        words = words[1:-1]
     return Codebook(family=family, words=words)
 
 

@@ -3,7 +3,7 @@
 from fractions import Fraction
 from math import lcm
 
-from ccpsd.codebook import CLOCKED_KINDS, Codebook, forbidden_patterns
+from ccpsd.codebook import CLOCKED_KINDS, Codebook, automaton, forbidden_patterns
 
 
 def contains_forbidden(bits, patterns):
@@ -18,7 +18,7 @@ def contains_forbidden(bits, patterns):
 
 
 def brute_force_codebook(family):
-    """Filter all 2^m strings; test oracle for the DFS enumeration."""
+    """Filter all 2^m strings; test oracle for enumerate_codebook."""
     m = family.m
     patterns = forbidden_patterns(family)
     words = []
@@ -30,6 +30,32 @@ def brute_force_codebook(family):
         allzero, allone = (0,) * m, (1,) * m
         words = [w for w in words if w != allzero and w != allone]
     return Codebook(family=family, words=words)
+
+
+def depth_first_words(family):
+    """The family's words listed depth first over its constraint automaton,
+    most-significant bit first, with the clocked kinds' constant words
+    filtered out by their bit sums: the reference for the head/tail join of
+    ``enumerate_codebook``."""
+    m, auto = family.m, automaton(family)
+    delta, bits, words = auto.delta, [], []
+    stack = [(-1, None, 0)]  # (index of the bit, the bit, state after)
+    while stack:
+        depth, b, s = stack.pop()
+        if depth >= 0:
+            del bits[depth:]
+            bits.append(b)
+        left = m - depth - 1
+        if not left:
+            words.append(tuple(bits))
+            continue
+        for c in (1, 0):  # 0 is popped, and so listed, first
+            t = delta[s][c]
+            if auto.count(left - 1, t):
+                stack.append((depth + 1, c, t))
+    if family.kind in CLOCKED_KINDS:
+        words = [w for w in words if 0 < sum(w) < m]
+    return words
 
 
 def brute_force_ostd(fstd, k_bound):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import ccpsd
@@ -34,21 +34,35 @@ EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 1e308, -1e308,
 
 
 @st.composite
-def curves(draw):
+def curves(draw, shapes):
     elements = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(width=64))
-    shape = draw(st.one_of(st.integers(1, 64), st.just(2048)))
-    column = hnp.arrays(np.float64, shape, elements=elements)
+    column = hnp.arrays(np.float64, draw(shapes), elements=elements)
     return draw(column), draw(column)
+
+
+def assert_csv_equals_per_row_format(freqs, values):
+    rows = "".join(f"{a:.12g},{b:.12g}\n" for a, b in zip(freqs, values))
+    assert _csv(freqs, values) == f"{CSV_HEADER}\n{rows}"
 
 
 @settings(max_examples=50, deadline=None,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.data_too_large])
-@given(curves())
+@given(curves(st.integers(1, 64)))
 def test_csv_equals_per_row_format(curve):
-    freqs, values = curve
-    rows = "".join(f"{a:.12g},{b:.12g}\n" for a, b in zip(freqs, values))
-    assert _csv(freqs, values) == f"{CSV_HEADER}\n{rows}"
+    assert_csv_equals_per_row_format(*curve)
+
+
+# The default grid's length.  Shrinking or explaining a failing example of
+# this shape takes minutes, so this test reports the first failing example
+# as drawn; the shorter shapes above shrink.
+@settings(max_examples=50, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate],
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(curves(st.just(2048)))
+def test_csv_equals_per_row_format_at_2048_rows(curve):
+    assert_csv_equals_per_row_format(*curve)
 
 
 class TestPsdCommand:

@@ -3,11 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brute_force import brute_force_codebook, contains_forbidden
+from brute_force import brute_force_codebook, contains_forbidden, depth_first_words
 from ccpsd.codebook import (
     CLOCKED_KINDS,
     ENUMERATION_LIMIT,
+    FINITE_KINDS,
     ConstraintFamily,
+    automaton,
     alpha,
     enumerate_codebook,
     forbidden_patterns,
@@ -51,6 +53,35 @@ class TestEnumeration:
         kind, x, m = params
         fam = ConstraintFamily(kind, x, m)
         assert enumerate_codebook(fam).words == brute_force_codebook(fam).words
+
+    @pytest.mark.parametrize("x", [1, 2, 3])
+    @pytest.mark.parametrize("kind", FINITE_KINDS)
+    def test_join_matches_depth_first_walk(self, kind, x):
+        # odd and even m, so heads of every length from 0 (at m = 1) to 8
+        for m in range(2 if kind in CLOCKED_KINDS else 1, 17):
+            fam = ConstraintFamily(kind, x, m)
+            assert enumerate_codebook(fam).words == depth_first_words(fam)
+
+    def test_join_matches_depth_first_walk_on_long_words(self):
+        fam = ConstraintFamily("loco", 100, 150)
+        assert enumerate_codebook(fam).words == depth_first_words(fam)
+
+    def test_lists_at_the_word_limit(self):
+        fam = ConstraintFamily("aloco", 1, 24)
+        words = enumerate_codebook(fam).words
+        assert len(words) == group_cardinalities(fam, 24)[0] == 922111
+        assert all(a < b for a, b in zip(words, words[1:]))
+
+    @pytest.mark.parametrize("kind", CLOCKED_KINDS)
+    def test_clocked_drops_exactly_the_constant_words(self, kind):
+        for x in (1, 2, 3):
+            for m in range(2, 13):
+                fam = ConstraintFamily(kind, x, m)
+                listed = automaton(fam).walk(m)
+                cb = enumerate_codebook(fam)
+                assert (listed[0], listed[-1]) == ((0,) * m, (1,) * m)
+                assert cb.words == listed[1:-1]
+                assert cb.N == group_cardinalities(fam, m)[0]
 
     def test_known_sizes(self):
         # length-4 words avoiding 101

@@ -22,8 +22,7 @@ import numpy as np
 
 from . import __version__, clocked, cyclo, oracle, presets, spectrum
 from .codebook import (CLOCKED_KINDS, FINITE_KINDS, INFINITE_KINDS, KINDS,
-                       Codebook, ConstraintFamily, enumerate_codebook,
-                       group_cardinalities)
+                       Codebook, ConstraintFamily, enumerate_codebook)
 from .fstd import build_grid_fstd, build_infinite_fstd
 
 CSV_HEADER = "f,psd_continuous"
@@ -102,12 +101,10 @@ def _psd_name(fam):
 
 def cmd_codebook(args):
     fam = _family(args)
-    if args.out:
-        cb = enumerate_codebook(fam)
-        n_words, fields = cb.N, {"N": cb.N, "words": cb.as_bitstrings()}
-    else:  # the count alone needs no listing
-        n_words, fields = group_cardinalities(fam, fam.m)[0], {}
-    return _finish(args, f"{fam.kind} m={fam.m} x={fam.x}: {n_words} codewords",
+    cb = enumerate_codebook(fam)
+    # N is counted; only the words of --out are listed
+    fields = {"N": cb.N, "words": cb.as_bitstrings()} if args.out else {}
+    return _finish(args, f"{fam.kind} m={fam.m} x={fam.x}: {cb.N} codewords",
                    fields)
 
 

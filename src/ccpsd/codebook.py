@@ -12,27 +12,32 @@ Families:
 
 Every count and listing comes from one model of the constraint: an
 Aho-Corasick automaton over ``forbidden_patterns`` and its cached table of
-pattern-free continuations.  Group cardinalities read the table, so their
-cost grows with the length, not with N.  ``enumerate_codebook`` lists words
-in ascending lexicographic order by joining halves: every pattern-free head
-of m // 2 bits, in order, is followed by each of the ascending pattern-free
-tails read from the automaton state the head ends in, and the tails of each
-state are listed once.  It refuses more than ``ENUMERATION_LIMIT`` words.
+pattern-free continuations.  Group cardinalities and ``word_moments`` (the
+counts of words with a given pair of bits set) read the table, so their cost
+grows with the length, not with N.  A ``Codebook`` counts its N and lists its
+words only when they are read, in ascending lexicographic order, by joining
+halves: every pattern-free head of m // 2 bits, in order, is followed by each
+of the ascending pattern-free tails read from the automaton state the head
+ends in, and the tails of each state are listed once.  Listing refuses more
+than ``ENUMERATION_LIMIT`` words; only ``codebook --out`` and the Monte-Carlo
+streams of finite families list words.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 INFINITE_KINDS = ("ax", "sx")
 CLOCKED_KINDS = ("caloco", "cloco")
 FINITE_KINDS = ("aloco", "loco") + CLOCKED_KINDS
 KINDS = ("iid",) + INFINITE_KINDS + FINITE_KINDS
-# Most words enumerate_codebook lists.  Enumerating commands peak at 450 to
-# 625 MB RSS for the N = 922,111 words of aloco x=1 m=24; m=26 would take
-# about three times that.
+# Most words a Codebook lists.  `codebook --out` peaks at about 450 MB RSS
+# for the N = 922,111 words of aloco x=1 m=24; m=26 would take about three
+# times that.
 ENUMERATION_LIMIT = 1 << 20
 # Maps the bytes 0 and 1 of a word to the characters "0" and "1".
 _BIT_CHARS = bytes.maketrans(b"\0\1", b"01")
@@ -151,6 +156,48 @@ class Automaton:
                 tails[s] = [w for w, _ in strings(s, length - half)]
         return [h + t for h, s in heads for t in tails[s]]
 
+    def gram(self, length):
+        """The length x length array whose entry (i, j) counts the
+        pattern-free ``length``-bit strings with bits i and j both 1.
+
+        Prefix counts per state step forward one bit at a time, each state
+        summing the counts of the states that lead into it; row i of
+        ``ones`` counts the prefixes whose bit i is 1, so column j is those
+        rows read against the completions of a 1 at bit j.  Every entry,
+        product and sum counts strings of at most ``length`` bits, so int64
+        holds them all below length 63; longer strings use Python ints.
+        """
+        live = len(self.delta) - 1
+
+        def sources(bits):
+            """Each live state's predecessors by ``bits``, padded with the
+            dead state, whose count stays 0."""
+            into = [[] for _ in range(live)]
+            for s, row in enumerate(self.delta[:live]):
+                for b in bits:
+                    if row[b] != live:
+                        into[row[b]].append(s)
+            width = max(map(len, into))
+            return np.array([p + [live] * (width - len(p)) for p in into])
+
+        both, one = sources((0, 1)), sources((1,))
+        self.count(length, 0)
+        dtype = np.int64 if length < 63 else object
+        # row j: the completions of a 1 at bit j, by the state before it
+        afters = np.array(self._counts[length - 1::-1], dtype)[
+            :, [row[1] for row in self.delta[:live]]]
+        prefix = np.zeros(live + 1, dtype)  # by state; the dead one stays 0
+        prefix[0] = 1
+        ones = np.zeros((length, live + 1), dtype)
+        gram = np.zeros((length, length), dtype)
+        for j, after in enumerate(afters):
+            gram[j, :j] = gram[:j, j] = ones[:j, :live] @ after
+            gram[j, j] = prefix[:live] @ after
+            ones[:j, :live] = ones[:j, both].sum(axis=2)
+            ones[j, :live] = prefix[one].sum(axis=1)
+            prefix[:live] = prefix[both].sum(axis=1)
+        return gram
+
 
 _automaton = lru_cache(maxsize=None)(Automaton)
 
@@ -160,32 +207,60 @@ def automaton(family):
     return _automaton(tuple(forbidden_patterns(family)))
 
 
+def word_moments(family):
+    """(N, G) of a finite family's codebook, counted, not listed: G[i][j]
+    is the number of words whose bits i and j are both 1, as Python ints.
+
+    The diagonal counts the words with a 1 at each bit, and row 0 and
+    column m - 1 split every count by the first and by the last bit.
+    """
+    if family.m is None:
+        raise ValueError("infinite-length families have no codebook")
+    auto = automaton(family)
+    n, gram = auto.count(family.m, 0), auto.gram(family.m)
+    if family.kind in CLOCKED_KINDS:
+        # drop the all-one word, which sets every bit, and the all-zero word
+        n, gram = n - 2, gram - 1
+    return n, gram.tolist()
+
+
 def enumerate_codebook(family):
-    """All valid words of length family.m, lexicographically ascending."""
+    """The codebook of a finite family; its words are listed when read."""
     if family.kind in INFINITE_KINDS:
         raise ValueError("infinite-length families have no codebook")
-    m = family.m
-    n_words = group_cardinalities(family, m)[0]
-    if n_words > ENUMERATION_LIMIT:
-        raise ValueError(
-            f"{family.kind} x={family.x} m={m} has {n_words} words, more than "
-            f"the enumeration limit of {ENUMERATION_LIMIT}")
-    words = automaton(family).walk(m)
-    if family.kind in CLOCKED_KINDS:
-        # the all-zero and all-one words are always pattern-free, and are
-        # the first and last in lexicographic order
-        words = words[1:-1]
-    return Codebook(family=family, words=words)
+    return Codebook(family)
 
 
-@dataclass
 class Codebook:
-    family: ConstraintFamily
-    words: list = field(default_factory=list)  # bit tuples, ascending
+    """The words of length family.m: N is counted, and the words, bit
+    tuples in ascending lexicographic order, are listed on first read
+    unless given."""
+
+    def __init__(self, family, words=None):
+        self.family = family
+        self._words = words
 
     @property
     def N(self):
-        return len(self.words)
+        if self._words is not None:
+            return len(self._words)
+        return group_cardinalities(self.family, self.family.m)[0]
+
+    @property
+    def words(self):
+        if self._words is None:
+            fam, n_words = self.family, self.N
+            if n_words > ENUMERATION_LIMIT:
+                raise ValueError(
+                    f"{fam.kind} x={fam.x} m={fam.m} has {n_words} words, more"
+                    f" than the enumeration limit of {ENUMERATION_LIMIT}")
+            words = automaton(fam).walk(fam.m)
+            if fam.kind in CLOCKED_KINDS:
+                # the all-zero and all-one words are always pattern-free,
+                # and are the first and last in lexicographic order
+                words = words[1:-1]
+            self._words = words
+        return self._words
 
     @property
     def N1(self):

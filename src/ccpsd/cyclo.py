@@ -11,8 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
+
+from .codebook import word_moments
 
 
 @dataclass
@@ -26,50 +29,45 @@ class AutocorrSeries:
         self.aperiodic = [t - p for t, p in zip(self.total, self.periodic)]
 
 
-def _signal_values(codebook, signal):
-    """Word bits, word value matrix W (N x m) and the bridge value table f.
-
-    A bridge value depends only on the last bit a of the left word and the
-    first bit c of the right word: it is f[a][c].
+def _levels(family, signal):
+    """(scale, offset, f): a word bit b is sent as scale * b + offset, and
+    the bridge value table f gives a bridge's value as f[a][c], from the
+    last bit a of the left word and the first bit c of the right word.
     """
-    fam = codebook.family
-    words = np.array(codebook.words, dtype=np.int64)
     if signal == "y":
-        w = 2 * words - 1
-        if fam.bridging == "z_symbols":
-            f = [[0, 0], [0, 0]]  # z symbols sit at level 0
-        else:
-            f = [[-1, -1], [-1, 1]]
-    elif signal == "x":
-        w = words
-        if fam.bridging == "z_symbols":
+        if family.bridging == "z_symbols":
+            return 2, -1, [[0, 0], [0, 0]]  # z symbols sit at level 0
+        return 2, -1, [[-1, -1], [-1, 1]]
+    if signal == "x":
+        if family.bridging == "z_symbols":
             raise ValueError("no 0/1 indicator for z-symbol bridging")
-        f = [[0, 0], [0, 1]]
-    else:
-        raise ValueError(f"unknown signal kind {signal!r}")
-    return words, w, f
+        return 1, 0, [[0, 0], [0, 1]]
+    raise ValueError(f"unknown signal kind {signal!r}")
 
 
 def exact_autocorr(codebook, signal="y"):
     """Phase-averaged R(k) for k = 0..kmax = (m + 2x - 1) + period.
 
     The aperiodic part vanishes beyond m + 2x - 1, and k = 0..kmax spans at
-    least two full periods.
+    least two full periods.  Only the codebook's family is read: every
+    statistic comes from N and the counts G of words with two given bits
+    set (``codebook.word_moments``), so no word is listed.
     """
     fam = codebook.family
     m, x = fam.m, fam.x
     period = m + x
     kmax = (m + 2 * x - 1) + period
-    words, w, f = _signal_values(codebook, signal)
-    n = w.shape[0]
+    scale, offset, f = _levels(fam, signal)
+    n, g = word_moments(fam)
     n2, n3 = n * n, n * n * n
 
-    # Bridge statistics over the N x N (left, right) word pairs come from
-    # boundary-bit classes: last_ind[a] / first_ind[c] indicate the words
-    # whose last bit is a / first bit is c.
-    last_ind = np.array([1 - words[:, -1], words[:, -1]])
-    first_ind = np.array([1 - words[:, 0], words[:, 0]])
-    joint = (last_ind @ first_ind.T).tolist()  # [a][c]
+    # Boundary-bit classes: joint[a][c] words have last bit a and first
+    # bit c.  Bridge statistics over the N x N (left, right) word pairs
+    # come from these classes.
+    ones = [g[q][q] for q in range(m)]
+    both = g[0][m - 1]
+    joint = [[n - ones[0] - ones[-1] + both, ones[0] - both],
+             [ones[-1] - both, both]]
     n_last = [sum(row) for row in joint]
     n_first = [joint[0][c] + joint[1][c] for c in (0, 1)]
     brow = [f[a][0] * n_first[0] + f[a][1] * n_first[1] for a in (0, 1)]
@@ -80,19 +78,26 @@ def exact_autocorr(codebook, signal="y"):
     # per word: bridges to its left summed, times bridges to its right summed
     bcol_brow = sum(bcol[c] * brow[a] * joint[a][c]
                     for a in (0, 1) for c in (0, 1))
-    w_brow = [brow[0] * u + brow[1] * v for u, v in zip(*(last_ind @ w).tolist())]
-    w_bcol = [bcol[0] * u + bcol[1] * v for u, v in zip(*(first_ind @ w).tolist())]
-    gram = (w.T @ w).tolist()
-
-    col = w.sum(axis=0).tolist()
+    # column sums of the levels, over all words and over those whose last
+    # (first) bit is 1; words with a 0 there take the rest of the column
+    col = [scale * c + offset * n for c in ones]
+    last1 = [scale * g[q][m - 1] + offset * n_last[1] for q in range(m)]
+    first1 = [scale * g[0][q] + offset * n_first[1] for q in range(m)]
+    w_brow = [brow[0] * (c - u) + brow[1] * u for c, u in zip(col, last1)]
+    w_bcol = [bcol[0] * (c - v) + bcol[1] * v for c, v in zip(col, first1)]
     far = [c * bridge_sum * n for c in col]
+
+    def gram(qa, qc):
+        """Sum over the words of the levels at bits qa and qc."""
+        return (scale * scale * g[qa][qc]
+                + scale * offset * (ones[qa] + ones[qc]) + offset * offset * n)
 
     # Every pair mean is an integer over N^4 and every position mean one
     # over N^2; position q < m of a period is a word bit, q >= m a bridge.
     def pair(qa, qc, dt):
         """Mean of position qa of period 0 times position qc of period dt."""
         if qa < m and qc < m:
-            return gram[qa][qc] * n3 if dt == 0 else col[qa] * col[qc] * n2
+            return gram(qa, qc) * n3 if dt == 0 else col[qa] * col[qc] * n2
         if qa >= m and qc >= m:
             if dt == 0:
                 return bridge_sq_sum * n2
@@ -146,14 +151,34 @@ def discrete_lines(series, with_pulse=True):
     return lines
 
 
+# Grids of at most this many points keep their cosine rows, 64 rows of at
+# most 64 KiB each.
+CACHED_GRID_POINTS = 8192
+
+
+@lru_cache(maxsize=64)
+def _cosines(grid, k):
+    """cos(2 pi f k) over a grid given as the bytes of its float64 array."""
+    row = np.cos(2 * np.pi * np.frombuffer(grid) * k)
+    row.flags.writeable = False
+    return row
+
+
 def continuous_psd_from_aperiodic(series, freqs, with_pulse=True):
-    """Finite cosine sum over the aperiodic autocorrelation."""
+    """Finite cosine sum over the aperiodic autocorrelation.
+
+    The cosine rows of a grid of at most ``CACHED_GRID_POINTS`` points are
+    kept, so the bandwidth searches, DC limits and curves of many families
+    share them.
+    """
     freqs = np.asarray(freqs, dtype=float)
+    grid = freqs.tobytes()
+    cosines = _cosines if len(freqs) <= CACHED_GRID_POINTS else _cosines.__wrapped__
     ra = [float(v) for v in series.aperiodic]
     out = np.full(len(freqs), ra[0])
     for k in range(1, len(ra)):
         if ra[k] != 0.0:
-            out += 2.0 * ra[k] * np.cos(2 * np.pi * freqs * k)
+            out += 2.0 * ra[k] * cosines(grid, k)
     if with_pulse:
         out *= np.sinc(freqs) ** 2
     return out

@@ -3,7 +3,10 @@
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
+
 from ccpsd.codebook import CLOCKED_KINDS, Codebook, automaton, forbidden_patterns
+from ccpsd.cyclo import AutocorrSeries
 
 
 def contains_forbidden(bits, patterns):
@@ -56,6 +59,97 @@ def depth_first_words(family):
     if family.kind in CLOCKED_KINDS:
         words = [w for w in words if 0 < sum(w) < m]
     return words
+
+
+def _signal_values(codebook, signal):
+    """Word bits, word value matrix W (N x m) and the bridge value table f.
+
+    A bridge value depends only on the last bit a of the left word and the
+    first bit c of the right word: it is f[a][c].
+    """
+    fam = codebook.family
+    words = np.array(codebook.words, dtype=np.int64)
+    if signal == "y":
+        w = 2 * words - 1
+        if fam.bridging == "z_symbols":
+            f = [[0, 0], [0, 0]]  # z symbols sit at level 0
+        else:
+            f = [[-1, -1], [-1, 1]]
+    elif signal == "x":
+        w = words
+        if fam.bridging == "z_symbols":
+            raise ValueError("no 0/1 indicator for z-symbol bridging")
+        f = [[0, 0], [0, 1]]
+    else:
+        raise ValueError(f"unknown signal kind {signal!r}")
+    return words, w, f
+
+
+def listed_autocorr(codebook, signal="y"):
+    """Reference for ``cyclo.exact_autocorr``: the same series from
+    statistics of the listed words, the boundary-bit classes, the column
+    sums split by first and by last bit, and the Gram matrix of the word
+    levels, each taken over a numpy array of the words."""
+    fam = codebook.family
+    m, x = fam.m, fam.x
+    period = m + x
+    kmax = (m + 2 * x - 1) + period
+    words, w, f = _signal_values(codebook, signal)
+    n = w.shape[0]
+    n2, n3 = n * n, n * n * n
+
+    # Bridge statistics over the N x N (left, right) word pairs come from
+    # boundary-bit classes: last_ind[a] / first_ind[c] indicate the words
+    # whose last bit is a / first bit is c.
+    last_ind = np.array([1 - words[:, -1], words[:, -1]])
+    first_ind = np.array([1 - words[:, 0], words[:, 0]])
+    joint = (last_ind @ first_ind.T).tolist()  # [a][c]
+    n_last = [sum(row) for row in joint]
+    n_first = [joint[0][c] + joint[1][c] for c in (0, 1)]
+    brow = [f[a][0] * n_first[0] + f[a][1] * n_first[1] for a in (0, 1)]
+    bcol = [f[0][c] * n_last[0] + f[1][c] * n_last[1] for c in (0, 1)]
+    bridge_sum = brow[0] * n_last[0] + brow[1] * n_last[1]
+    bridge_sq_sum = sum(f[a][c] ** 2 * n_last[a] * n_first[c]
+                        for a in (0, 1) for c in (0, 1))
+    # per word: bridges to its left summed, times bridges to its right summed
+    bcol_brow = sum(bcol[c] * brow[a] * joint[a][c]
+                    for a in (0, 1) for c in (0, 1))
+    w_brow = [brow[0] * u + brow[1] * v for u, v in zip(*(last_ind @ w).tolist())]
+    w_bcol = [bcol[0] * u + bcol[1] * v for u, v in zip(*(first_ind @ w).tolist())]
+    gram = (w.T @ w).tolist()
+
+    col = w.sum(axis=0).tolist()
+    far = [c * bridge_sum * n for c in col]
+
+    # Every pair mean is an integer over N^4 and every position mean one
+    # over N^2; position q < m of a period is a word bit, q >= m a bridge.
+    def pair(qa, qc, dt):
+        """Mean of position qa of period 0 times position qc of period dt."""
+        if qa < m and qc < m:
+            return gram[qa][qc] * n3 if dt == 0 else col[qa] * col[qc] * n2
+        if qa >= m and qc >= m:
+            if dt == 0:
+                return bridge_sq_sum * n2
+            return bcol_brow * n if dt == 1 else bridge_sum * bridge_sum
+        if qa < m:  # the word, then a bridge dt periods on
+            return w_brow[qa] * n2 if dt == 0 else far[qa]
+        # a bridge, then a word dt >= 1 periods on
+        return w_bcol[qc] * n2 if dt == 1 else far[qc]
+
+    pos = [c * n for c in col] + [bridge_sum] * x
+    den = n2 * n2 * period
+    total = []
+    for k in range(kmax + 1):
+        num = 0
+        for qa in range(period):
+            dt, qc = divmod(qa + k, period)
+            num += pair(qa, qc, dt)
+        total.append(Fraction(num, den))
+    cycle = [Fraction(sum(u * v for u, v in zip(pos, pos[s:] + pos[:s])), den)
+             for s in range(period)]
+    periodic = [cycle[k % period] for k in range(kmax + 1)]
+
+    return AutocorrSeries(period=period, total=total, periodic=periodic)
 
 
 def brute_force_ostd(fstd, k_bound):

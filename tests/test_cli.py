@@ -41,8 +41,13 @@ def curves(draw, shapes):
 
 
 def assert_csv_equals_per_row_format(freqs, values):
-    rows = "".join(f"{a:.12g},{b:.12g}\n" for a, b in zip(freqs, values))
-    assert _csv(freqs, values) == f"{CSV_HEADER}\n{rows}"
+    # Line by line, then the line count: a failure shows one short line, as
+    # pytest's diff of two long texts that differ on many lines takes minutes.
+    want = [CSV_HEADER] + [f"{a:.12g},{b:.12g}" for a, b in zip(freqs, values)]
+    got = _csv(freqs, values).split("\n")
+    for i, (g, w) in enumerate(zip(got, want + [""])):
+        assert g == w, f"line {i}"
+    assert len(got) == len(want) + 1
 
 
 @settings(max_examples=50, deadline=None,
@@ -181,13 +186,16 @@ class TestExitCodes:
         assert "m >= 1" in r.stderr
 
     def test_codebook_over_the_word_limit(self, tmp_path):
-        # N = 26,931,732 words, about 8 GB as tuples: refused before listing
-        r = run(["autocorr", "--family", "aloco", "--x", "1", "--m", "30"],
-                tmp_path)
-        assert r.returncode == 1, r.stderr
-        assert r.stderr.startswith("error:")
-        assert "26931732 words" in r.stderr
-        assert "Traceback" not in r.stderr
+        # N = 2,839,729 words: the two commands that list words refuse
+        # before listing any
+        for args in (["mc"], ["codebook", "--out", str(tmp_path / "cb.json")]):
+            r = run(args + ["--family", "aloco", "--x", "1", "--m", "26"],
+                    tmp_path)
+            assert r.returncode == 1, r.stderr
+            assert r.stderr.startswith("error:")
+            assert "2839729 words" in r.stderr
+            assert "Traceback" not in r.stderr
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("args", [
         ["fstd", "--family", "aloco"],

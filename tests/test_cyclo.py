@@ -1,10 +1,20 @@
+import json
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ccpsd.codebook import ConstraintFamily, enumerate_codebook
+from brute_force import listed_autocorr
+from ccpsd import presets
+from ccpsd.cli import main
+from ccpsd.codebook import (
+    CLOCKED_KINDS,
+    FINITE_KINDS,
+    Automaton,
+    ConstraintFamily,
+    enumerate_codebook,
+)
 from ccpsd.cyclo import (
     bandwidth_3db,
     continuous_psd_from_aperiodic,
@@ -13,6 +23,7 @@ from ccpsd.cyclo import (
 )
 from ccpsd.presets import continuous_psd, transfer_matrix_for
 from ccpsd.spectrum import default_grid, spectrum_y
+from ccpsd.transfer import closed_form_aloco, closed_form_loco_A
 
 F = Fraction
 
@@ -131,6 +142,80 @@ class TestBridgeClasses:
             tracemalloc.stop()
         # two N x N int64 arrays would take 16 N^2 bytes, 177 MB at N = 3,329
         assert peak < 20 * 2**20, f"peak {peak} bytes for N = {cb.N}"
+
+
+def signals_of(kind):
+    """The signals a kind defines: no 0/1 indicator under z-symbol bridging."""
+    return ["y"] if kind in ("loco", "cloco") else ["y", "x"]
+
+
+def assert_equal_series(got, want):
+    assert got.period == want.period
+    assert got.total == want.total
+    assert got.periodic == want.periodic
+    assert got.aperiodic == want.aperiodic
+
+
+class TestCountedStatistics:
+    @pytest.mark.parametrize("x", [1, 2, 3])
+    @pytest.mark.parametrize("kind", FINITE_KINDS)
+    def test_equals_listed_reference(self, kind, x):
+        for m in range(2 if kind in CLOCKED_KINDS else 1, 17):
+            cb = enumerate_codebook(ConstraintFamily(kind, x, m))
+            for signal in signals_of(kind):
+                assert_equal_series(exact_autocorr(cb, signal),
+                                    listed_autocorr(cb, signal))
+
+    @pytest.mark.parametrize("kind, x, m", [
+        ("aloco", 60, 64), ("caloco", 60, 64), ("loco", 100, 150),
+        ("cloco", 60, 100)])
+    def test_equals_listed_reference_on_long_words(self, kind, x, m):
+        # few words of 64 bits or more: the counts are Python ints
+        cb = enumerate_codebook(ConstraintFamily(kind, x, m))
+        for signal in signals_of(kind):
+            assert_equal_series(exact_autocorr(cb, signal),
+                                listed_autocorr(cb, signal))
+
+    @pytest.mark.parametrize("kind, x, m", [("aloco", 1, 8), ("caloco", 2, 7),
+                                            ("loco", 1, 9), ("cloco", 3, 10)])
+    def test_lists_no_word(self, kind, x, m, monkeypatch, tmp_path):
+        def walk(self, length):
+            raise AssertionError(f"listed the {length}-bit words")
+
+        monkeypatch.setattr(Automaton, "walk", walk)
+        presets.autocorr_for.cache_clear()  # so each command computes
+        family = ["--family", kind, "--x", str(x), "--m", str(m)]
+        # psd also writes the discrete lines
+        for cmd in (["autocorr"], ["bandwidth"], ["psd", "--points", "64"]):
+            out = str(tmp_path / cmd[0])
+            assert main(cmd + family + ["--out", out]) == 0
+        assert json.loads((tmp_path / "psd.lines.json").read_text())["lines"]
+
+
+class TestScale:
+    @pytest.mark.parametrize("m", [30, 40])
+    @pytest.mark.parametrize("kind, closed_form", [
+        ("aloco", closed_form_aloco), ("loco", closed_form_loco_A)])
+    def test_closed_form_equals_autocorrelation(self, kind, closed_form, m):
+        freqs = default_grid(256)
+        series = exact_autocorr(enumerate_codebook(ConstraintFamily(kind, 1, m)))
+        want = continuous_psd_from_aperiodic(series, freqs, with_pulse=False)
+        got = spectrum_y(closed_form(m, 1), freqs)
+        assert np.max(np.abs(got - want)) < 1e-9
+
+    def test_bandwidth_of_long_words(self, tmp_path):
+        # aloco x=1 m=200 has about 9e48 words
+        out = tmp_path / "bw.json"
+        tracemalloc.start()
+        try:
+            code = main(["bandwidth", "--family", "aloco", "--x", "1",
+                         "--m", "200", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert 0 < json.loads(out.read_text())["bandwidth_3db"] < 1
+        assert peak < 100 * 2**20, f"peak {peak} bytes"
 
 
 class TestSpectralRoutes:

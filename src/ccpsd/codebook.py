@@ -160,42 +160,38 @@ class Automaton:
         """The length x length array whose entry (i, j) counts the
         pattern-free ``length``-bit strings with bits i and j both 1.
 
-        Prefix counts per state step forward one bit at a time, each state
-        summing the counts of the states that lead into it; row i of
-        ``ones`` counts the prefixes whose bit i is 1, so column j is those
-        rows read against the completions of a 1 at bit j.  Every entry,
-        product and sum counts strings of at most ``length`` bits, so int64
-        holds them all below length 63; longer strings use Python ints.
+        Row 0 of ``rows`` counts the prefixes by the state they end in, and
+        row i + 1 the prefixes whose bit i is 1; each bit steps them all
+        forward by one matrix product.  Column j is those rows read against
+        the completions of a 1 at bit j.  The counts are Python ints, exact
+        at any length.
         """
         live = len(self.delta) - 1
 
-        def sources(bits):
-            """Each live state's predecessors by ``bits``, padded with the
-            dead state, whose count stays 0."""
-            into = [[] for _ in range(live)]
+        def steps(bits):
+            """Live state s to live state t by ``bits``: how many ways."""
+            t = np.zeros((live, live), object)
             for s, row in enumerate(self.delta[:live]):
                 for b in bits:
                     if row[b] != live:
-                        into[row[b]].append(s)
-            width = max(map(len, into))
-            return np.array([p + [live] * (width - len(p)) for p in into])
+                        t[s, row[b]] += 1
+            return t
 
-        both, one = sources((0, 1)), sources((1,))
+        both, one = steps((0, 1)), steps((1,))
         self.count(length, 0)
-        dtype = np.int64 if length < 63 else object
         # row j: the completions of a 1 at bit j, by the state before it
-        afters = np.array(self._counts[length - 1::-1], dtype)[
+        afters = np.array(self._counts[length - 1::-1], object)[
             :, [row[1] for row in self.delta[:live]]]
-        prefix = np.zeros(live + 1, dtype)  # by state; the dead one stays 0
-        prefix[0] = 1
-        ones = np.zeros((length, live + 1), dtype)
-        gram = np.zeros((length, length), dtype)
+        rows = np.zeros((length + 1, live), object)
+        rows[0, 0] = 1
+        gram = np.zeros((length, length), object)
         for j, after in enumerate(afters):
-            gram[j, :j] = gram[:j, j] = ones[:j, :live] @ after
-            gram[j, j] = prefix[:live] @ after
-            ones[:j, :live] = ones[:j, both].sum(axis=2)
-            ones[j, :live] = prefix[one].sum(axis=1)
-            prefix[:live] = prefix[both].sum(axis=1)
+            col = rows[:j + 1] @ after
+            gram[j, j] = col[0]
+            gram[j, :j] = gram[:j, j] = col[1:]
+            ones = rows[0] @ one
+            rows[:j + 1] = rows[:j + 1] @ both
+            rows[j + 1] = ones
         return gram
 
 
@@ -234,11 +230,13 @@ def enumerate_codebook(family):
 class Codebook:
     """The words of length family.m: N is counted, and the words, bit
     tuples in ascending lexicographic order, are listed on first read
-    unless given."""
+    unless given.  ``whole_family`` is False for a codebook of given
+    words, which may be any subset of the family's."""
 
     def __init__(self, family, words=None):
         self.family = family
         self._words = words
+        self.whole_family = words is None
 
     @property
     def N(self):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -51,8 +50,12 @@ def exact_autocorr(codebook, signal="y"):
     The aperiodic part vanishes beyond m + 2x - 1, and k = 0..kmax spans at
     least two full periods.  Only the codebook's family is read: every
     statistic comes from N and the counts G of words with two given bits
-    set (``codebook.word_moments``), so no word is listed.
+    set (``codebook.word_moments``), so no word is listed, and a codebook
+    of given words is refused.
     """
+    if not codebook.whole_family:
+        raise ValueError("exact_autocorr counts a whole family's codebook,"
+                         " not given words")
     fam = codebook.family
     m, x = fam.m, fam.x
     period = m + x
@@ -151,34 +154,14 @@ def discrete_lines(series, with_pulse=True):
     return lines
 
 
-# Grids of at most this many points keep their cosine rows, 64 rows of at
-# most 64 KiB each.
-CACHED_GRID_POINTS = 8192
-
-
-@lru_cache(maxsize=64)
-def _cosines(grid, k):
-    """cos(2 pi f k) over a grid given as the bytes of its float64 array."""
-    row = np.cos(2 * np.pi * np.frombuffer(grid) * k)
-    row.flags.writeable = False
-    return row
-
-
 def continuous_psd_from_aperiodic(series, freqs, with_pulse=True):
-    """Finite cosine sum over the aperiodic autocorrelation.
-
-    The cosine rows of a grid of at most ``CACHED_GRID_POINTS`` points are
-    kept, so the bandwidth searches, DC limits and curves of many families
-    share them.
-    """
+    """Finite cosine sum over the aperiodic autocorrelation."""
     freqs = np.asarray(freqs, dtype=float)
-    grid = freqs.tobytes()
-    cosines = _cosines if len(freqs) <= CACHED_GRID_POINTS else _cosines.__wrapped__
     ra = [float(v) for v in series.aperiodic]
     out = np.full(len(freqs), ra[0])
     for k in range(1, len(ra)):
         if ra[k] != 0.0:
-            out += 2.0 * ra[k] * cosines(grid, k)
+            out += 2.0 * ra[k] * np.cos(2 * np.pi * freqs * k)
     if with_pulse:
         out *= np.sinc(freqs) ** 2
     return out

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from brute_force import listed_autocorr
+from brute_force import brute_force_codebook, listed_autocorr
 from ccpsd import presets
 from ccpsd.cli import main
 from ccpsd.codebook import (
@@ -119,14 +119,18 @@ def exact_autocorr_dense(codebook, signal):
     return total, periodic
 
 
+def signals_of(kind):
+    """The signals a kind defines: no 0/1 indicator under z-symbol bridging."""
+    return ["y"] if kind in ("loco", "cloco") else ["y", "x"]
+
+
 class TestBridgeClasses:
-    @pytest.mark.parametrize("kind", ["aloco", "loco", "caloco", "cloco"])
+    @pytest.mark.parametrize("kind", FINITE_KINDS)
     @pytest.mark.parametrize("x", [1, 2, 3])
     def test_equals_dense_reference(self, kind, x):
-        signals = ["y"] if kind in ("loco", "cloco") else ["y", "x"]
-        for m in range(2 if kind in ("caloco", "cloco") else 1, 11):
+        for m in range(2 if kind in CLOCKED_KINDS else 1, 11):
             cb = enumerate_codebook(ConstraintFamily(kind, x, m))
-            for signal in signals:
+            for signal in signals_of(kind):
                 s = exact_autocorr(cb, signal)
                 total, periodic = exact_autocorr_dense(cb, signal)
                 assert (s.total, s.periodic) == (total, periodic)
@@ -142,11 +146,6 @@ class TestBridgeClasses:
             tracemalloc.stop()
         # two N x N int64 arrays would take 16 N^2 bytes, 177 MB at N = 3,329
         assert peak < 20 * 2**20, f"peak {peak} bytes for N = {cb.N}"
-
-
-def signals_of(kind):
-    """The signals a kind defines: no 0/1 indicator under z-symbol bridging."""
-    return ["y"] if kind in ("loco", "cloco") else ["y", "x"]
 
 
 def assert_equal_series(got, want):
@@ -170,11 +169,17 @@ class TestCountedStatistics:
         ("aloco", 60, 64), ("caloco", 60, 64), ("loco", 100, 150),
         ("cloco", 60, 100)])
     def test_equals_listed_reference_on_long_words(self, kind, x, m):
-        # few words of 64 bits or more: the counts are Python ints
+        # lengths of 64 bits or more, with few enough words to list
         cb = enumerate_codebook(ConstraintFamily(kind, x, m))
         for signal in signals_of(kind):
             assert_equal_series(exact_autocorr(cb, signal),
                                 listed_autocorr(cb, signal))
+
+    def test_refuses_given_words(self):
+        # the counted statistics are the whole family's, not these words'
+        cb = brute_force_codebook(ConstraintFamily("aloco", 1, 6))
+        with pytest.raises(ValueError, match="given words"):
+            exact_autocorr(cb)
 
     @pytest.mark.parametrize("kind, x, m", [("aloco", 1, 8), ("caloco", 2, 7),
                                             ("loco", 1, 9), ("cloco", 3, 10)])

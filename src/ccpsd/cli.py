@@ -319,7 +319,7 @@ def main(argv=None):
         return args.func(args)
     except UsageError as exc:
         parser.error(str(exc))
-    except (ValueError, NotImplementedError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,13 +15,14 @@ Two constructions are provided:
   it lacks the one constant completion; this makes its grid exact.
 
 ``reduce_to_ostd`` aggregates all label-free paths between labeled states
-(states whose most recent bit is a 1) into run-length distributions; 0-cycles
-that never touch a labeled state become geometric run families.
+(states whose most recent bit is a 1): each one-step edge holds the path
+generating function sum_t P(run of t steps) D^t, exact in D, with the
+label-free cycles solved in closed form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .codebook import (CLOCKED_KINDS, INFINITE_KINDS, ConstraintFamily,
@@ -59,10 +60,14 @@ class Fstd:
         return idx
 
     def check(self):
-        """Structural invariants: per-vertex symbol consistency, stochasticity."""
+        """Structural invariants: per-vertex symbol consistency, edge
+        probabilities in (0, 1], stochasticity."""
         incoming = {}
         outgoing = {}
         for f, t, sym, p in self.edges:
+            if not 0 < p <= 1:
+                raise ValueError(f"edge {f} -> {t} probability {p} "
+                                 "outside (0, 1]")
             incoming.setdefault(t, set()).add(sym)
             outgoing[f] = outgoing.get(f, Fraction(0)) + p
         for t, syms in incoming.items():
@@ -75,46 +80,14 @@ class Fstd:
 
 
 @dataclass
-class RunSet:
-    """Run-length distribution on one OSTD edge."""
-
-    finite: list = field(default_factory=list)  # (t, probability)
-    geoms: list = field(default_factory=list)  # (c0, b, ratio, period)
-
-    def total_probability(self):
-        tot = sum((p for _, p in self.finite), Fraction(0))
-        for c0, _, ratio, _ in self.geoms:
-            tot += c0 / (1 - ratio)
-        return tot
-
-    def transfer_fn(self):
-        fn = ZERO
-        for t, p in self.finite:
-            fn = fn + RationalFn.monomial(p, t)
-        for c0, b, ratio, period in self.geoms:
-            fn = fn + RationalFn.geometric(c0, b, ratio, period)
-        return fn
-
-
-@dataclass
 class Ostd:
     family: ConstraintFamily
     state_keys: list  # canonical (category, position, history) per state
-    edges: dict  # (i, j) -> RunSet
+    edges: dict  # (i, j) -> nonzero path generating function (RationalFn)
 
     @property
     def n(self):
         return len(self.state_keys)
-
-    def check_conservation(self):
-        for i in range(self.n):
-            tot = sum(
-                (rs.total_probability() for (a, _), rs in self.edges.items() if a == i),
-                Fraction(0),
-            )
-            if tot != 1:
-                raise ValueError(f"OSTD state {i} total probability {tot} != 1")
-        return True
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +305,8 @@ def merge_equivalent_states(fstd):
 
 
 def reduce_to_ostd(fstd):
-    """Aggregate label-free paths between labeled states into run lengths."""
+    """Aggregate label-free paths between labeled states into their path
+    generating functions."""
     labeled = fstd.labeled_indices()
     if not labeled:
         raise ValueError("no labeled states: degenerate all-zero process")
@@ -375,20 +349,13 @@ def reduce_to_ostd(fstd):
                     if zt[j]:  # w * 0 would build a zero to add
                         fns[k][j] = fns[k][j] + w * zt[j]
 
-    edges = {}
-    for a in range(nl):
-        for b in range(nl):
-            if fns[a][b].is_zero():
-                continue
-            edges[(a, b)] = _decompose_runs(fns[a][b])
-
+    edges = {(a, b): fn for a, row in enumerate(fns)
+             for b, fn in enumerate(row) if fn}
     keys = [
         (fstd.states[i].category, fstd.states[i].position, fstd.states[i].history)
         for i in labeled
     ]
-    ostd = Ostd(family=fstd.family, state_keys=keys, edges=edges)
-    ostd.check_conservation()
-    return ostd
+    return Ostd(family=fstd.family, state_keys=keys, edges=edges)
 
 
 def _sccs(nodes, out, universe):
@@ -453,58 +420,3 @@ def _solve_scc(scc, out, rhs):
             if t in pos:
                 A[i][pos[t]] = A[i][pos[t]] - w
     return dict(zip(scc, solve(A, [rhs[u] for u in scc])))
-
-
-def _decompose_runs(fn):
-    """Split a path generating function into finite runs + geometric families."""
-    num, den = fn.num, fn.den  # built on each access
-    if den == (Fraction(1),):
-        finite = [(t, p) for t, p in enumerate(num) if p != 0]
-        _check_runs(finite)
-        return RunSet(finite=finite)
-    support = [i for i, c in enumerate(den) if c != 0]
-    if len(support) != 2 or support[0] != 0:
-        raise NotImplementedError(
-            "run-length structure beyond a single geometric family"
-        )
-    period = support[1]
-    a0 = den[0]  # denominator is monic: a0 + D^period
-    ratio = -1 / a0
-    if not 0 < ratio < 1:
-        raise NotImplementedError("non-probabilistic geometric family")
-
-    # Power-series coefficients s_1..s_T; beyond T the recurrence gives
-    # s_t = ratio * s_{t-period}, so each residue class tails off
-    # geometrically from its last explicit coefficient.
-    top = len(num) - 1
-    series = [Fraction(0)] * (top + 1)
-    for t in range(top + 1):
-        acc = num[t]
-        if t >= period:
-            acc -= series[t - period]
-        series[t] = acc / a0
-    if top >= 0 and series[0] != 0:
-        raise ValueError("length-0 run in path generating function")
-
-    geom_starts = set()
-    geoms = []
-    for b in range(max(1, top - period + 1), top + 1):
-        if series[b] != 0:
-            geom_starts.add(b)
-            geoms.append((series[b], b, ratio, period))
-    finite = [
-        (t, series[t])
-        for t in range(1, top + 1)
-        if series[t] != 0 and t not in geom_starts
-    ]
-    _check_runs(finite)
-    for c0, b, _, _ in geoms:
-        if c0 <= 0 or b < 1:
-            raise ValueError(f"invalid geometric run family (b={b}, c0={c0})")
-    return RunSet(finite=finite, geoms=geoms)
-
-
-def _check_runs(finite):
-    for t, p in finite:
-        if t < 1 or p < 0:
-            raise ValueError(f"invalid run (t={t}, p={p})")

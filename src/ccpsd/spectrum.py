@@ -37,10 +37,6 @@ def stationary_distribution(tm):
     return list(tm.stationary)
 
 
-def mean_run_length(tm):
-    return 1 / tm.prob_one
-
-
 def prob_one(tm):
     """Stationary density of labeled symbols: one per run."""
     return tm.prob_one

@@ -100,15 +100,6 @@ class TransferMatrix:
                 raise ValueError(f"row {i} of G(1) sums to {sum(row)} != 1")
         return True
 
-    def check_nonnegative_series(self, count=40):
-        """Run-length probabilities (power-series coefficients) must be >= 0."""
-        for row in self.entries:
-            for e in row:
-                for c in e.series_coefficients(count):
-                    if c < 0:
-                        raise ValueError("negative run probability")
-        return True
-
     def __eq__(self, other):
         if not isinstance(other, TransferMatrix):
             return NotImplemented
@@ -120,10 +111,11 @@ class TransferMatrix:
 
 
 def ostm_from_ostd(ostd):
+    """G(D) of a reduced diagram: its path generating functions in place,
+    refused unless every row of G(1) sums to 1."""
     n = ostd.n
-    entries = [[ZERO] * n for _ in range(n)]
-    for (i, j), rs in ostd.edges.items():
-        entries[i][j] = rs.transfer_fn()
+    entries = [[ostd.edges.get((i, j), ZERO) for j in range(n)]
+               for i in range(n)]
     tm = TransferMatrix(
         family=ostd.family, entries=entries, labels=list(ostd.state_keys),
         origin="grid",

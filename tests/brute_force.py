@@ -181,6 +181,16 @@ def brute_force_ostd(fstd, k_bound):
     }
 
 
+def check_nonnegative_series(tm, count=40):
+    """Raise unless the first ``count`` power-series coefficients (run-length
+    probabilities) of every entry of ``tm`` are >= 0."""
+    for row in tm.entries:
+        for e in row:
+            if any(c < 0 for c in e.series_coefficients(count)):
+                raise ValueError("negative run probability")
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Reference exact arithmetic: dense, without shortcuts
 # ---------------------------------------------------------------------------

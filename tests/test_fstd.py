@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccpsd.clocked import bfs_ostd, clocked_inputs_from_fstd
+from brute_force import brute_force_ostd
+from ccpsd.clocked import bfs_ostd, clocked_inputs_from_fstd, effective_run_bound
 from ccpsd.codebook import CLOCKED_KINDS, ConstraintFamily, enumerate_codebook
 from ccpsd.fstd import (
+    Fstd,
+    Ostd,
+    State,
     build_grid_fstd,
     build_infinite_fstd,
     merge_equivalent_states,
@@ -110,7 +114,7 @@ class TestGridDiagrams:
             cb = enumerate_codebook(ConstraintFamily(kind, x, m))
             g = build_grid_fstd(cb)
             assert g.check()
-            reduce_to_ostd(g).check_conservation()
+            assert ostm_from_ostd(reduce_to_ostd(g)).check_stochastic()
 
     def test_merge_preserves_ostm(self):
         for kind, x, m in [("aloco", 1, 4), ("loco", 1, 4), ("aloco", 2, 5)]:
@@ -129,26 +133,55 @@ class TestGridDiagrams:
         assert sum(1 for s in g.states if s.labeled) == 8
 
 
-class TestRunDecomposition:
-    def test_runs_reproduce_series(self):
-        o = reduce_to_ostd(build_grid_fstd(
-            enumerate_codebook(ConstraintFamily("aloco", 1, 4))))
-        for rs in o.edges.values():
-            fn = rs.transfer_fn()
-            series = fn.series_coefficients(25)
-            rebuilt = [Fraction(0)] * 25
-            for t, p in rs.finite:
-                rebuilt[t] += p
-            for c0, b, ratio, period in rs.geoms:
-                t, c = b, c0
-                while t < 25:
-                    rebuilt[t] += c
-                    t += period
-                    c *= ratio
-            assert rebuilt == series
+def _one_state_fstd(probabilities):
+    """One labeled state with a self-loop of each given probability."""
+    state = State("stationary", (1,), True, (0, 1))
+    return Fstd(family=ConstraintFamily("ax", 1), states=[state],
+                edges=[(0, 0, 1, p) for p in probabilities])
 
-    def test_probabilities_conserved(self):
-        for kind in ("aloco", "loco"):
-            o = reduce_to_ostd(build_grid_fstd(
-                enumerate_codebook(ConstraintFamily(kind, 2, 5))))
-            assert o.check_conservation()
+
+class TestPathGeneratingFunctions:
+    @pytest.mark.parametrize("kind,x,m", [
+        (kind, x, m) for kind in ("caloco", "cloco") for x in (1, 2)
+        for m in range(2, 7)])
+    def test_series_equal_brute_force_runs(self, kind, x, m):
+        # every run of a clocked stream ends within k_eff + 1 steps, so the
+        # first k_eff + 2 coefficients hold every run and the rest are 0
+        cb = enumerate_codebook(ConstraintFamily(kind, x, m))
+        bound = effective_run_bound(m, x) + 1
+        # brute_force_ostd numbers labeled states in state order, the
+        # reduction in labeled_indices() order; on the raw grid they differ
+        for diagram in (build_grid_fstd(cb), build_grid_fstd(cb, merge=False)):
+            ostd = reduce_to_ostd(diagram)
+            in_state_order = sorted(diagram.labeled_indices())
+            to_ostd = {i: a for a, i in enumerate(diagram.labeled_indices())}
+            want = {}
+            for (j, k), runs in brute_force_ostd(diagram, bound).items():
+                series = [Fraction(0)] * (bound + 1)
+                for steps, p in runs:
+                    series[steps] = p
+                key = (to_ostd[in_state_order[j]], to_ostd[in_state_order[k]])
+                want[key] = series
+            got = {key: fn.series_coefficients(bound + 1)
+                   for key, fn in ostd.edges.items()}
+            assert got == want
+            assert all(fn.den == (1,) for fn in ostd.edges.values())
+
+    @pytest.mark.parametrize("probabilities", [
+        (Fraction(0), Fraction(1)),
+        (Fraction(-1, 2), Fraction(3, 2)),
+        (Fraction(2),),
+    ])
+    def test_check_refuses_edge_probability_outside_unit_interval(
+            self, probabilities):
+        with pytest.raises(ValueError, match=r"outside \(0, 1\]"):
+            _one_state_fstd(probabilities).check()
+
+    def test_ostm_refuses_row_not_summing_to_one(self):
+        half = RationalFn.monomial(Fraction(1, 2), 1)
+        ostd = Ostd(family=ConstraintFamily("ax", 1), state_keys=[(0, 1)],
+                    edges={(0, 0): half})
+        with pytest.raises(ValueError, match="sums to 1/2"):
+            ostm_from_ostd(ostd)
+        assert ostm_from_ostd(reduce_to_ostd(
+            _one_state_fstd((Fraction(1, 2), Fraction(1, 2))))).n == 1

@@ -13,7 +13,6 @@ from ccpsd.spectrum import (
     BLOCK_ENTRIES,
     dc_line_weight,
     default_grid,
-    mean_run_length,
     nrzi_psd_symbolic,
     prob_one,
     pulse_shape,
@@ -62,7 +61,7 @@ class TestStationary:
     def test_mean_run_length(self):
         # run lengths: 1 w.p. 1/2, else x+1+Geom(1/2); mean = (x+4)/2
         for x in (1, 2, 3):
-            assert mean_run_length(closed_form_ax(x)) == F(x + 4, 2)
+            assert 1 / prob_one(closed_form_ax(x)) == F(x + 4, 2)
 
     def test_stationary_is_exact(self):
         tm = closed_form_ax(2)
@@ -96,7 +95,7 @@ class TestIntegerElimination:
         tm = _grid_ostm(kind, x, m)
         pi = stationary_distribution(tm)
         assert pi == dense_stationary(tm)
-        assert mean_run_length(tm) == sum(
+        assert 1 / prob_one(tm) == sum(
             p * sum(row) for p, row in zip(pi, tm.derivative_at_one()))
 
     def test_statistics_are_computed_once(self, monkeypatch):
@@ -113,7 +112,7 @@ class TestIntegerElimination:
         first = spectrum_y(tm, freqs)
         assert solves == [tm.n]
         assert np.array_equal(spectrum_y(tm, freqs), first)
-        assert prob_one(tm) == 1 / mean_run_length(tm)
+        assert prob_one(tm) == tm.prob_one
         assert solves == [tm.n]
 
     def test_entries_cannot_change(self):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from brute_force import euclid_canonical, horner
+from brute_force import check_nonnegative_series, euclid_canonical, horner
 from ccpsd import presets, transfer
 from ccpsd.codebook import ConstraintFamily, enumerate_codebook
 from ccpsd.fstd import build_grid_fstd, build_infinite_fstd, reduce_to_ostd
@@ -47,11 +47,12 @@ class TestInfiniteClosedForms:
     def test_stochastic_and_nonnegative(self, x):
         for tm in (closed_form_ax(x), closed_form_sx(x)):
             tm.check_stochastic()
-            tm.check_nonnegative_series(40)
+            check_nonnegative_series(tm, 40)
 
 
 class TestFiniteClosedForms:
-    PAIRS = [(3, 1), (4, 1), (5, 1), (6, 1), (4, 2), (5, 2), (5, 3)]
+    # (40, 2) takes the grid route past the m <= 12 of the route sweep
+    PAIRS = [(3, 1), (4, 1), (5, 1), (6, 1), (4, 2), (5, 2), (5, 3), (40, 2)]
 
     @pytest.mark.parametrize("m,x", PAIRS)
     def test_aloco_matches_grid(self, m, x):

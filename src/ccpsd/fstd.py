@@ -17,7 +17,7 @@ Two constructions are provided:
 ``reduce_to_ostd`` aggregates all label-free paths between labeled states
 (states whose most recent bit is a 1): each one-step edge holds the path
 generating function sum_t P(run of t steps) D^t, exact in D, with the
-label-free cycles solved in closed form.
+label-free states eliminated one at a time.
 """
 
 from __future__ import annotations
@@ -27,12 +27,7 @@ from fractions import Fraction
 
 from .codebook import (CLOCKED_KINDS, INFINITE_KINDS, ConstraintFamily,
                        automaton)
-from .ratfn import RationalFn, ZERO, solve
-
-
-def _cat_key(cat):
-    """Total order over category tuples mixing ints and strings."""
-    return tuple((1, e) if isinstance(e, str) else (0, e) for e in cat)
+from .ratfn import RationalFn
 
 
 @dataclass(frozen=True)
@@ -40,7 +35,12 @@ class State:
     position: object  # column index, or "stationary" for infinite families
     history: tuple  # most recent bits, oldest first
     labeled: bool
-    category: tuple  # canonical sort/merge key
+    category: tuple  # merge key; role 0-2 labeled, 3 unlabeled
+
+    @property
+    def sort_key(self):
+        """The canonical state order: a category fixes the column."""
+        return self.category, self.history
 
     def history_str(self):
         return "".join(map(str, self.history))
@@ -54,10 +54,7 @@ class Fstd:
 
     def labeled_indices(self):
         idx = [i for i, s in enumerate(self.states) if s.labeled]
-        idx.sort(key=lambda i: (_cat_key(self.states[i].category),
-                                str(self.states[i].position),
-                                self.states[i].history))
-        return idx
+        return sorted(idx, key=lambda i: self.states[i].sort_key)
 
     def check(self):
         """Structural invariants: per-vertex symbol consistency, edge
@@ -123,7 +120,7 @@ def build_infinite_fstd(family):
     states = []
     for h in histories:
         labeled = h[-1] == 1
-        cat = (0, _trailing_run(h, 1)) if labeled else ("u", h)
+        cat = (0, _trailing_run(h, 1)) if labeled else (3, h)
         states.append(State("stationary", h, labeled, cat))
     fstd = Fstd(family=family, states=states, edges=edges)
     fstd.check()
@@ -138,7 +135,7 @@ def build_infinite_fstd(family):
 def _grid_category(family, col, hist):
     m, x = family.m, family.x
     if hist[-1] == 0:
-        return ("u", col)
+        return (3, col)
     if family.bridging != "z_symbols":
         return (0, col)
     if col >= m:
@@ -274,14 +271,10 @@ def merge_equivalent_states(fstd):
     reps = {}
     for i in range(n):
         b = block[i]
-        if b not in reps or (
-            str(fstd.states[i].position),
-            fstd.states[i].history,
-        ) < (str(fstd.states[reps[b]].position), fstd.states[reps[b]].history):
+        if b not in reps or (fstd.states[i].sort_key
+                             < fstd.states[reps[b]].sort_key):
             reps[b] = i
-    blocks = sorted(reps, key=lambda b: (_cat_key(fstd.states[reps[b]].category),
-                                         str(fstd.states[reps[b]].position),
-                                         fstd.states[reps[b]].history))
+    blocks = sorted(reps, key=lambda b: fstd.states[reps[b]].sort_key)
     remap = {b: k for k, b in enumerate(blocks)}
 
     states = [fstd.states[reps[b]] for b in blocks]  # State is frozen
@@ -306,117 +299,41 @@ def merge_equivalent_states(fstd):
 
 def reduce_to_ostd(fstd):
     """Aggregate label-free paths between labeled states into their path
-    generating functions."""
+    generating functions by eliminating the unlabeled states one at a time.
+
+    Eliminating u with self-loop w joins each predecessor p to each successor
+    s by out[p][u] / (1 - w) * out[u][s].
+    """
     labeled = fstd.labeled_indices()
     if not labeled:
         raise ValueError("no labeled states: degenerate all-zero process")
-    lab_pos = {i: k for k, i in enumerate(labeled)}
-    nl = len(labeled)
-    unlabeled = [i for i in range(len(fstd.states)) if i not in lab_pos]
-
-    out = {i: [] for i in range(len(fstd.states))}
+    out = {i: {} for i in range(len(fstd.states))}
+    into = {i: set() for i in range(len(fstd.states))}
     for f, t, _, p in fstd.edges:
-        out[f].append((t, RationalFn.monomial(p, 1)))
+        w = RationalFn.monomial(p, 1)
+        out[f][t] = out[f][t] + w if t in out[f] else w
+        into[t].add(f)
 
-    # z[u][j] = generating function of first passage u -> labeled j through
-    # unlabeled states only (u itself unlabeled)
-    z = {}
-    for scc in _sccs(unlabeled, out, set(unlabeled)):
-        rhs = {}
-        for u in scc:
-            row = [ZERO] * nl
-            for t, w in out[u]:
-                if t in lab_pos:
-                    row[lab_pos[t]] = row[lab_pos[t]] + w
-                elif t not in scc:
-                    zt = z[t]
-                    row = [row[j] + w * zt[j] if zt[j] else row[j]
-                           for j in range(nl)]
-            rhs[u] = row
-        if len(scc) == 1 and not any(t == scc[0] for t, _ in out[scc[0]]):
-            z[scc[0]] = rhs[scc[0]]
-        else:
-            z.update(_solve_scc(scc, out, rhs))
+    for u, state in enumerate(fstd.states):
+        if state.labeled:
+            continue
+        succ = out.pop(u)
+        into[u].discard(u)
+        loop = succ.pop(u, None)
+        if loop:
+            succ = {s: w / (1 - loop) for s, w in succ.items()}
+        for s in succ:
+            into[s].discard(u)
+        for p in into.pop(u):
+            w = out[p].pop(u)
+            for s, v in succ.items():
+                out[p][s] = out[p][s] + w * v if s in out[p] else w * v
+                into[s].add(p)
 
-    fns = [[ZERO] * nl for _ in range(nl)]
-    for k, i in enumerate(labeled):
-        for t, w in out[i]:
-            if t in lab_pos:
-                fns[k][lab_pos[t]] = fns[k][lab_pos[t]] + w
-            else:
-                zt = z[t]
-                for j in range(nl):
-                    if zt[j]:  # w * 0 would build a zero to add
-                        fns[k][j] = fns[k][j] + w * zt[j]
-
-    edges = {(a, b): fn for a, row in enumerate(fns)
-             for b, fn in enumerate(row) if fn}
+    pos = {i: k for k, i in enumerate(labeled)}
+    edges = {(pos[i], pos[j]): fn for i in labeled for j, fn in out[i].items()}
     keys = [
         (fstd.states[i].category, fstd.states[i].position, fstd.states[i].history)
         for i in labeled
     ]
     return Ostd(family=fstd.family, state_keys=keys, edges=edges)
-
-
-def _sccs(nodes, out, universe):
-    """Tarjan SCCs of the subgraph on `universe`, emitted successors-first."""
-    index = {}
-    low = {}
-    onstack = set()
-    stack = []
-    result = []
-    counter = [0]
-
-    def strongconnect(v):
-        work = [(v, iter([t for t, _ in out[v] if t in universe]))]
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        onstack.add(v)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for t in it:
-                if t not in index:
-                    index[t] = low[t] = counter[0]
-                    counter[0] += 1
-                    stack.append(t)
-                    onstack.add(t)
-                    work.append((t, iter([s for s, _ in out[t] if s in universe])))
-                    advanced = True
-                    break
-                if t in onstack:
-                    low[node] = min(low[node], index[t])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                result.append(comp)
-
-    for v in nodes:
-        if v not in index:
-            strongconnect(v)
-    return result
-
-
-def _solve_scc(scc, out, rhs):
-    """Solve (I - Q) z = rhs restricted to one strongly connected component."""
-    pos = {u: i for i, u in enumerate(scc)}
-    k = len(scc)
-    A = [[ZERO] * k for _ in range(k)]
-    for i, u in enumerate(scc):
-        A[i][i] = A[i][i] + 1
-        for t, w in out[u]:
-            if t in pos:
-                A[i][pos[t]] = A[i][pos[t]] - w
-    return dict(zip(scc, solve(A, [rhs[u] for u in scc])))

@@ -295,12 +295,10 @@ def estimate_psd(stream, freqs, family=None, kmax=None, with_pulse=False):
     freqs = np.asarray(freqs, dtype=float)
     if kmax is None:
         kmax = default_kmax(family)
+    r = estimate_autocorr(stream, kmax)
     if family is not None and family.m is not None:
-        r = estimate_autocorr(stream, kmax)
-        rp = _estimate_periodic(stream, family.m + family.x, kmax)
-        ra = r - rp
+        ra = r - _estimate_periodic(stream, family.m + family.x, kmax)
     else:
-        r = estimate_autocorr(stream, kmax)
         ra = r - (np.float64(stream.sum(dtype=np.int64)) / len(stream)) ** 2
     out = np.full(len(freqs), ra[0])
     for k in range(1, kmax + 1):

@@ -412,27 +412,18 @@ class RationalFn:
         return _float_at(n, c * lead, z) / den
 
     def derivative_at(self, z):
-        """R'(z) by the quotient rule, without forming R' as a function."""
+        """R'(z) at an exact point (int or Fraction) by the quotient rule,
+        without forming R' as a function."""
         n, c, d = self._n, self._c, self._d
-        if _is_exact(z):
-            # with every value scaled by Q^top and every slope by Q^(top-1),
-            # (n' d - n d') / (c d^2) gains one factor Q over the scale
-            top = max(len(n), len(d)) - 1
-            den = _at(d, z, top)
-            if not den:
-                raise ZeroDivisionError("evaluation at a pole")
-            top_d = (_at(_derivative(n), z, top - 1) * den
-                     - _at(n, z, top) * _at(_derivative(d), z, top - 1))
-            return Fraction(top_d * z.denominator, c * den * den)
-        lead = d[-1]
-        s = c * lead
-        den = _float_at(d, lead, z)
-        if den == 0:
+        # with every value scaled by Q^top and every slope by Q^(top-1),
+        # (n' d - n d') / (c d^2) gains one factor Q over the scale
+        top = max(len(n), len(d)) - 1
+        den = _at(d, z, top)
+        if not den:
             raise ZeroDivisionError("evaluation at a pole")
-        num = _float_at(n, s, z)
-        dnum = _float_at(_derivative(n), s, z)
-        dden = _float_at(_derivative(d), lead, z)
-        return (dnum * den - num * dden) / (den * den)
+        top_d = (_at(_derivative(n), z, top - 1) * den
+                 - _at(n, z, top) * _at(_derivative(d), z, top - 1))
+        return Fraction(top_d * z.denominator, c * den * den)
 
     def substitute_inverse(self):
         """Return R(1/D) as a rational function of D.

@@ -152,8 +152,9 @@ def listed_autocorr(codebook, signal="y"):
     return AutocorrSeries(period=period, total=total, periodic=periodic)
 
 
-def brute_force_ostd(fstd, k_bound):
-    """Oracle for the clocked BFS: enumerate all label-free paths up to k_bound steps."""
+def brute_force_ostd(fstd, k_bound, truncate=False):
+    """Oracle for the clocked BFS: enumerate all label-free paths up to
+    k_bound steps.  A longer path raises, unless ``truncate`` drops it."""
     out = {i: [] for i in range(len(fstd.states))}
     for f, t, _, p in fstd.edges:
         out[f].append((t, p))
@@ -173,7 +174,7 @@ def brute_force_ostd(fstd, k_bound):
                     edges[key][depth + 1] += q
                 elif depth + 1 < k_bound:
                     stack.append((t, depth + 1, q))
-                else:
+                elif not truncate:
                     raise ValueError("path exceeds the clocked run bound")
     return {
         key: sorted((steps, p) for steps, p in runs.items())

@@ -140,6 +140,48 @@ def _one_state_fstd(probabilities):
                 edges=[(0, 0, 1, p) for p in probabilities])
 
 
+def _series_by_brute_force(diagram, bound, truncate=False):
+    """Coefficients 0..bound of every reduced edge, summed over the
+    label-free paths of at most ``bound`` steps, in the reduction's order."""
+    # brute_force_ostd numbers labeled states in state order, the
+    # reduction in labeled_indices() order; on the raw grid they differ
+    in_state_order = sorted(diagram.labeled_indices())
+    to_ostd = {i: a for a, i in enumerate(diagram.labeled_indices())}
+    want = {}
+    for (j, k), runs in brute_force_ostd(diagram, bound, truncate).items():
+        series = [Fraction(0)] * (bound + 1)
+        for steps, p in runs:
+            series[steps] = p
+        want[(to_ostd[in_state_order[j]], to_ostd[in_state_order[k]])] = series
+    return want
+
+
+def _reduced_series(ostd, bound):
+    return {key: fn.series_coefficients(bound + 1)
+            for key, fn in ostd.edges.items()}
+
+
+def _two_loop_fstd(order):
+    """Labeled a and b, unlabeled u and v, listed in ``order``: u and v
+    each have a self-loop and an edge to the other."""
+    states = {"a": State("stationary", (1,), True, (0, 0)),
+              "b": State("stationary", (1,), True, (0, 1)),
+              "u": State("stationary", (0,), False, (3, 0)),
+              "v": State("stationary", (0,), False, (3, 1))}
+    at = {name: i for i, name in enumerate(order)}
+    edges = [("a", "a", 1, Fraction(1, 2)), ("a", "u", 0, Fraction(1, 2)),
+             ("b", "v", 0, Fraction(1)),
+             ("u", "u", 0, Fraction(1, 3)), ("u", "v", 0, Fraction(1, 3)),
+             ("u", "a", 1, Fraction(1, 3)),
+             ("v", "v", 0, Fraction(1, 4)), ("v", "u", 0, Fraction(1, 4)),
+             ("v", "b", 1, Fraction(1, 2))]
+    fstd = Fstd(family=ConstraintFamily("ax", 1),
+                states=[states[name] for name in order],
+                edges=[(at[f], at[t], sym, p) for f, t, sym, p in edges])
+    assert fstd.check()
+    return fstd
+
+
 class TestPathGeneratingFunctions:
     @pytest.mark.parametrize("kind,x,m", [
         (kind, x, m) for kind in ("caloco", "cloco") for x in (1, 2)
@@ -149,23 +191,42 @@ class TestPathGeneratingFunctions:
         # first k_eff + 2 coefficients hold every run and the rest are 0
         cb = enumerate_codebook(ConstraintFamily(kind, x, m))
         bound = effective_run_bound(m, x) + 1
-        # brute_force_ostd numbers labeled states in state order, the
-        # reduction in labeled_indices() order; on the raw grid they differ
         for diagram in (build_grid_fstd(cb), build_grid_fstd(cb, merge=False)):
             ostd = reduce_to_ostd(diagram)
-            in_state_order = sorted(diagram.labeled_indices())
-            to_ostd = {i: a for a, i in enumerate(diagram.labeled_indices())}
-            want = {}
-            for (j, k), runs in brute_force_ostd(diagram, bound).items():
-                series = [Fraction(0)] * (bound + 1)
-                for steps, p in runs:
-                    series[steps] = p
-                key = (to_ostd[in_state_order[j]], to_ostd[in_state_order[k]])
-                want[key] = series
-            got = {key: fn.series_coefficients(bound + 1)
-                   for key, fn in ostd.edges.items()}
-            assert got == want
+            assert _reduced_series(ostd, bound) == _series_by_brute_force(
+                diagram, bound)
             assert all(fn.den == (1,) for fn in ostd.edges.values())
+
+    @pytest.mark.parametrize("kind,x,m", [
+        (kind, x, m) for kind in ("aloco", "loco") for x in (1, 2)
+        for m in range(1, 7)] + [
+        (kind, x, None) for kind in ("ax", "sx") for x in (1, 2, 3)])
+    def test_series_with_label_free_cycles_equal_truncated_paths(
+            self, kind, x, m):
+        # aloco, ax and sx diagrams have label-free cycles, so runs are
+        # unbounded: the first K + 1 coefficients sum the paths of at most
+        # K steps
+        bound = 3 * ((m or 0) + x) + 4
+        if m is None:
+            diagrams = [build_infinite_fstd(ConstraintFamily(kind, x))]
+        else:
+            cb = enumerate_codebook(ConstraintFamily(kind, x, m))
+            diagrams = [build_grid_fstd(cb), build_grid_fstd(cb, merge=False)]
+        for diagram in diagrams:
+            assert _reduced_series(reduce_to_ostd(diagram), bound) == \
+                _series_by_brute_force(diagram, bound, truncate=True)
+
+    @pytest.mark.parametrize("order", ["abuv", "abvu", "uavb"])
+    def test_two_unlabeled_self_loops_reduce_to_truncated_paths(self, order):
+        fstd = _two_loop_fstd(order)
+        ostd = reduce_to_ostd(fstd)
+        bound = 10
+        assert _reduced_series(ostd, bound) == _series_by_brute_force(
+            fstd, bound, truncate=True)
+        # the elimination order leaves the canonical entries unchanged
+        assert ostd.edges == reduce_to_ostd(_two_loop_fstd("abuv")).edges
+        assert all(fn.den != (1,) for fn in ostd.edges.values())
+        assert ostm_from_ostd(ostd).check_stochastic()
 
     @pytest.mark.parametrize("probabilities", [
         (Fraction(0), Fraction(1)),

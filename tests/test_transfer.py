@@ -51,8 +51,10 @@ class TestInfiniteClosedForms:
 
 
 class TestFiniteClosedForms:
-    # (40, 2) takes the grid route past the m <= 12 of the route sweep
-    PAIRS = [(3, 1), (4, 1), (5, 1), (6, 1), (4, 2), (5, 2), (5, 3), (40, 2)]
+    # (40, 2) and (100, 1) take the grid route past the m <= 12 of the
+    # route sweep
+    PAIRS = [(3, 1), (4, 1), (5, 1), (6, 1), (4, 2), (5, 2), (5, 3), (40, 2),
+             (100, 1)]
 
     @pytest.mark.parametrize("m,x", PAIRS)
     def test_aloco_matches_grid(self, m, x):

@@ -88,10 +88,16 @@ def _finish(args, message, fields, lead=None):
     return 0
 
 
-def _csv(freqs, values):
-    """The text of a PSD curve file."""
-    pairs = np.column_stack((freqs, values)).ravel().tolist()
-    return f"{CSV_HEADER}\n" + "%.12g,%.12g\n" * (len(pairs) // 2) % tuple(pairs)
+def _csv_template(freqs):
+    """A PSD curve file on the grid ``freqs`` with a ``%.12g`` slot for each
+    value.  Curves on one grid share it, so each formats only its values."""
+    return f"{CSV_HEADER}\n" + "".join(
+        ["%.12g,%%.12g\n" % f for f in freqs.tolist()])
+
+
+def _csv(template, values):
+    """The text of a PSD curve file: ``values`` in ``_csv_template``'s slots."""
+    return template % tuple(values.tolist())
 
 
 def _psd_name(fam):
@@ -149,7 +155,8 @@ def cmd_psd(args):
     out = args.out or _psd_name(fam)
     sidecar = Path(out).with_suffix(".lines.json")
     _write(sidecar, {"lines": [{"f": f, "weight": w} for f, w in lines]})
-    _write(out, _csv(freqs, vals), args, {"sidecar": sidecar.name})
+    _write(out, _csv(_csv_template(freqs), vals), args,
+           {"sidecar": sidecar.name})
     print(f"wrote {out} ({args.points} points)")
     return 0
 
@@ -251,6 +258,7 @@ def cmd_reproduce(args):
 
     # spectra for the plotted presets
     freqs = spectrum.default_grid(args.points)
+    template = _csv_template(freqs)
     spectra = ([("ax", x, None) for x in range(1, 6)]
                + [("sx", x, None) for x in range(1, 6)]
                + [(kind, x, m) for kind in ("aloco", "loco")
@@ -258,7 +266,7 @@ def cmd_reproduce(args):
     for kind, x, m in spectra:
         fam = ConstraintFamily(kind, x, m)
         _write(outdir / _psd_name(fam),
-               _csv(freqs, presets.continuous_psd(fam, freqs)))
+               _csv(template, presets.continuous_psd(fam, freqs)))
 
     _write(outdir / "summary.json", summary, args)
     n_fail = len(summary["fail"])

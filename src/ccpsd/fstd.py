@@ -58,9 +58,10 @@ class Fstd:
 
     def check(self):
         """Structural invariants: per-vertex symbol consistency, edge
-        probabilities in (0, 1], stochasticity."""
+        probabilities in (0, 1], stochasticity of every state, sinks
+        included."""
         incoming = {}
-        outgoing = {}
+        outgoing = dict.fromkeys(range(len(self.states)), Fraction(0))
         for f, t, sym, p in self.edges:
             if not 0 < p <= 1:
                 raise ValueError(f"edge {f} -> {t} probability {p} "

@@ -53,14 +53,16 @@ def _geometric_half(rng, size, shift=0):
 
     numpy draws a geometric with p >= 1/3 by search: X is the least X >= 1
     with U <= 1 - 2^-X for one uniform U per draw, and at p = 1/2 each
-    partial sum 1 - 2^-X is exact.  With 1 - U = f 2^e, 1/2 <= f < 1, that
-    X is 1 - e, or 1 where U = 0 gives e = 1.
+    partial sum 1 - 2^-X is exact.  With 1 - U = g 2^(E - 1023), 1 <= g < 2
+    and E its biased IEEE exponent, that X is 1023 - E, or 1 where U = 0
+    gives E = 1023.  E is read from the bits of 1 - U in place.
     """
     u = rng.random(size)
     np.subtract(1.0, u, out=u)
-    e = np.frexp(u)[1]
-    np.minimum(e, 0, out=e)
-    return np.subtract(shift + 1, e, dtype=np.int64)
+    e = u.view(np.int64)
+    e >>= 52
+    np.subtract(1023 + shift, e, out=e)
+    return np.maximum(e, shift + 1, out=e)
 
 
 def _chunk(n_left, mean, draws_left):

@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 import ccpsd
 from brute_force import brute_force_codebook
-from ccpsd.cli import CSV_HEADER, _csv, main
+from ccpsd.cli import CSV_HEADER, _csv, _csv_template, main
 from ccpsd.codebook import ConstraintFamily
 
 # The directory that holds the imported package. The child runs in tmp_path,
@@ -31,20 +31,20 @@ def run(args, cwd):
 # Edge values of float64 formatting, drawn often beside arbitrary floats.
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 1e308, -1e308,
                float("nan"), float("inf"), -float("inf")]
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(width=64))
 
 
 @st.composite
 def curves(draw, shapes):
-    elements = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(width=64))
-    column = hnp.arrays(np.float64, draw(shapes), elements=elements)
+    column = hnp.arrays(np.float64, draw(shapes), elements=FLOATS)
     return draw(column), draw(column)
 
 
-def assert_csv_equals_per_row_format(freqs, values):
+def assert_csv_equals_per_row_format(freqs, values, template=None):
     # Line by line, then the line count: a failure shows one short line, as
     # pytest's diff of two long texts that differ on many lines takes minutes.
     want = [CSV_HEADER] + [f"{a:.12g},{b:.12g}" for a, b in zip(freqs, values)]
-    got = _csv(freqs, values).split("\n")
+    got = _csv(template or _csv_template(freqs), values).split("\n")
     for i, (g, w) in enumerate(zip(got, want + [""])):
         assert g == w, f"line {i}"
     assert len(got) == len(want) + 1
@@ -68,6 +68,24 @@ def test_csv_equals_per_row_format(curve):
 @given(curves(st.just(2048)))
 def test_csv_equals_per_row_format_at_2048_rows(curve):
     assert_csv_equals_per_row_format(*curve)
+
+
+@st.composite
+def grids_with_columns(draw):
+    """One grid and several value columns of its length."""
+    column = hnp.arrays(np.float64, draw(st.integers(1, 64)), elements=FLOATS)
+    return draw(column), draw(st.lists(column, min_size=2, max_size=5))
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(grids_with_columns())
+def test_one_template_serves_every_column_of_its_grid(grid):
+    freqs, columns = grid
+    template = _csv_template(freqs)
+    for values in columns:
+        assert_csv_equals_per_row_format(freqs, values, template)
 
 
 class TestPsdCommand:
@@ -128,6 +146,21 @@ class TestManifests:
         assert len(list(paper.iterdir())) == 33
         assert [p.name for p in paper.glob("*.manifest.json")] == [
             "summary.json.manifest.json"]
+
+
+def test_reproduce_paper_formats_its_grid_once(tmp_path, monkeypatch, capsys):
+    # the 28 curves share one grid, so its frequencies are formatted once
+    grids = []
+
+    def counted(freqs):
+        grids.append(len(freqs))
+        return _csv_template(freqs)
+
+    monkeypatch.setattr(ccpsd.cli, "_csv_template", counted)
+    assert main(["reproduce-paper", "--points", "16",
+                 "--outdir", str(tmp_path)]) == 0
+    assert grids == [16]
+    assert len(list(tmp_path.glob("psd_*.csv"))) == 28
 
 
 class TestOtherCommands:
@@ -356,6 +389,8 @@ def golden_commands(case):
                 for x in (1, 2) for m in (6, 10)
                 for signal in (("y", "x") if kind in ("aloco", "caloco")
                                else ("y",))]
+    if case == "reproduce_paper_2048":
+        return [["reproduce-paper", "--outdir", "paper"]]
     return [["reproduce-paper", "--points", "64", "--outdir", "paper"]]
 
 

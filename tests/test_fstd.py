@@ -238,6 +238,16 @@ class TestPathGeneratingFunctions:
         with pytest.raises(ValueError, match=r"outside \(0, 1\]"):
             _one_state_fstd(probabilities).check()
 
+    def test_check_refuses_sink_state(self):
+        # labeled a -> a with 1/2 and -> unlabeled sink u with 1/2
+        a = State("stationary", (1,), True, (0, 1))
+        u = State("stationary", (0,), False, (3, 0))
+        fstd = Fstd(family=ConstraintFamily("ax", 1), states=[a, u],
+                    edges=[(0, 0, 1, Fraction(1, 2)), (0, 1, 0, Fraction(1, 2))])
+        with pytest.raises(ValueError,
+                           match="state 1 outgoing probability 0 != 1"):
+            fstd.check()
+
     def test_ostm_refuses_row_not_summing_to_one(self):
         half = RationalFn.monomial(Fraction(1, 2), 1)
         ostd = Ostd(family=ConstraintFamily("ax", 1), state_keys=[(0, 1)],

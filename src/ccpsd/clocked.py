@@ -5,12 +5,15 @@ stream shows a transition at least once every k_eff = 2(m-1) + x symbols.
 That bound lets the label-to-label run-length distributions be found by
 propagating probability mass through the per-bit diagram for at most
 k_eff + 1 steps, with mass absorbed whenever it reaches a labeled state.
+The masses are exact: ints over L^step, with L the lcm of the transition
+probabilities' denominators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .codebook import CLOCKED_KINDS
 
@@ -49,47 +52,61 @@ def bfs_ostd(inputs):
     Returns {(src_label_idx, dst_label_idx): [(steps, probability), ...]}
     over labeled states in state order.  Raises if any probability mass
     survives past k_eff + 1 steps.
+
+    Each transition probability is an int weight over L, the lcm of their
+    denominators, so the mass after s steps is a vector of ints over L^s; a
+    ``Fraction`` is made only for each absorbed (source, target, step) run.
     """
     lab = [i for i, flag in enumerate(inputs.labeled) if flag]
     lab_pos = {i: k for k, i in enumerate(lab)}
-    # mass[i][j]: probability of being at state i, started from labeled j,
-    # having not revisited any labeled state yet
-    mass = [[Fraction(0)] * len(lab) for _ in range(inputs.n)]
-    for j, i in enumerate(lab):
-        mass[i][j] = Fraction(1)
+    scale = lcm(*(p.denominator for _, _, p in inputs.transitions))
+    out = {}  # Fstd.check() keeps every probability in (0, 1]
+    for f, t, p in inputs.transitions:
+        w = p.numerator * (scale // p.denominator)
+        out.setdefault(f, []).append((t, w))
+    # mass[i][j]: L^step times the probability of being at state i, started
+    # from labeled j, having not revisited any labeled state yet
+    mass = {i: {j: 1} for j, i in enumerate(lab)}
 
-    edges = {}
-    for step in range(1, inputs.k_eff + 2):
-        nxt = [[Fraction(0)] * len(lab) for _ in range(inputs.n)]
-        for f, t, p in inputs.transitions:
-            row = mass[f]
-            if any(row):
-                dst = nxt[t]
-                for j, v in enumerate(row):
-                    if v:
-                        dst[j] += p * v
+    runs = {}  # (src, dst) -> [(steps, int mass over L^steps)]
+    steps = inputs.k_eff + 1
+    power = [1]  # power[t] = L^t
+    for step in range(1, steps + 1):
+        power.append(power[-1] * scale)
+        nxt = {}
+        for f, row in mass.items():
+            for t, w in out.get(f, ()):
+                dst = nxt.setdefault(t, {})
+                for j, v in row.items():
+                    dst[j] = dst.get(j, 0) + w * v
         for i in lab:
-            for j, v in enumerate(nxt[i]):
-                if v:
-                    edges.setdefault((j, lab_pos[i]), []).append((step, v))
-            nxt[i] = [Fraction(0)] * len(lab)
+            row = nxt.pop(i, None)
+            if row:
+                for j in sorted(row):
+                    runs.setdefault((j, lab_pos[i]), []).append((step, row[j]))
         mass = nxt
 
-    leftover = sum(sum(row, Fraction(0)) for row in mass)
-    if leftover != 0:
+    leftover = sum(v for row in mass.values() for v in row.values())
+    if leftover:
         raise ValueError(
-            f"probability {leftover} not absorbed within k_eff+1 steps"
+            f"probability {Fraction(leftover, power[steps])} not absorbed "
+            "within k_eff+1 steps"
         )
-    _check_conservation(edges, len(lab))
-    return edges
+    _check_conservation(runs, len(lab), power)
+    return {key: [(t, Fraction(v, power[t])) for t, v in seq]
+            for key, seq in runs.items()}
 
 
-def _check_conservation(edges, n_labeled):
-    for j in range(n_labeled):
-        tot = sum(
-            (p for (src, _), runs in edges.items() if src == j for _, p in runs),
-            Fraction(0),
-        )
-        if tot != 1:
-            raise ValueError(f"source {j} total probability {tot} != 1")
-
+def _check_conservation(runs, n_labeled, power):
+    """Raise unless the runs from each source carry probability 1: one pass
+    sums each run's int mass over L^t as an int over L^steps, the last of
+    the powers ``power[t] = L^t``."""
+    full = power[-1]
+    steps = len(power) - 1
+    totals = [0] * n_labeled
+    for (src, _), seq in runs.items():
+        totals[src] += sum(v * power[steps - t] for t, v in seq)
+    for j, tot in enumerate(totals):
+        if tot != full:
+            raise ValueError(
+                f"source {j} total probability {Fraction(tot, full)} != 1")

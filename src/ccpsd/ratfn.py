@@ -31,9 +31,12 @@ Arithmetic runs on ints only:
 * At an exact point P/Q, values and derivatives are integer sums scaled by a
   power of Q, with one ``Fraction`` made at the end; at D = 1 they are the
   plain coefficient sums.
-* ``solve`` eliminates a system of ``Fraction`` entries over Python ints,
-  on each row's nonzero entries only; over ``RationalFn`` it updates only the
-  columns where the normalised pivot row is nonzero.
+* ``solve`` eliminates a system of int and ``Fraction`` entries over Python
+  ints, on each row's nonzero entries only: a row of ints goes to the kernel
+  as it is, a row with ``Fraction``s is scaled by the lcm of their
+  denominators first.  Over ``RationalFn`` it updates only the columns where
+  the normalised pivot row is nonzero.  A singular system raises
+  ``ValueError`` naming the column with no pivot.
 * ``HornerStack`` evaluates many rational functions at an array of points
   in one pass of Horner's rule, with the coefficients rounded to floats once.
 """
@@ -425,6 +428,17 @@ class RationalFn:
                  - _at(n, z, top) * _at(_derivative(d), z, top - 1))
         return Fraction(top_d * z.denominator, c * den * den)
 
+    def derivative_parts_at_one(self):
+        """(t, q) with R'(1) = t / q, unreduced: t = n'(1) d(1) - n(1) d'(1)
+        and q = c d(1)^2 > 0, from coefficient sums."""
+        n, d = self._n, self._d
+        d1 = sum(d)
+        if not d1:
+            raise ZeroDivisionError("evaluation at a pole")
+        t = (sum(i * v for i, v in enumerate(n)) * d1
+             - sum(n) * sum(i * v for i, v in enumerate(d)))
+        return t, self._c * d1 * d1
+
     def substitute_inverse(self):
         """Return R(1/D) as a rational function of D.
 
@@ -481,17 +495,19 @@ class RationalFn:
 def solve(a, b):
     """Solve a X = b exactly by Gauss-Jordan elimination.
 
-    ``a`` is n x n and ``b`` is n x r, both lists of rows over ``Fraction``
-    or ``RationalFn``; returns X as n rows.  The pivot of each column is its
-    first nonzero entry at or below the diagonal.  A system with no
-    ``RationalFn`` entry is eliminated over Python ints (``_solve_integer``).
+    ``a`` is n x n and ``b`` is n x r, both lists of rows over ints and
+    ``Fraction``, or over ``RationalFn``; returns X as n rows.  The pivot of
+    each column is its first nonzero entry at or below the diagonal, and a
+    column with none raises ``ValueError``.  A system with no ``RationalFn``
+    entry is eliminated over Python ints (``_solve_integer``), its X made of
+    ``Fraction``s; a caller holding integer rows passes them as they are.
     """
     n = len(a)
     m = [list(a[i]) + list(b[i]) for i in range(n)]
     if not any(isinstance(v, RationalFn) for row in m for v in row):
-        return _solve_integer(m, n)
+        return _solve_integer([_integer_row(row) for row in m], n, len(m[0]))
     for col in range(n):
-        piv = next(r for r in range(col, n) if m[r][col])
+        piv = _pivot(col, (r for r in range(col, n) if m[r][col]))
         m[col], m[piv] = m[piv], m[col]
         inv = 1 / m[col][col]
         pivot_row = m[col] = [inv * v if v else v for v in m[col]]
@@ -506,30 +522,44 @@ def solve(a, b):
     return [row[n:] for row in m]
 
 
+def _pivot(col, candidates):
+    """The first candidate pivot row of column ``col``."""
+    piv = next(candidates, None)
+    if piv is None:
+        raise ValueError(f"singular system: column {col} has no pivot")
+    return piv
+
+
+def _integer_row(row):
+    """A row of ints and Fractions as a sparse primitive {column: int} map,
+    scaled by the lcm of its denominators when it has any."""
+    row = {c: v for c, v in enumerate(row) if v}
+    if any(type(v) is not int for v in row.values()):
+        scale = lcm(*(v.denominator for v in row.values()))
+        row = {c: v.numerator * (scale // v.denominator)
+               for c, v in row.items()}
+    return _primitive(row)
+
+
 def _primitive(row):
     """A sparse integer row divided by the gcd of its entries."""
     g = gcd(*row.values())
     return row if g == 1 else {c: v // g for c, v in row.items()}
 
 
-def _solve_integer(m, n):
-    """Gauss-Jordan on the augmented rows ``m`` of Fractions, over ints.
+def _solve_integer(rows, n, width):
+    """Gauss-Jordan on the augmented sparse integer rows ``rows``.
 
-    Each row is scaled by the lcm of its denominators and kept as a sparse
-    {column: int} map.  Eliminating column ``col`` from row r, with pivot
-    value p and entry f of r (both divided by their gcd), sets r to
-    p r - f pivot, which touches only the nonzero entries of the two rows,
-    and divides it by the gcd of its entries.  The pivot rule is that of
-    ``solve``.  Row i ends with one nonzero d_i left of column n, at i, so
-    X_i is the rest of the row over d_i, read off as Fractions.
+    Each row is a {column: int} map of its nonzero entries.  Eliminating
+    column ``col`` from row r, with pivot value p and entry f of r (both
+    divided by their gcd), sets r to p r - f pivot, which touches only the
+    nonzero entries of the two rows, and divides it by the gcd of its
+    entries.  The pivot rule is that of ``solve``.  Row i ends with one
+    nonzero d_i left of column n, at i, so X_i is the rest of the row up to
+    ``width`` over d_i, read off as Fractions.
     """
-    rows = []
-    for row in m:
-        scale = lcm(*(v.denominator for v in row if v))
-        rows.append(_primitive({c: int(v * scale)
-                                for c, v in enumerate(row) if v}))
     for col in range(n):
-        piv = next(r for r in range(col, n) if col in rows[r])
+        piv = _pivot(col, (r for r in range(col, n) if col in rows[r]))
         rows[col], rows[piv] = rows[piv], rows[col]
         pivot = rows[col]
         p = pivot[col]
@@ -547,7 +577,6 @@ def _solve_integer(m, n):
                 else:
                     del row[c]
             rows[r] = _primitive(row)
-    width = len(m[0])
     return [[Fraction(rows[i].get(c, 0), rows[i][i]) for c in range(n, width)]
             for i in range(n)]
 

@@ -8,6 +8,12 @@ Closed-form constructions are provided for every supported family, alongside
 ``ostm_from_ostd`` which converts any reduced diagram.  ``alternate_ax`` and
 ``alternate_sx`` are the compact two-state/one-state forms obtained by
 tracking runs between transitions instead of between ones.
+
+The exact statistics stay on ints until each result is made: pi is one
+``solve`` on integer rows, each a column of G(1) less the identity scaled by
+the lcm of its denominators; each row sum of G'(1) is one int over the lcm
+of its entries' denominators, from coefficient sums; and a row of G(1) sums
+to 1 when its numerators, scaled to the lcm L of its denominators, sum to L.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 import numpy as np
 
@@ -45,7 +52,8 @@ class TransferMatrix:
 
     def derivative_at_one(self):
         """Exact G'(1) as nested Fractions, from coefficient sums."""
-        return [[e.derivative_at(1) if e else Fraction(0) for e in row]
+        return [[Fraction(*e.derivative_parts_at_one()) if e else Fraction(0)
+                 for e in row]
                 for row in self.entries]
 
     def at_one(self):
@@ -59,14 +67,23 @@ class TransferMatrix:
 
     @cached_property
     def stationary(self):
-        """Exact pi with pi G(1) = pi and sum(pi) = 1, as a tuple."""
+        """Exact pi with pi G(1) = pi and sum(pi) = 1, as a tuple.
+
+        (G(1)^T - I) pi = 0, with the normalisation in place of the last
+        equation, goes to ``solve`` as integer rows: row i is column i of
+        G(1) less e_i, scaled by the lcm of that column's denominators.
+        """
         g1 = self._g1
         n = self.n
-        # (G(1)^T - I) pi = 0 with normalization replacing the last equation
-        a = [[g1[j][i] - (1 if i == j else 0) for j in range(n)]
-             for i in range(n)]
-        a[n - 1] = [Fraction(1)] * n
-        b = [[Fraction(0)]] * (n - 1) + [[Fraction(1)]]
+        a = []
+        for i in range(n - 1):
+            col = [row[i] for row in g1]
+            scale = lcm(*(v.denominator for v in col))
+            eq = [v.numerator * (scale // v.denominator) for v in col]
+            eq[i] -= scale
+            a.append(eq)
+        a.append([1] * n)
+        b = [[0]] * (n - 1) + [[1]]
         pi = tuple(row[0] for row in solve(a, b))
         if any(p < 0 for p in pi):
             raise ValueError("stationary distribution has negative entries")
@@ -74,9 +91,17 @@ class TransferMatrix:
 
     @cached_property
     def prob_one(self):
-        """Exact density of labeled symbols: 1 / (pi G'(1) 1)."""
-        dg = self.derivative_at_one()
-        mean = sum(p * sum(row) for p, row in zip(self.stationary, dg))
+        """Exact density of labeled symbols: 1 / (pi G'(1) 1).
+
+        Each row sum of G'(1) is one int over the lcm of the unreduced
+        denominators c d(1)^2 of its entries' slopes at 1.
+        """
+        mean = Fraction(0)
+        for p, row in zip(self.stationary, self.entries):
+            parts = [e.derivative_parts_at_one() for e in row if e]
+            scale = lcm(*(q for _, q in parts))
+            row_sum = sum(t * (scale // q) for t, q in parts)
+            mean += p * Fraction(row_sum, scale)
         return 1 / mean
 
     @cached_property
@@ -95,8 +120,12 @@ class TransferMatrix:
                 np.array(which))
 
     def check_stochastic(self):
+        """True if every row of G(1) sums to 1, compared over the lcm L of
+        the row's denominators as sum num (L / den) == L."""
         for i, row in enumerate(self._g1):
-            if sum(row) != 1:
+            scale = lcm(*(v.denominator for v in row))
+            total = sum(v.numerator * (scale // v.denominator) for v in row)
+            if total != scale:
                 raise ValueError(f"row {i} of G(1) sums to {sum(row)} != 1")
         return True
 

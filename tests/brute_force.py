@@ -7,6 +7,7 @@ import numpy as np
 
 from ccpsd.codebook import CLOCKED_KINDS, Codebook, automaton, forbidden_patterns
 from ccpsd.cyclo import AutocorrSeries
+from ccpsd.ratfn import solve
 
 
 def contains_forbidden(bits, patterns):
@@ -182,6 +183,81 @@ def brute_force_ostd(fstd, k_bound, truncate=False):
     }
 
 
+def fraction_bfs(inputs):
+    """Reference for ``clocked.bfs_ostd``: the same bounded BFS with every
+    mass a ``Fraction``, and conservation checked by rescanning every edge
+    for each source."""
+    lab = [i for i, flag in enumerate(inputs.labeled) if flag]
+    lab_pos = {i: k for k, i in enumerate(lab)}
+    mass = [[Fraction(0)] * len(lab) for _ in range(inputs.n)]
+    for j, i in enumerate(lab):
+        mass[i][j] = Fraction(1)
+
+    edges = {}
+    for step in range(1, inputs.k_eff + 2):
+        nxt = [[Fraction(0)] * len(lab) for _ in range(inputs.n)]
+        for f, t, p in inputs.transitions:
+            row = mass[f]
+            if any(row):
+                dst = nxt[t]
+                for j, v in enumerate(row):
+                    if v:
+                        dst[j] += p * v
+        for i in lab:
+            for j, v in enumerate(nxt[i]):
+                if v:
+                    edges.setdefault((j, lab_pos[i]), []).append((step, v))
+            nxt[i] = [Fraction(0)] * len(lab)
+        mass = nxt
+
+    leftover = sum(sum(row, Fraction(0)) for row in mass)
+    if leftover != 0:
+        raise ValueError(
+            f"probability {leftover} not absorbed within k_eff+1 steps"
+        )
+    for j in range(len(lab)):
+        tot = sum(
+            (p for (src, _), runs in edges.items() if src == j for _, p in runs),
+            Fraction(0),
+        )
+        if tot != 1:
+            raise ValueError(f"source {j} total probability {tot} != 1")
+    return edges
+
+
+def fraction_stationary(tm):
+    """Reference for ``TransferMatrix.stationary``: (G(1)^T - I) pi = 0 with
+    the normalisation replacing the last equation, solved on Fraction rows."""
+    g1 = tm.at_one()
+    n = tm.n
+    a = [[g1[j][i] - (1 if i == j else 0) for j in range(n)]
+         for i in range(n)]
+    a[n - 1] = [Fraction(1)] * n
+    b = [[Fraction(0)]] * (n - 1) + [[Fraction(1)]]
+    pi = tuple(row[0] for row in solve(a, b))
+    if any(p < 0 for p in pi):
+        raise ValueError("stationary distribution has negative entries")
+    return pi
+
+
+def fraction_prob_one(tm):
+    """Reference for ``TransferMatrix.prob_one``: 1 / (pi G'(1) 1) with
+    G'(1) entry by entry from ``RationalFn.derivative_at``."""
+    dg = [[e.derivative_at(1) if e else Fraction(0) for e in row]
+          for row in tm.entries]
+    mean = sum(p * sum(row) for p, row in zip(fraction_stationary(tm), dg))
+    return 1 / mean
+
+
+def fraction_check_stochastic(tm):
+    """Reference for ``TransferMatrix.check_stochastic``: each row of G(1)
+    summed as Fractions."""
+    for i, row in enumerate(tm.at_one()):
+        if sum(row) != 1:
+            raise ValueError(f"row {i} of G(1) sums to {sum(row)} != 1")
+    return True
+
+
 def check_nonnegative_series(tm, count=40):
     """Raise unless the first ``count`` power-series coefficients (run-length
     probabilities) of every entry of ``tm`` are >= 0."""
@@ -271,12 +347,15 @@ def horner(p, z):
 
 def dense_gauss_jordan(a, b):
     """a X = b by Gauss-Jordan over every column of every row, pivoting on
-    the first nonzero entry at or below the diagonal."""
+    the first nonzero entry at or below the diagonal; a column with none
+    raises ValueError."""
     n = len(a)
     m = [list(a[i]) + list(b[i]) for i in range(n)]
     width = len(m[0])
     for col in range(n):
-        piv = next(r for r in range(col, n) if m[r][col] != 0)
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            raise ValueError(f"singular system: column {col} has no pivot")
         m[col], m[piv] = m[piv], m[col]
         inv = 1 / m[col][col]
         m[col] = [inv * v for v in m[col]]
@@ -306,7 +385,9 @@ def dense_bareiss(a, b):
     width = len(rows[0])
     prev = 1
     for k in range(n):
-        piv = next(r for r in range(k, n) if rows[r][k] != 0)
+        piv = next((r for r in range(k, n) if rows[r][k] != 0), None)
+        if piv is None:
+            raise ValueError(f"singular system: column {k} has no pivot")
         rows[k], rows[piv] = rows[piv], rows[k]
         pivot = rows[k]
         p = pivot[k]

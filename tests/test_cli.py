@@ -389,6 +389,11 @@ def golden_commands(case):
                 for x in (1, 2) for m in (6, 10)
                 for signal in (("y", "x") if kind in ("aloco", "caloco")
                                else ("y",))]
+    if case == "clocked_bfs":
+        return [["clocked-ostd", "--family", kind, "--x", str(x),
+                 "--m", str(m), "--out", f"{kind}_x{x}_m{m}.json"]
+                for kind in ("caloco", "cloco") for x in (1, 2)
+                for m in (4, 8, 12)]
     if case == "reproduce_paper_2048":
         return [["reproduce-paper", "--outdir", "paper"]]
     return [["reproduce-paper", "--points", "64", "--outdir", "paper"]]

@@ -1,9 +1,11 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from brute_force import brute_force_ostd
+from brute_force import brute_force_ostd, fraction_bfs
 from ccpsd.clocked import (
+    ClockedInputs,
     bfs_ostd,
     clocked_inputs_from_fstd,
     effective_run_bound,
@@ -51,3 +53,41 @@ class TestSearchOstd:
         f = build_grid_fstd(enumerate_codebook(ConstraintFamily("aloco", 1, 3)))
         with pytest.raises(ValueError):
             clocked_inputs_from_fstd(f)
+
+
+class TestIntegerMasses:
+    """The BFS over int masses equals the Fraction-mass reference."""
+
+    @pytest.mark.parametrize("kind", ["caloco", "cloco"])
+    @pytest.mark.parametrize("x", [1, 2])
+    def test_equals_fraction_reference(self, kind, x):
+        for m in range(2, 11):
+            inputs = clocked_inputs_from_fstd(fstd_for(kind, x, m))
+            got, want = bfs_ostd(inputs), fraction_bfs(inputs)
+            assert got == want, m
+            assert list(got) == list(want), m  # the same key order
+            assert all(type(p) is Fraction for runs in got.values()
+                       for _, p in runs)
+
+    # caloco x=2 m=6 holds mass for all of its k_eff + 1 = 13 steps
+    @pytest.mark.parametrize("kind,k_eff", [("caloco", 11), ("cloco", 4)])
+    def test_short_bound_is_not_absorbed(self, kind, k_eff):
+        inputs = clocked_inputs_from_fstd(fstd_for(kind, 2, 6))
+        short = dataclasses.replace(inputs, k_eff=k_eff)
+        with pytest.raises(ValueError) as want:
+            fraction_bfs(short)
+        with pytest.raises(ValueError, match="not absorbed") as got:
+            bfs_ostd(short)
+        assert str(got.value) == str(want.value)
+
+    def test_lost_mass_fails_conservation(self):
+        # half the mass leaves each state by no edge: 1/4 returns to state 0
+        inputs = ClockedInputs(
+            n=2, transitions=[(0, 1, Fraction(1, 2)), (1, 0, Fraction(1, 2))],
+            labeled=[True, False], k_eff=2)
+        with pytest.raises(ValueError) as want:
+            fraction_bfs(inputs)
+        with pytest.raises(ValueError, match="source 0 total probability "
+                                             "1/4 != 1") as got:
+            bfs_ostd(inputs)
+        assert str(got.value) == str(want.value)

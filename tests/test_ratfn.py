@@ -338,7 +338,9 @@ class TestSolve:
         a, b = system
         try:
             want = dense_gauss_jordan(a, b)
-        except StopIteration:  # singular
+        except ValueError:  # singular
+            with pytest.raises(ValueError, match="has no pivot"):
+                solve(a, b)
             return
         assert solve(a, b) == want
 
@@ -348,7 +350,9 @@ class TestSolve:
         a, b = system
         try:
             want = dense_gauss_jordan(a, b)
-        except StopIteration:  # singular
+        except ValueError:  # singular
+            with pytest.raises(ValueError, match="has no pivot"):
+                solve(a, b)
             return
         got = solve(a, b)
         assert [[(v.num, v.den) for v in row] for row in got] == \
@@ -363,8 +367,8 @@ class TestSolve:
         try:
             want = dense_gauss_jordan([[Fraction(v) for v in row] for row in a],
                                       [[Fraction(v) for v in row] for row in b])
-        except StopIteration:  # singular
-            with pytest.raises(StopIteration):
+        except ValueError:  # singular
+            with pytest.raises(ValueError, match="has no pivot"):
                 solve(a, b)
             return
         got = solve(a, b)
@@ -379,6 +383,15 @@ class TestSolve:
              [frac(0), frac(3), frac(1)]]
         b = [[frac(1)], [frac(0)], [frac(5)]]
         assert solve(a, b) == dense_gauss_jordan(a, b)
+
+    @pytest.mark.parametrize("a", [
+        [[1, 2], [2, 4]],
+        [[frac(1, 3), frac(2, 3)], [frac(1), frac(2)]],
+        [[D, 2 * D], [ONE, 2 * ONE]],
+    ], ids=["ints", "fractions", "rational_functions"])
+    def test_singular_system_names_its_column(self, a):
+        with pytest.raises(ValueError, match="column 1 has no pivot"):
+            solve(a, [[frac(1)], [frac(0)]])
 
 
 def _condition(p, z):

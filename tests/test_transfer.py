@@ -2,12 +2,21 @@ from fractions import Fraction
 
 import pytest
 
-from brute_force import check_nonnegative_series, euclid_canonical, horner
+from brute_force import (
+    check_nonnegative_series,
+    euclid_canonical,
+    fraction_check_stochastic,
+    fraction_prob_one,
+    fraction_stationary,
+    horner,
+)
 from ccpsd import presets, transfer
-from ccpsd.codebook import ConstraintFamily, enumerate_codebook
+from ccpsd.clocked import bfs_ostd, clocked_inputs_from_fstd
+from ccpsd.codebook import CLOCKED_KINDS, ConstraintFamily, enumerate_codebook
 from ccpsd.fstd import build_grid_fstd, build_infinite_fstd, reduce_to_ostd
 from ccpsd.ratfn import RationalFn, D, ZERO
 from ccpsd.transfer import (
+    TransferMatrix,
     closed_form_aloco,
     closed_form_ax,
     closed_form_loco_A,
@@ -171,3 +180,94 @@ class TestIid:
         assert tm.n == 1
         assert tm.entries[0][0] == RationalFn([F(0), F(1)], [F(2), F(-1)])
         tm.check_stochastic()
+
+
+def _bfs_matrix(fam):
+    """Transfer matrix of the clocked BFS run-length distributions."""
+    inputs = clocked_inputs_from_fstd(build_grid_fstd(enumerate_codebook(fam)))
+    n = sum(inputs.labeled)
+    entries = [[ZERO] * n for _ in range(n)]
+    for (a, b), runs in bfs_ostd(inputs).items():
+        for steps, p in runs:
+            entries[a][b] = entries[a][b] + RationalFn.monomial(p, steps)
+    return TransferMatrix(fam, entries, list(range(n)), origin="bfs")
+
+
+def _closed_to_m12():
+    for x in (1, 2):
+        for m in range(x + 2, 13):
+            yield closed_form_aloco(m, x)
+            yield closed_form_loco_A(m, x)
+
+
+def _grid_to_m8():
+    for x in (1, 2):
+        for m in range(2, 9):
+            for kind in ("aloco", "loco", "caloco", "cloco"):
+                yield presets.transfer_matrix_for(ConstraintFamily(kind, x, m),
+                                                  "grid")
+
+
+def _bfs_to_m8():
+    for x in (1, 2):
+        for m in range(2, 9):
+            for kind in sorted(CLOCKED_KINDS):
+                yield _bfs_matrix(ConstraintFamily(kind, x, m))
+
+
+def _streams_and_iid():
+    yield from _stream_matrices()
+    yield iid_matrix()
+
+
+class TestExactStatistics:
+    """pi, p1 and the stochastic check over integer rows equal the
+    Fraction-entry references, value for value."""
+
+    @pytest.mark.parametrize("matrices", [_closed_to_m12, _grid_to_m8,
+                                          _bfs_to_m8, _streams_and_iid],
+                             ids=["closed_x2_m12", "grid_x2_m8", "bfs_x2_m8",
+                                  "streams_x6_iid"])
+    def test_equal_fraction_references(self, matrices):
+        count = 0
+        for tm in matrices():
+            pi = tm.stationary
+            assert pi == fraction_stationary(tm)
+            assert all(type(p) is F for p in pi)
+            assert tm.prob_one == fraction_prob_one(tm)
+            assert type(tm.prob_one) is F
+            assert tm.check_stochastic() is fraction_check_stochastic(tm)
+            count += 1
+        assert count > 0
+
+    @pytest.mark.parametrize("entries", [
+        [[mono(F(1, 2), 1), mono(F(1, 3), 2)], [D, ZERO]],
+        [[D, ZERO], [mono(F(1, 2), 1), mono(F(2, 3), 1)]],
+        [[RationalFn([F(0), F(1)], [F(3), F(-1)])]],
+    ], ids=["short_row_0", "long_row_1", "one_state"])
+    def test_non_stochastic_message(self, entries):
+        tm = TransferMatrix(ConstraintFamily("iid", 0), entries,
+                            list(range(len(entries))))
+        with pytest.raises(ValueError) as want:
+            fraction_check_stochastic(tm)
+        with pytest.raises(ValueError, match="of G\\(1\\) sums to") as got:
+            tm.check_stochastic()
+        assert str(got.value) == str(want.value)
+
+    def test_reducible_matrix_names_column(self):
+        # two absorbing states: every pi on the line pi_0 + pi_1 = 1 is
+        # stationary, so the system has no pivot in its last column
+        tm = TransferMatrix(ConstraintFamily("iid", 0), [[D, ZERO], [ZERO, D]],
+                            ["a", "b"])
+        tm.check_stochastic()
+        with pytest.raises(ValueError, match="column 1 has no pivot"):
+            tm.stationary
+
+    def test_prob_one_without_derivative_at(self, monkeypatch):
+        want = fraction_prob_one(closed_form_aloco(8, 2))
+
+        def refuse(self, z):
+            raise AssertionError("derivative_at called")
+
+        monkeypatch.setattr(RationalFn, "derivative_at", refuse)
+        assert closed_form_aloco(8, 2).prob_one == want

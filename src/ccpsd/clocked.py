@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .codebook import CLOCKED_KINDS
+from .ratfn import over_lcm
 
 
 def effective_run_bound(m, x):
@@ -59,10 +59,10 @@ def bfs_ostd(inputs):
     """
     lab = [i for i, flag in enumerate(inputs.labeled) if flag]
     lab_pos = {i: k for k, i in enumerate(lab)}
-    scale = lcm(*(p.denominator for _, _, p in inputs.transitions))
+    weights, scale = over_lcm((p.numerator, p.denominator)
+                              for _, _, p in inputs.transitions)
     out = {}  # Fstd.check() keeps every probability in (0, 1]
-    for f, t, p in inputs.transitions:
-        w = p.numerator * (scale // p.denominator)
+    for (f, t, _), w in zip(inputs.transitions, weights):
         out.setdefault(f, []).append((t, w))
     # mass[i][j]: L^step times the probability of being at state i, started
     # from labeled j, having not revisited any labeled state yet

@@ -34,7 +34,8 @@ Arithmetic runs on ints only:
 * ``solve`` eliminates a system of int and ``Fraction`` entries over Python
   ints, on each row's nonzero entries only: a row of ints goes to the kernel
   as it is, a row with ``Fraction``s is scaled by the lcm of their
-  denominators first.  Over ``RationalFn`` it updates only the columns where
+  denominators first (``over_lcm``, also used by ``transfer`` and
+  ``clocked``).  Over ``RationalFn`` it updates only the columns where
   the normalised pivot row is nonzero.  A singular system raises
   ``ValueError`` naming the column with no pivot.
 * ``HornerStack`` evaluates many rational functions at an array of points
@@ -417,6 +418,12 @@ class RationalFn:
     def derivative_at(self, z):
         """R'(z) at an exact point (int or Fraction) by the quotient rule,
         without forming R' as a function."""
+        return Fraction(*self.derivative_parts(z))
+
+    def derivative_parts(self, z):
+        """(t, q) with R'(z) = t / q unreduced and q > 0, at an exact point
+        (int or Fraction); at z = 1, t = n'(1) d(1) - n(1) d'(1) and
+        q = c d(1)^2 from coefficient sums."""
         n, c, d = self._n, self._c, self._d
         # with every value scaled by Q^top and every slope by Q^(top-1),
         # (n' d - n d') / (c d^2) gains one factor Q over the scale
@@ -426,18 +433,7 @@ class RationalFn:
             raise ZeroDivisionError("evaluation at a pole")
         top_d = (_at(_derivative(n), z, top - 1) * den
                  - _at(n, z, top) * _at(_derivative(d), z, top - 1))
-        return Fraction(top_d * z.denominator, c * den * den)
-
-    def derivative_parts_at_one(self):
-        """(t, q) with R'(1) = t / q, unreduced: t = n'(1) d(1) - n(1) d'(1)
-        and q = c d(1)^2 > 0, from coefficient sums."""
-        n, d = self._n, self._d
-        d1 = sum(d)
-        if not d1:
-            raise ZeroDivisionError("evaluation at a pole")
-        t = (sum(i * v for i, v in enumerate(n)) * d1
-             - sum(n) * sum(i * v for i, v in enumerate(d)))
-        return t, self._c * d1 * d1
+        return top_d * z.denominator, c * den * den
 
     def substitute_inverse(self):
         """Return R(1/D) as a rational function of D.
@@ -530,14 +526,21 @@ def _pivot(col, candidates):
     return piv
 
 
+def over_lcm(pairs):
+    """(nums, L) for the fractions num / den in ``pairs``: L is the lcm of
+    the denominators and nums[k] = num_k (L / den_k), so each is nums[k] / L."""
+    pairs = list(pairs)
+    scale = lcm(*(d for _, d in pairs))
+    return [v * (scale // d) for v, d in pairs], scale
+
+
 def _integer_row(row):
     """A row of ints and Fractions as a sparse primitive {column: int} map,
     scaled by the lcm of its denominators when it has any."""
     row = {c: v for c, v in enumerate(row) if v}
     if any(type(v) is not int for v in row.values()):
-        scale = lcm(*(v.denominator for v in row.values()))
-        row = {c: v.numerator * (scale // v.denominator)
-               for c, v in row.items()}
+        nums, _ = over_lcm((v.numerator, v.denominator) for v in row.values())
+        row = dict(zip(row, nums))
     return _primitive(row)
 
 

@@ -10,10 +10,11 @@ Closed-form constructions are provided for every supported family, alongside
 tracking runs between transitions instead of between ones.
 
 The exact statistics stay on ints until each result is made: pi is one
-``solve`` on integer rows, each a column of G(1) less the identity scaled by
-the lcm of its denominators; each row sum of G'(1) is one int over the lcm
-of its entries' denominators, from coefficient sums; and a row of G(1) sums
-to 1 when its numerators, scaled to the lcm L of its denominators, sum to L.
+``solve``, which scales each equation (a column of G(1) less the identity)
+to ints by the lcm of its denominators; each row sum of G'(1) is one int
+over the lcm of its entries' denominators, from coefficient sums; and a row
+of G(1) sums to 1 when its numerators, scaled to the lcm L of its
+denominators, sum to L.
 """
 
 from __future__ import annotations
@@ -21,12 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
 import numpy as np
 
 from .codebook import ConstraintFamily, alpha, group_cardinalities, lam, zeta
-from .ratfn import HornerStack, RationalFn, ZERO, solve
+from .ratfn import HornerStack, RationalFn, ZERO, over_lcm, solve
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,7 @@ class TransferMatrix:
 
     def derivative_at_one(self):
         """Exact G'(1) as nested Fractions, from coefficient sums."""
-        return [[Fraction(*e.derivative_parts_at_one()) if e else Fraction(0)
-                 for e in row]
+        return [[e.derivative_at(1) if e else Fraction(0) for e in row]
                 for row in self.entries]
 
     def at_one(self):
@@ -70,18 +69,16 @@ class TransferMatrix:
         """Exact pi with pi G(1) = pi and sum(pi) = 1, as a tuple.
 
         (G(1)^T - I) pi = 0, with the normalisation in place of the last
-        equation, goes to ``solve`` as integer rows: row i is column i of
-        G(1) less e_i, scaled by the lcm of that column's denominators.
+        equation, goes to ``solve``: row i is column i of G(1) less e_i,
+        which ``solve`` scales to ints by the lcm of its denominators.
         """
         g1 = self._g1
         n = self.n
         a = []
         for i in range(n - 1):
             col = [row[i] for row in g1]
-            scale = lcm(*(v.denominator for v in col))
-            eq = [v.numerator * (scale // v.denominator) for v in col]
-            eq[i] -= scale
-            a.append(eq)
+            col[i] -= 1
+            a.append(col)
         a.append([1] * n)
         b = [[0]] * (n - 1) + [[1]]
         pi = tuple(row[0] for row in solve(a, b))
@@ -98,10 +95,8 @@ class TransferMatrix:
         """
         mean = Fraction(0)
         for p, row in zip(self.stationary, self.entries):
-            parts = [e.derivative_parts_at_one() for e in row if e]
-            scale = lcm(*(q for _, q in parts))
-            row_sum = sum(t * (scale // q) for t, q in parts)
-            mean += p * Fraction(row_sum, scale)
+            nums, scale = over_lcm(e.derivative_parts(1) for e in row if e)
+            mean += p * Fraction(sum(nums), scale)
         return 1 / mean
 
     @cached_property
@@ -123,9 +118,8 @@ class TransferMatrix:
         """True if every row of G(1) sums to 1, compared over the lcm L of
         the row's denominators as sum num (L / den) == L."""
         for i, row in enumerate(self._g1):
-            scale = lcm(*(v.denominator for v in row))
-            total = sum(v.numerator * (scale // v.denominator) for v in row)
-            if total != scale:
+            nums, scale = over_lcm((v.numerator, v.denominator) for v in row)
+            if sum(nums) != scale:
                 raise ValueError(f"row {i} of G(1) sums to {sum(row)} != 1")
         return True
 

@@ -1,6 +1,6 @@
 import operator
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -12,7 +12,8 @@ relaxed = settings(deadline=None, max_examples=50,
                    suppress_health_check=[HealthCheck.too_slow])
 
 from ccpsd.ratfn import (
-    D, ONE, ZERO, HornerStack, RationalFn, _divide_exact, _gcd, _mul, solve,
+    D, ONE, ZERO, HornerStack, RationalFn, _divide_exact, _gcd, _mul,
+    over_lcm, solve,
 )
 
 from brute_force import (
@@ -278,6 +279,18 @@ class TestPolynomialHelpers:
     def test_gcd_monic(self):
         assert _gcd((0, 2), (0, 0, 4)) == (0, 1)
         assert _gcd((-6, 0, 6), (3, 3)) == (1, 1)
+
+    @given(st.lists(st.fractions(min_value=-4, max_value=4,
+                                 max_denominator=12), max_size=6))
+    def test_over_lcm_keeps_each_value(self, values):
+        nums, scale = over_lcm((v.numerator, v.denominator) for v in values)
+        assert scale == lcm(*(v.denominator for v in values))
+        assert all(type(v) is int for v in nums)
+        assert [Fraction(v, scale) for v in nums] == values
+
+    def test_over_lcm_of_unreduced_parts(self):
+        # 2/4 and 3/6 stay over lcm(4, 6) = 12 without being reduced first
+        assert over_lcm([(2, 4), (3, 6), (-1, 1)]) == ([6, 6, -12], 12)
 
     @relaxed
     @given(int_polys, int_polys, int_polys)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -228,37 +228,29 @@ def enumerate_codebook(family):
 
 
 class Codebook:
-    """The words of length family.m: N is counted, and the words, bit
-    tuples in ascending lexicographic order, are listed on first read
-    unless given.  ``whole_family`` is False for a codebook of given
-    words, which may be any subset of the family's."""
+    """The whole codebook of a finite family: N is counted, and the words,
+    bit tuples in ascending lexicographic order, are listed on first read."""
 
-    def __init__(self, family, words=None):
+    def __init__(self, family):
         self.family = family
-        self._words = words
-        self.whole_family = words is None
 
     @property
     def N(self):
-        if self._words is not None:
-            return len(self._words)
         return group_cardinalities(self.family, self.family.m)[0]
 
-    @property
+    @cached_property
     def words(self):
-        if self._words is None:
-            fam, n_words = self.family, self.N
-            if n_words > ENUMERATION_LIMIT:
-                raise ValueError(
-                    f"{fam.kind} x={fam.x} m={fam.m} has {n_words} words, more"
-                    f" than the enumeration limit of {ENUMERATION_LIMIT}")
-            words = automaton(fam).walk(fam.m)
-            if fam.kind in CLOCKED_KINDS:
-                # the all-zero and all-one words are always pattern-free,
-                # and are the first and last in lexicographic order
-                words = words[1:-1]
-            self._words = words
-        return self._words
+        fam, n_words = self.family, self.N
+        if n_words > ENUMERATION_LIMIT:
+            raise ValueError(
+                f"{fam.kind} x={fam.x} m={fam.m} has {n_words} words, more"
+                f" than the enumeration limit of {ENUMERATION_LIMIT}")
+        words = automaton(fam).walk(fam.m)
+        if fam.kind in CLOCKED_KINDS:
+            # the all-zero and all-one words are always pattern-free, and
+            # are the first and last in lexicographic order
+            return words[1:-1]
+        return words
 
     @property
     def N1(self):

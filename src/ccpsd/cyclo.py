@@ -28,7 +28,7 @@ class AutocorrSeries:
         self.aperiodic = [t - p for t, p in zip(self.total, self.periodic)]
 
 
-def _levels(family, signal):
+def signal_levels(family, signal):
     """(scale, offset, f): a word bit b is sent as scale * b + offset, and
     the bridge value table f gives a bridge's value as f[a][c], from the
     last bit a of the left word and the first bit c of the right word.
@@ -50,17 +50,13 @@ def exact_autocorr(codebook, signal="y"):
     The aperiodic part vanishes beyond m + 2x - 1, and k = 0..kmax spans at
     least two full periods.  Only the codebook's family is read: every
     statistic comes from N and the counts G of words with two given bits
-    set (``codebook.word_moments``), so no word is listed, and a codebook
-    of given words is refused.
+    set (``codebook.word_moments``), so no word is listed.
     """
-    if not codebook.whole_family:
-        raise ValueError("exact_autocorr counts a whole family's codebook,"
-                         " not given words")
     fam = codebook.family
     m, x = fam.m, fam.x
     period = m + x
     kmax = (m + 2 * x - 1) + period
-    scale, offset, f = _levels(fam, signal)
+    scale, offset, f = signal_levels(fam, signal)
     n, g = word_moments(fam)
     n2, n3 = n * n, n * n * n
 
@@ -154,17 +150,22 @@ def discrete_lines(series, with_pulse=True):
     return lines
 
 
-def continuous_psd_from_aperiodic(series, freqs, with_pulse=True):
-    """Finite cosine sum over the aperiodic autocorrelation."""
-    freqs = np.asarray(freqs, dtype=float)
-    ra = [float(v) for v in series.aperiodic]
-    out = np.full(len(freqs), ra[0])
-    for k in range(1, len(ra)):
-        if ra[k] != 0.0:
-            out += 2.0 * ra[k] * np.cos(2 * np.pi * freqs * k)
+def cosine_series(r, freqs, with_pulse):
+    """r[0] + 2 sum_k r[k] cos(2 pi f k) at each f, over the nonzero lags
+    k >= 1 in order, times sinc(f)^2 when ``with_pulse``."""
+    out = np.full(len(freqs), r[0])
+    for k in range(1, len(r)):
+        if r[k] != 0.0:
+            out += 2.0 * r[k] * np.cos(2 * np.pi * freqs * k)
     if with_pulse:
         out *= np.sinc(freqs) ** 2
     return out
+
+
+def continuous_psd_from_aperiodic(series, freqs, with_pulse=True):
+    """Finite cosine sum over the aperiodic autocorrelation."""
+    return cosine_series([float(v) for v in series.aperiodic],
+                         np.asarray(freqs, dtype=float), with_pulse)
 
 
 def bandwidth_3db(psd_fn, points=4096):

@@ -268,28 +268,20 @@ def merge_equivalent_states(fstd):
             break
         block, count = newblock, len(seen)
 
-    # build quotient
+    # Each block is represented by its first state in the canonical order,
+    # and the blocks are numbered in the order of their representatives.
     reps = {}
-    for i in range(n):
-        b = block[i]
-        if b not in reps or (fstd.states[i].sort_key
-                             < fstd.states[reps[b]].sort_key):
-            reps[b] = i
-    blocks = sorted(reps, key=lambda b: fstd.states[reps[b]].sort_key)
-    remap = {b: k for k, b in enumerate(blocks)}
-
-    states = [fstd.states[reps[b]] for b in blocks]  # State is frozen
-
-    new_edges = {}
-    for b in blocks:
-        r = reps[b]
+    for i in sorted(range(n), key=lambda i: fstd.states[i].sort_key):
+        reps.setdefault(block[i], i)
+    rank = {b: k for k, b in enumerate(reps)}
+    edges = []
+    for k, r in enumerate(reps.values()):
         agg = {}
         for t, sym, p in out[r]:
-            key = (remap[block[t]], sym)
+            key = (rank[block[t]], sym)
             agg[key] = agg.get(key, Fraction(0)) + p
-        for (t, sym), p in agg.items():
-            new_edges[(remap[b], t, sym)] = p
-    edges = [(f, t, sym, p) for (f, t, sym), p in new_edges.items()]
+        edges += [(k, t, sym, p) for (t, sym), p in agg.items()]
+    states = [fstd.states[r] for r in reps.values()]  # State is frozen
     return Fstd(family=fstd.family, states=states, edges=edges)
 
 

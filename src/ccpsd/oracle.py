@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import ConstraintFamily, enumerate_codebook
+from .cyclo import cosine_series, signal_levels
 
 
 @dataclass
@@ -150,23 +151,20 @@ def _iid_levels(seed, n):
 def _word_levels(seed, n, fam):
     """Words drawn uniformly, one per period of m + x, bridges in between.
 
-    Bridge symbols are 0 under z_symbols bridging; otherwise they are 1
-    where the word before ends and the word after starts with a one, else
-    -1.  So a row of one period is set by its word w and the first bit b of
-    the next word: it is row 2 w + b of a table.  Rows are filled in chunks
-    of at most CHUNK_SYMBOLS symbols, each drawing the indices of the words
-    after its own.
+    Symbols take the antipodal levels of ``cyclo.signal_levels``, where a
+    bridge's level is set by the last bit of the word before it and the
+    first bit b of the word after it.  So a row of one period is set by its
+    word w and that b: it is row 2 w + b of a table.  Rows are filled in
+    chunks of at most CHUNK_SYMBOLS symbols, each drawing the indices of
+    the words after its own.
     """
     words = np.array(enumerate_codebook(fam).words, dtype=np.int8)
     m = fam.m
     period = m + fam.x
+    scale, offset, bridge = signal_levels(fam, "y")
     table = np.empty((len(words), 2, period), dtype=np.int8)
-    table[:, :, :m] = 2 * words[:, None, :] - 1
-    if fam.bridging == "z_symbols":
-        table[:, :, m:] = 0
-    else:
-        table[:, :, m:] = -1
-        table[words[:, -1] == 1, 1, m:] = 1
+    table[:, :, :m] = scale * words[:, None, :] + offset
+    table[:, :, m:] = np.array(bridge, dtype=np.int8)[words[:, -1], :, None]
     table = table.reshape(-1, period)
     rng = _rng(seed)
     rows = -(-n // period)
@@ -302,12 +300,7 @@ def estimate_psd(stream, freqs, family=None, kmax=None, with_pulse=False):
         ra = r - _estimate_periodic(stream, family.m + family.x, kmax)
     else:
         ra = r - (np.float64(stream.sum(dtype=np.int64)) / len(stream)) ** 2
-    out = np.full(len(freqs), ra[0])
-    for k in range(1, kmax + 1):
-        out += 2.0 * ra[k] * np.cos(2 * np.pi * freqs * k)
-    if with_pulse:
-        out *= np.sinc(freqs) ** 2
-    return out
+    return cosine_series(ra, freqs, with_pulse)
 
 
 def deviation_report(estimated, theoretical, freqs):

@@ -97,7 +97,8 @@ def _route(family):
     def shaped(f):
         sym, pos = symbolic(), f > 0
         vals = np.empty(f.shape)
-        vals[pos] = 4.0 * sym.evaluate(np.exp(-2j * np.pi * f[pos])).real
+        if pos.any():
+            vals[pos] = 4.0 * sym.evaluate(np.exp(-2j * np.pi * f[pos])).real
         if not pos.all():  # the DC limit, exactly
             vals[~pos] = 4.0 * float(sym.evaluate(Fraction(1)))
         return spectrum.pulse_shape(f) * vals

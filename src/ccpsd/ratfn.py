@@ -234,7 +234,7 @@ def _is_exact(z):
 class RationalFn:
     """A ratio of polynomials in D, always stored in canonical form."""
 
-    __slots__ = ("_n", "_c", "_d", "_stack")
+    __slots__ = ("_n", "_c", "_d")
 
     def __init__(self, num, den=_ONE):
         n, sn = _integer_poly(num)
@@ -387,21 +387,14 @@ class RationalFn:
 
     # -- queries ---------------------------------------------------------
 
-    def is_zero(self):
-        return not self._n
-
     def evaluate(self, z):
         """Evaluate at a complex/float point (exact if z is a Fraction).
 
-        A numpy array of points is evaluated elementwise in one pass, with
-        the coefficients rounded to floats on the first such call only.
+        A numpy array of points is evaluated elementwise in one Horner pass,
+        with the coefficients rounded to floats on each such call.
         """
         if isinstance(z, np.ndarray):
-            try:
-                stack = self._stack
-            except AttributeError:
-                stack = self._stack = HornerStack([self])
-            return stack(z)[0]
+            return HornerStack([self])(z)[0]
         n, c, d = self._n, self._c, self._d
         if _is_exact(z):
             top = max(len(n), len(d)) - 1

@@ -9,7 +9,9 @@ Main entry points:
 * ``spectrum_y`` / ``pulse_shape`` -- antipodal mapping of the indicator PSD
   and the square-pulse shaping factor.
 * ``spectrum_x_symbolic`` / ``nrzi_psd_symbolic`` -- exact rational PSDs as
-  functions of D on the unit circle, for closed-form cross-checks.
+  functions of D on the unit circle.  A stream's 3 dB bandwidth is read
+  from ``spectrum_x_symbolic``, its DC limit exactly at D = 1;
+  ``nrzi_psd_symbolic`` serves closed-form cross-checks.
 """
 
 from __future__ import annotations

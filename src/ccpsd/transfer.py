@@ -50,15 +50,6 @@ class TransferMatrix:
     def n(self):
         return len(self.entries)
 
-    def derivative_at_one(self):
-        """Exact G'(1) as nested Fractions, from coefficient sums."""
-        return [[e.derivative_at(1) if e else Fraction(0) for e in row]
-                for row in self.entries]
-
-    def at_one(self):
-        """Exact G(1) as nested lists of Fractions, from coefficient sums."""
-        return [list(row) for row in self._g1]
-
     @cached_property
     def _g1(self):
         return tuple(tuple(e.evaluate(1) if e else Fraction(0) for e in row)

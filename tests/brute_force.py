@@ -21,6 +21,19 @@ def contains_forbidden(bits, patterns):
     return False
 
 
+class ListedCodebook(Codebook):
+    """A codebook of given words, which may be any subset of a family's:
+    N counts them."""
+
+    def __init__(self, family, words):
+        super().__init__(family)
+        self.words = words
+
+    @property
+    def N(self):
+        return len(self.words)
+
+
 def brute_force_codebook(family):
     """Filter all 2^m strings; test oracle for enumerate_codebook."""
     m = family.m
@@ -33,7 +46,7 @@ def brute_force_codebook(family):
     if family.kind in CLOCKED_KINDS:
         allzero, allone = (0,) * m, (1,) * m
         words = [w for w in words if w != allzero and w != allone]
-    return Codebook(family=family, words=words)
+    return ListedCodebook(family, words)
 
 
 def depth_first_words(family):
@@ -225,10 +238,16 @@ def fraction_bfs(inputs):
     return edges
 
 
+def g_at_one(tm):
+    """G(1) as nested lists of Fractions, entry by entry by ``evaluate``."""
+    return [[e.evaluate(1) if e else Fraction(0) for e in row]
+            for row in tm.entries]
+
+
 def fraction_stationary(tm):
     """Reference for ``TransferMatrix.stationary``: (G(1)^T - I) pi = 0 with
     the normalisation replacing the last equation, solved on Fraction rows."""
-    g1 = tm.at_one()
+    g1 = g_at_one(tm)
     n = tm.n
     a = [[g1[j][i] - (1 if i == j else 0) for j in range(n)]
          for i in range(n)]
@@ -252,7 +271,7 @@ def fraction_prob_one(tm):
 def fraction_check_stochastic(tm):
     """Reference for ``TransferMatrix.check_stochastic``: each row of G(1)
     summed as Fractions."""
-    for i, row in enumerate(tm.at_one()):
+    for i, row in enumerate(g_at_one(tm)):
         if sum(row) != 1:
             raise ValueError(f"row {i} of G(1) sums to {sum(row)} != 1")
     return True

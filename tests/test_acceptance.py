@@ -245,6 +245,10 @@ MC_CASES = [
      "spectral peak 31.6: bias/variance floor far above tolerance"),
     (("aloco", 1, 4), None, 1, None),
     (("loco", 1, 4), None, 1, None),
+    (("caloco", 1, 4), None, 1, None),
+    (("cloco", 1, 4), None, 1, None),
+    (("caloco", 2, 6), None, 1, None),
+    (("cloco", 2, 6), None, 1, None),
 ]
 
 

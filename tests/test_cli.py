@@ -374,6 +374,20 @@ def golden_commands(case):
                  "--method", "grid", "--out", f"{kind}_x{x}_m6.json"]
                 for kind in ("aloco", "loco", "caloco", "cloco")
                 for x in (1, 2)]
+    if case == "fstd":
+        return [["fstd", "--family", kind, "--x", str(x), "--m", "6", *flag,
+                 "--out", f"{kind}_x{x}_m6{suffix}.json"]
+                for kind in ("aloco", "loco", "caloco", "cloco")
+                for x in (1, 2)
+                for flag, suffix in (([], ""), (["--no-merge"], "_raw"))]
+    if case == "mc":
+        return [["mc", "--family", kind, "--x", str(x),
+                 *(["--m", str(m)] if m else []),
+                 "--symbols", "100000", "--seed", "0",
+                 "--out", f"{kind}_x{x}" + (f"_m{m}" if m else "") + ".json"]
+                for kind, x, m in (("ax", 2, None), ("sx", 1, None),
+                                   ("aloco", 1, 4), ("loco", 1, 4),
+                                   ("caloco", 2, 6), ("cloco", 2, 6))]
     if case == "ax_sx":
         return [["ostm", "--family", kind, "--x", str(x),
                  "--out", f"{kind}_x{x}.json"]

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from brute_force import brute_force_codebook, listed_autocorr
+from brute_force import listed_autocorr
 from ccpsd import presets
 from ccpsd.cli import main
 from ccpsd.codebook import (
@@ -174,12 +174,6 @@ class TestCountedStatistics:
         for signal in signals_of(kind):
             assert_equal_series(exact_autocorr(cb, signal),
                                 listed_autocorr(cb, signal))
-
-    def test_refuses_given_words(self):
-        # the counted statistics are the whole family's, not these words'
-        cb = brute_force_codebook(ConstraintFamily("aloco", 1, 6))
-        with pytest.raises(ValueError, match="given words"):
-            exact_autocorr(cb)
 
     @pytest.mark.parametrize("kind, x, m", [("aloco", 1, 8), ("caloco", 2, 7),
                                             ("loco", 1, 9), ("cloco", 3, 10)])

@@ -252,9 +252,11 @@ class TestChunkedGeneration:
         assert np.array_equal(oracle._rng(6, offset).random(9), whole[offset:])
 
 
-# sha256 of the int8 streams of the acceptance suite's Monte-Carlo cases at
-# 10^6 symbols, at the case seed and at the case seed + 101, as drawn before
-# generation was chunked.
+# sha256 of the int8 streams of the acceptance suite's Monte-Carlo cases,
+# and of aloco and loco at x=2 m=6, at 10^6 symbols, at the case seed and at
+# the case seed + 101, as drawn before generation was chunked (the finite
+# families at x=2 and the self-clocked ones as drawn before their bridge
+# levels came from ``cyclo.signal_levels``).
 MC_STREAM_SHA256 = {
     ("ax", 1, None, 1): "6e0faf6f7d58c16ac20f5b8856e37a4781756f7391e8c61c4b2dff90d134041a",
     ("ax", 2, None, 1): "465fc0470133b270d3aa0c69eb3cf874a3eb900f536a982c7a33943067875d5e",
@@ -268,6 +270,12 @@ MC_STREAM_SHA256 = {
     ("sx", 5, None, 1): "8fdf4f7c813583bdda4b2ce580bd407dba5356fe32f28ccffde7636d3b760d00",
     ("aloco", 1, 4, 1): "ed0fc442759c3632735547378f9a949533dcb87ca6acbf17bc80175bddab6660",
     ("loco", 1, 4, 1): "c292665df932c756cb5fd8489896950c1b39f71c81ee776c7bee845ae953499d",
+    ("aloco", 2, 6, 1): "fb7b6257c8cfa3be7636d1ae54327c646cd26a2d4e7cda5e1241c16c7d6e8782",
+    ("loco", 2, 6, 1): "ac51342b83bd672ad7c80775eb3ec41813b5163eddc2047235eb38ca1413e84d",
+    ("caloco", 1, 4, 1): "6a1300a3785aa0daf012a011e8cf405189433f7c53708a43f35dd93cc281f36f",
+    ("caloco", 2, 6, 1): "3d86163ede4e1356baa39a30040d9065bc27df67e58933695812f32af1e79756",
+    ("cloco", 1, 4, 1): "fc9b74cfedebbb44ad9116bb44ca2ee1c8834bd5b78722056fb0a9c2430acf86",
+    ("cloco", 2, 6, 1): "6bcfb5e8ef8a373c1b16283d0c47cf35942c79f4c8de29630b41f9c3cdb87061",
     ("iid", 0, None, 1): "2bf88173788193847b93fc8ddf6e480321e919e5fbe73f05d201f409a63d301f",
     ("ax", 1, None, 102): "cf2accca29f75b55d1ba1c94c7dd9165bd82c01f9665dbc27ad21dccdf0fe788",
     ("ax", 2, None, 102): "c05318ba340836c84593312ddf15e28727be0f9b7ad0eaec559e3bcce84f51b7",
@@ -281,6 +289,12 @@ MC_STREAM_SHA256 = {
     ("sx", 5, None, 102): "9f6ba88db6a38dd9e60fbdd47aaf1a69c7db44652ec9f2d042be558ab5136160",
     ("aloco", 1, 4, 102): "9330f92354c0aaff62f9e4ab59c562aa4a4d24227fe5bdaa063d17517ccb942f",
     ("loco", 1, 4, 102): "bb6e8210f8b4d2d813b7176a24ae5fb0cb8bc0f8aeda25a6901a1b3e84d730d0",
+    ("aloco", 2, 6, 102): "86a91e6f7f1138935af000ca191d4a6a967bd283f3ea93f74f6422c60a3b2ee3",
+    ("loco", 2, 6, 102): "8e907670590ff93bf27a8776820e424e46978d58b326b437c9d527e09fdf87e3",
+    ("caloco", 1, 4, 102): "1485ea4428fe55e79c69a77d323c889830dd9a64eaafe81802d91ba9c724b17c",
+    ("caloco", 2, 6, 102): "6e57f33a8d29557346934ff0393a56b8e23f80392b62027f8a72058b42e45c91",
+    ("cloco", 1, 4, 102): "6e7b4e9522c4764c81952dfbf8a0f4cb92ade2e5bbcb59afe2e62309bbd6c72c",
+    ("cloco", 2, 6, 102): "49e9052d271d7ccfc5cab44187f027b057a2706502a1e0662060f999ea41a540",
     ("iid", 0, None, 102): "dbb93568b0c15245d65e802885005406968d1500725f42fa95164bf5c765ff73",
 }
 

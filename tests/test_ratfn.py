@@ -56,8 +56,7 @@ class TestCanonicalization:
         assert a.den == (Fraction(1),)
 
     def test_zero(self):
-        assert RationalFn([0], [3]).is_zero()
-        assert (ONE - ONE).is_zero()
+        assert not RationalFn([0], [3])
         assert not (ONE - ONE) and D
 
     def test_sum_cancels_part_of_a_shared_factor(self):
@@ -194,7 +193,7 @@ class TestArithmetic:
     @relaxed
     @given(fns())
     def test_sub_self(self, a):
-        assert (a - a).is_zero()
+        assert not a - a
 
     def test_scalar_coercion(self):
         assert D * 2 == RationalFn([0, 2], [1])

@@ -162,16 +162,17 @@ def _horner_at_one(e):
 
 
 class TestAtOne:
-    """G(1) and G'(1) from coefficient sums equal Horner evaluation at 1."""
+    """Each entry's value and slope at 1, from coefficient sums, equal
+    Horner evaluation at 1."""
 
     @pytest.mark.parametrize("matrices", [_finite_matrices, _stream_matrices],
                              ids=["finite_x3_m10", "streams_x6"])
     def test_matches_horner(self, matrices):
         for tm in matrices():
-            want = [[_horner_at_one(e) for e in row] for row in tm.entries]
-            assert tm.at_one() == [[v for v, _ in row] for row in want]
-            assert tm.derivative_at_one() == [[s for _, s in row]
-                                              for row in want]
+            for row in tm.entries:
+                for e in row:
+                    assert (e.evaluate(1), e.derivative_at(1)) \
+                        == _horner_at_one(e)
 
 
 class TestIid:

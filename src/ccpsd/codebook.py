@@ -12,15 +12,16 @@ Families:
 
 Every count and listing comes from one model of the constraint: an
 Aho-Corasick automaton over ``forbidden_patterns`` and its cached table of
-pattern-free continuations.  Group cardinalities and ``word_moments`` (the
-counts of words with a given pair of bits set) read the table, so their cost
-grows with the length, not with N.  A ``Codebook`` counts its N and lists its
-words only when they are read, in ascending lexicographic order, by joining
-halves: every pattern-free head of m // 2 bits, in order, is followed by each
-of the ascending pattern-free tails read from the automaton state the head
-ends in, and the tails of each state are listed once.  Listing refuses more
-than ``ENUMERATION_LIMIT`` words; only ``codebook --out`` and the Monte-Carlo
-streams of finite families list words.
+pattern-free continuations.  Group cardinalities and ``pair_counts`` (counts
+of the words with given pairs of bits set, and their sums along diagonals)
+read the table, so their cost grows with the length, not with N.  A
+``Codebook`` counts its N and lists its words only when they are read, in
+ascending lexicographic order, by joining halves: every pattern-free head of
+m // 2 bits, in order, is followed by each of the ascending pattern-free
+tails read from the automaton state the head ends in, and the tails of each
+state are listed once.  Listing refuses more than ``ENUMERATION_LIMIT``
+words; only ``codebook --out`` and the Monte-Carlo streams of finite families
+list words.
 """
 
 from __future__ import annotations
@@ -156,15 +157,21 @@ class Automaton:
                 tails[s] = [w for w, _ in strings(s, length - half)]
         return [h + t for h, s in heads for t in tails[s]]
 
-    def gram(self, length):
-        """The length x length array whose entry (i, j) counts the
-        pattern-free ``length``-bit strings with bits i and j both 1.
+    def pair_counts(self, length):
+        """(ones, with_first, with_last, lag_sums) of the pattern-free
+        ``length``-bit strings, as Python ints: ones[q] counts the strings
+        with bit q set, with_first[q] those with bits 0 and q, with_last[q]
+        those with bits q and length - 1, and lag_sums[d] sums over q those
+        with bits q and q + d.  With G[i][j] the strings with bits i and j
+        both 1, these are G's diagonal, row 0, column length - 1 and
+        diagonal sums.
 
         Row 0 of ``rows`` counts the prefixes by the state they end in, and
         row i + 1 the prefixes whose bit i is 1; each bit steps them all
-        forward by one matrix product.  Column j is those rows read against
-        the completions of a 1 at bit j.  The counts are Python ints, exact
-        at any length.
+        forward by one matrix product.  Column j of G is those rows read
+        against the completions of a 1 at bit j; it is added into the sums
+        and dropped, so memory grows like length times the states, not
+        length squared.
         """
         live = len(self.delta) - 1
 
@@ -184,15 +191,19 @@ class Automaton:
             :, [row[1] for row in self.delta[:live]]]
         rows = np.zeros((length + 1, live), object)
         rows[0, 0] = 1
-        gram = np.zeros((length, length), object)
+        ones, with_first = [], []
+        lag_sums = np.zeros(length, object)
         for j, after in enumerate(afters):
-            col = rows[:j + 1] @ after
-            gram[j, j] = col[0]
-            gram[j, :j] = gram[:j, j] = col[1:]
-            ones = rows[0] @ one
+            col = rows[:j + 1] @ after  # G[j][j], then G[i][j] for i < j
+            ones.append(col[0])
+            with_first.append(col[min(j, 1)])  # G[0][j]
+            lag_sums[1:j + 1] += col[j:0:-1]
+            row_j = rows[0] @ one  # the prefixes whose bit j is 1
             rows[:j + 1] = rows[:j + 1] @ both
-            rows[j + 1] = ones
-        return gram
+            rows[j + 1] = row_j
+        lag_sums[0] = sum(ones)
+        with_last = list(col[1:]) + [col[0]]
+        return ones, with_first, with_last, lag_sums.tolist()
 
 
 _automaton = lru_cache(maxsize=None)(Automaton)
@@ -203,21 +214,22 @@ def automaton(family):
     return _automaton(tuple(forbidden_patterns(family)))
 
 
-def word_moments(family):
-    """(N, G) of a finite family's codebook, counted, not listed: G[i][j]
-    is the number of words whose bits i and j are both 1, as Python ints.
-
-    The diagonal counts the words with a 1 at each bit, and row 0 and
-    column m - 1 split every count by the first and by the last bit.
-    """
+def pair_counts(family):
+    """(N, ones, with_first, with_last, lag_sums) of a finite family's
+    codebook, counted, not listed, as Python ints: ``Automaton.pair_counts``
+    of its words, which are N."""
     if family.m is None:
         raise ValueError("infinite-length families have no codebook")
-    auto = automaton(family)
-    n, gram = auto.count(family.m, 0), auto.gram(family.m)
+    m, auto = family.m, automaton(family)
+    n = auto.count(m, 0)
+    ones, with_first, with_last, lag_sums = auto.pair_counts(m)
     if family.kind in CLOCKED_KINDS:
-        # drop the all-one word, which sets every bit, and the all-zero word
-        n, gram = n - 2, gram - 1
-    return n, gram.tolist()
+        # drop the all-zero word and the all-one word, which sets every
+        # bit: m - d pairs of bits lie d apart
+        return (n - 2, [u - 1 for u in ones], [u - 1 for u in with_first],
+                [u - 1 for u in with_last],
+                [u - (m - d) for d, u in enumerate(lag_sums)])
+    return n, ones, with_first, with_last, lag_sums
 
 
 def enumerate_codebook(family):

@@ -3,8 +3,9 @@
 A stream of i.i.d. uniformly drawn codewords with x bridge symbols between
 consecutive words is cyclostationary with period P = m + x.  This module
 computes the phase-averaged autocorrelation R(k) with exact rational
-arithmetic, splits it into periodic and aperiodic parts, and converts those
-into discrete spectral lines and a continuous PSD.
+arithmetic as a periodic part, from the means of the positions, plus an
+aperiodic part, from the covariances of the positions that share a word, and
+converts those into discrete spectral lines and a continuous PSD.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codebook import word_moments
+from .codebook import pair_counts
 
 
 @dataclass
@@ -49,75 +50,64 @@ def exact_autocorr(codebook, signal="y"):
 
     The aperiodic part vanishes beyond m + 2x - 1, and k = 0..kmax spans at
     least two full periods.  Only the codebook's family is read: every
-    statistic comes from N and the counts G of words with two given bits
-    set (``codebook.word_moments``), so no word is listed.
+    statistic comes from N and the pair counts of ``codebook.pair_counts``,
+    so no word is listed.
+
+    The periodic part is the cyclic product of the position means.  Words
+    are drawn independently, so only positions that share a word covary,
+    and the aperiodic part at lag k sums the covariances of those pairs
+    over the positions of one period.  Every mean is an int over N^2 and
+    every covariance one over N^4.
     """
     fam = codebook.family
     m, x = fam.m, fam.x
     period = m + x
     kmax = (m + 2 * x - 1) + period
     scale, offset, f = signal_levels(fam, signal)
-    n, g = word_moments(fam)
-    n2, n3 = n * n, n * n * n
+    n, ones, with_first, with_last, lag_sums = pair_counts(fam)
+    n2 = n * n
+    first, last = ones[0], ones[-1]
+    # Every table signal_levels returns has f[0][1] = f[1][0] = f[0][0], so
+    # a bridge is f[0][0] + jump * a * c, from the last bit a of the word
+    # before it and the first bit c of the word after it.
+    jump = f[1][1] - f[0][0]
 
-    # Boundary-bit classes: joint[a][c] words have last bit a and first
-    # bit c.  Bridge statistics over the N x N (left, right) word pairs
-    # come from these classes.
-    ones = [g[q][q] for q in range(m)]
-    both = g[0][m - 1]
-    joint = [[n - ones[0] - ones[-1] + both, ones[0] - both],
-             [ones[-1] - both, both]]
-    n_last = [sum(row) for row in joint]
-    n_first = [joint[0][c] + joint[1][c] for c in (0, 1)]
-    brow = [f[a][0] * n_first[0] + f[a][1] * n_first[1] for a in (0, 1)]
-    bcol = [f[0][c] * n_last[0] + f[1][c] * n_last[1] for c in (0, 1)]
-    bridge_sum = brow[0] * n_last[0] + brow[1] * n_last[1]
-    bridge_sq_sum = sum(f[a][c] ** 2 * n_last[a] * n_first[c]
-                        for a in (0, 1) for c in (0, 1))
-    # per word: bridges to its left summed, times bridges to its right summed
-    bcol_brow = sum(bcol[c] * brow[a] * joint[a][c]
-                    for a in (0, 1) for c in (0, 1))
-    # column sums of the levels, over all words and over those whose last
-    # (first) bit is 1; words with a 0 there take the rest of the column
-    col = [scale * c + offset * n for c in ones]
-    last1 = [scale * g[q][m - 1] + offset * n_last[1] for q in range(m)]
-    first1 = [scale * g[0][q] + offset * n_first[1] for q in range(m)]
-    w_brow = [brow[0] * (c - u) + brow[1] * u for c, u in zip(col, last1)]
-    w_bcol = [bcol[0] * (c - v) + bcol[1] * v for c, v in zip(col, first1)]
-    far = [c * bridge_sum * n for c in col]
-
-    def gram(qa, qc):
-        """Sum over the words of the levels at bits qa and qc."""
-        return (scale * scale * g[qa][qc]
-                + scale * offset * (ones[qa] + ones[qc]) + offset * offset * n)
-
-    # Every pair mean is an integer over N^4 and every position mean one
-    # over N^2; position q < m of a period is a word bit, q >= m a bridge.
-    def pair(qa, qc, dt):
-        """Mean of position qa of period 0 times position qc of period dt."""
-        if qa < m and qc < m:
-            return gram(qa, qc) * n3 if dt == 0 else col[qa] * col[qc] * n2
-        if qa >= m and qc >= m:
-            if dt == 0:
-                return bridge_sq_sum * n2
-            return bcol_brow * n if dt == 1 else bridge_sum * bridge_sum
-        if qa < m:  # the word, then a bridge dt periods on
-            return w_brow[qa] * n2 if dt == 0 else far[qa]
-        # a bridge, then a word dt >= 1 periods on
-        return w_bcol[qc] * n2 if dt == 1 else far[qc]
-
-    pos = [c * n for c in col] + [bridge_sum] * x
+    # position q < m of a period is a word bit, q >= m a bridge
+    pos = ([(scale * u + offset * n) * n for u in ones]
+           + [f[0][0] * n2 + jump * last * first] * x)
     den = n2 * n2 * period
-    total = []
-    for k in range(kmax + 1):
-        num = 0
-        for qa in range(period):
-            dt, qc = divmod(qa + k, period)
-            num += pair(qa, qc, dt)
-        total.append(Fraction(num, den))
     cycle = [Fraction(sum(u * v for u, v in zip(pos, pos[s:] + pos[:s])), den)
              for s in range(period)]
     periodic = [cycle[k % period] for k in range(kmax + 1)]
+
+    # N^2 times the covariances of bit q with bit 0 and with bit m - 1
+    cov_first = [n * g - u * first for g, u in zip(with_first, ones)]
+    cov_last = [n * g - u * last for g, u in zip(with_last, ones)]
+    # N^4 times the covariance of bit q with the bridge after its word, of
+    # whose a and c only a is in that word, and with the bridge before it
+    word_bridge = [scale * jump * first * n * c for c in cov_last]
+    bridge_word = [scale * jump * last * n * c for c in cov_first]
+    # and of two symbols of one bridge, and of a bridge and the next one
+    bridge_same = jump * jump * last * first * (n2 - last * first)
+    bridge_next = jump * jump * last * first * cov_last[0]
+
+    # Lag k pairs each position q of period 0 with position q + k.  Only
+    # the pairs that share a word covary, and there are five kinds of them.
+    total = []
+    for k in range(kmax + 1):
+        num = 0
+        if k < m:  # bits i and i + k of one word
+            num += scale * scale * n2 * (
+                n * lag_sums[k] - sum(u * v for u, v in zip(ones, ones[k:])))
+        # bit i of a word and the bridge after it: m <= i + k < period
+        num += sum(word_bridge[max(m - k, 0):max(period - k, 0)])
+        # two symbols of one bridge, k apart
+        num += bridge_same * max(x - k, 0)
+        # a bridge symbol q and bit q + k - period of the next word
+        num += sum(bridge_word[max(k - x, 0):k])
+        # symbols of a bridge and of the next one, which lies period on
+        num += bridge_next * max(x - abs(k - period), 0)
+        total.append(periodic[k] + Fraction(num, den))
 
     series = AutocorrSeries(period=period, total=total, periodic=periodic)
     _check_aperiodic_support(series, m, x)

@@ -408,11 +408,6 @@ class RationalFn:
             raise ZeroDivisionError("evaluation at a pole")
         return _float_at(n, c * lead, z) / den
 
-    def derivative_at(self, z):
-        """R'(z) at an exact point (int or Fraction) by the quotient rule,
-        without forming R' as a function."""
-        return Fraction(*self.derivative_parts(z))
-
     def derivative_parts(self, z):
         """(t, q) with R'(z) = t / q unreduced and q > 0, at an exact point
         (int or Fraction); at z = 1, t = n'(1) d(1) - n(1) d'(1) and

@@ -259,10 +259,16 @@ def fraction_stationary(tm):
     return pi
 
 
+def derivative_at(f, z):
+    """R'(z) of the RationalFn f at an exact point (int or Fraction), the
+    reduced Fraction of ``RationalFn.derivative_parts``."""
+    return Fraction(*f.derivative_parts(z))
+
+
 def fraction_prob_one(tm):
     """Reference for ``TransferMatrix.prob_one``: 1 / (pi G'(1) 1) with
-    G'(1) entry by entry from ``RationalFn.derivative_at``."""
-    dg = [[e.derivative_at(1) if e else Fraction(0) for e in row]
+    G'(1) entry by entry from ``derivative_at``."""
+    dg = [[derivative_at(e, 1) if e else Fraction(0) for e in row]
           for row in tm.entries]
     mean = sum(p * sum(row) for p, row in zip(fraction_stationary(tm), dg))
     return 1 / mean

@@ -19,7 +19,7 @@ from ccpsd.clocked import (
 )
 from ccpsd.codebook import ConstraintFamily, enumerate_codebook
 from ccpsd.cyclo import continuous_psd_from_aperiodic, exact_autocorr
-from ccpsd.fstd import build_grid_fstd, build_infinite_fstd, reduce_to_ostd
+from ccpsd.fstd import build_grid_fstd, reduce_to_ostd
 from ccpsd.oracle import StreamConfig, estimate_psd, generate_stream
 from ccpsd.presets import (
     AC41_PERIODIC,

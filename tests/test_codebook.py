@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +17,7 @@ from ccpsd.codebook import (
     forbidden_patterns,
     group_cardinalities,
     lam,
+    pair_counts,
     zeta,
 )
 
@@ -163,3 +165,16 @@ class TestCardinalities:
     def test_lambda_half_at_length_two(self):
         fam = ConstraintFamily("loco", 1, 4)
         assert lam(fam, 2) == Fraction(1, 2)
+
+
+class TestPairCounts:
+    @pytest.mark.parametrize("x", [1, 2, 3])
+    @pytest.mark.parametrize("kind", FINITE_KINDS)
+    def test_equals_gram_of_listed_words(self, kind, x):
+        for m in range(2 if kind in CLOCKED_KINDS else 1, 13):
+            fam = ConstraintFamily(kind, x, m)
+            w = np.array(enumerate_codebook(fam).words, dtype=np.int64)
+            g = w.T @ w  # words with bits i and j both 1
+            want = (len(w), np.diag(g).tolist(), g[0].tolist(),
+                    g[:, -1].tolist(), [int(np.trace(g, d)) for d in range(m)])
+            assert pair_counts(fam) == want, m

@@ -216,6 +216,17 @@ class TestScale:
         assert 0 < json.loads(out.read_text())["bandwidth_3db"] < 1
         assert peak < 100 * 2**20, f"peak {peak} bytes"
 
+    def test_memory_is_not_quadratic_in_m(self):
+        # the 300 x 300 array of pair counts alone would take 3.3 MiB
+        cb = enumerate_codebook(ConstraintFamily("aloco", 1, 300))
+        tracemalloc.start()
+        try:
+            exact_autocorr(cb, "y")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, f"peak {peak} bytes"
+
 
 class TestSpectralRoutes:
     @pytest.mark.parametrize("kind", ["aloco", "loco"])

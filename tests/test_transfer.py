@@ -4,6 +4,7 @@ import pytest
 
 from brute_force import (
     check_nonnegative_series,
+    derivative_at,
     euclid_canonical,
     fraction_check_stochastic,
     fraction_prob_one,
@@ -171,7 +172,7 @@ class TestAtOne:
         for tm in matrices():
             for row in tm.entries:
                 for e in row:
-                    assert (e.evaluate(1), e.derivative_at(1)) \
+                    assert (e.evaluate(1), derivative_at(e, 1)) \
                         == _horner_at_one(e)
 
 
@@ -264,11 +265,3 @@ class TestExactStatistics:
         with pytest.raises(ValueError, match="column 1 has no pivot"):
             tm.stationary
 
-    def test_prob_one_without_derivative_at(self, monkeypatch):
-        want = fraction_prob_one(closed_form_aloco(8, 2))
-
-        def refuse(self, z):
-            raise AssertionError("derivative_at called")
-
-        monkeypatch.setattr(RationalFn, "derivative_at", refuse)
-        assert closed_form_aloco(8, 2).prob_one == want

@@ -35,7 +35,6 @@ def clocked_inputs_from_fstd(fstd):
     fam = fstd.family
     if fam.kind not in CLOCKED_KINDS:
         raise ValueError("BFS reduction applies to self-clocked families")
-    fstd.check()  # per-state symbol consistency and stochasticity
     transitions = [(f, t, p) for (f, t, _, p) in fstd.edges]
     labeled = [s.labeled for s in fstd.states]
     return ClockedInputs(
@@ -61,7 +60,7 @@ def bfs_ostd(inputs):
     lab_pos = {i: k for k, i in enumerate(lab)}
     weights, scale = over_lcm((p.numerator, p.denominator)
                               for _, _, p in inputs.transitions)
-    out = {}  # Fstd.check() keeps every probability in (0, 1]
+    out = {}  # build_grid_fstd checks every probability is in (0, 1]
     for (f, t, _), w in zip(inputs.transitions, weights):
         out.setdefault(f, []).append((t, w))
     # mass[i][j]: L^step times the probability of being at state i, started

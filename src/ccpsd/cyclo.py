@@ -10,7 +10,7 @@ converts those into discrete spectral lines and a continuous PSD.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -23,10 +23,7 @@ class AutocorrSeries:
     period: int
     total: list  # R(k), k = 0..kmax, exact Fractions
     periodic: list  # same length; R(k) for a hypothetical independent stream
-    aperiodic: list = field(init=False)  # total - periodic
-
-    def __post_init__(self):
-        self.aperiodic = [t - p for t, p in zip(self.total, self.periodic)]
+    aperiodic: list  # same length; total - periodic
 
 
 def signal_levels(family, signal):
@@ -43,6 +40,19 @@ def signal_levels(family, signal):
             raise ValueError("no 0/1 indicator for z-symbol bridging")
         return 1, 0, [[0, 0], [0, 1]]
     raise ValueError(f"unknown signal kind {signal!r}")
+
+
+def position_means(family, signal, n, ones):
+    """N^2 times the mean of each position of a period under ``signal``: the
+    m word bits, then the x bridge symbols, from the N words of the family
+    and the counts ``ones[q]`` of those with bit q set."""
+    scale, offset, f = signal_levels(family, signal)
+    # Every table signal_levels returns has f[0][1] = f[1][0] = f[0][0], so
+    # a bridge is f[0][0] + jump * a * c, from the last bit a of the word
+    # before it and the first bit c of the word after it.
+    jump = f[1][1] - f[0][0]
+    return ([(scale * u + offset * n) * n for u in ones]
+            + [f[0][0] * n * n + jump * ones[-1] * ones[0]] * family.x)
 
 
 def exact_autocorr(codebook, signal="y"):
@@ -63,18 +73,13 @@ def exact_autocorr(codebook, signal="y"):
     m, x = fam.m, fam.x
     period = m + x
     kmax = (m + 2 * x - 1) + period
-    scale, offset, f = signal_levels(fam, signal)
+    scale, _, f = signal_levels(fam, signal)
     n, ones, with_first, with_last, lag_sums = pair_counts(fam)
     n2 = n * n
     first, last = ones[0], ones[-1]
-    # Every table signal_levels returns has f[0][1] = f[1][0] = f[0][0], so
-    # a bridge is f[0][0] + jump * a * c, from the last bit a of the word
-    # before it and the first bit c of the word after it.
-    jump = f[1][1] - f[0][0]
+    jump = f[1][1] - f[0][0]  # a bridge moves by jump when a = c = 1
 
-    # position q < m of a period is a word bit, q >= m a bridge
-    pos = ([(scale * u + offset * n) * n for u in ones]
-           + [f[0][0] * n2 + jump * last * first] * x)
+    pos = position_means(fam, signal, n, ones)
     den = n2 * n2 * period
     cycle = [Fraction(sum(u * v for u, v in zip(pos, pos[s:] + pos[:s])), den)
              for s in range(period)]
@@ -93,7 +98,7 @@ def exact_autocorr(codebook, signal="y"):
 
     # Lag k pairs each position q of period 0 with position q + k.  Only
     # the pairs that share a word covary, and there are five kinds of them.
-    total = []
+    aperiodic = []
     for k in range(kmax + 1):
         num = 0
         if k < m:  # bits i and i + k of one word
@@ -107,15 +112,16 @@ def exact_autocorr(codebook, signal="y"):
         num += sum(bridge_word[max(k - x, 0):k])
         # symbols of a bridge and of the next one, which lies period on
         num += bridge_next * max(x - abs(k - period), 0)
-        total.append(periodic[k] + Fraction(num, den))
+        aperiodic.append(Fraction(num, den))
 
-    series = AutocorrSeries(period=period, total=total, periodic=periodic)
-    _check_aperiodic_support(series, m, x)
-    return series
+    _check_aperiodic_support(aperiodic, m, x)
+    total = [p + a for p, a in zip(periodic, aperiodic)]
+    return AutocorrSeries(period=period, total=total, periodic=periodic,
+                          aperiodic=aperiodic)
 
 
-def _check_aperiodic_support(series, m, x):
-    for k, v in enumerate(series.aperiodic):
+def _check_aperiodic_support(aperiodic, m, x):
+    for k, v in enumerate(aperiodic):
         if k > m + 2 * x - 1 and v != 0:
             raise AssertionError("aperiodic part extends beyond dependence range")
 

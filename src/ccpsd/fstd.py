@@ -229,10 +229,9 @@ def build_grid_fstd(codebook, merge=True):
     edges = [(index[node], index[target], b, p)
              for node in nodes for b, p, target in out[node]]
     fstd = Fstd(family=family, states=states, edges=edges)
-    fstd.check()
+    fstd.check()  # merging only sums the edges it joins
     if merge:
         fstd = merge_equivalent_states(fstd)
-        fstd.check()
     return fstd
 
 

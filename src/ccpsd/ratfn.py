@@ -281,24 +281,6 @@ class RationalFn:
         return RationalFn._of(((0,) * power + (coef.numerator,),
                                coef.denominator, _ONE))
 
-    @staticmethod
-    def geometric(c0, b, ratio, period):
-        """Sum_{k>=1} c0 * ratio^(k-1) * D^(b + period*(k-1)).
-
-        That is c0 D^b / (1 - ratio D^period), for period >= 1.  With
-        ratio = p/q in lowest terms the denominator q - p D^period is
-        primitive and, its constant term being nonzero, coprime to the
-        monomial numerator, so only its sign and the scale are normalised.
-        """
-        c0, ratio = Fraction(c0), Fraction(ratio)
-        if not c0 or not ratio:
-            return RationalFn.monomial(c0, b)
-        p, q = ratio.numerator, ratio.denominator
-        sign = 1 if p < 0 else -1  # makes the leading coefficient positive
-        n = (0,) * b + (sign * c0.numerator * q,)
-        d = (sign * q,) + (0,) * (period - 1) + (-sign * p,)
-        return RationalFn._of(_cancel_scale(n, c0.denominator, d))
-
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):

@@ -9,12 +9,17 @@ Closed-form constructions are provided for every supported family, alongside
 ``alternate_sx`` are the compact two-state/one-state forms obtained by
 tracking runs between transitions instead of between ones.
 
-The exact statistics stay on ints until each result is made: pi is one
+The exact statistics stay on ints until each result is made.  The states
+of the A-LOCO closed form are the positions of one period that read 1, so
+its pi is the indicator's position means (``cyclo.position_means``, ints
+over N^2) normalised, and p1 is their average; nothing is solved.  Every
+other matrix -- the LOCO closed form, whose forced states need joint
+counts, and the grid, BFS and stream matrices -- solves: pi is one
 ``solve``, which scales each equation (a column of G(1) less the identity)
-to ints by the lcm of its denominators; each row sum of G'(1) is one int
-over the lcm of its entries' denominators, from coefficient sums; and a row
-of G(1) sums to 1 when its numerators, scaled to the lcm L of its
-denominators, sum to L.
+to ints by the lcm of its denominators, and p1 = 1 / (pi G'(1) 1) takes
+each row sum of G'(1) as one int over the lcm of its entries'
+denominators, from coefficient sums.  A row of G(1) sums to 1 when its
+numerators, scaled to the lcm L of its denominators, sum to L.
 """
 
 from __future__ import annotations
@@ -25,7 +30,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .codebook import ConstraintFamily, alpha, group_cardinalities, lam, zeta
+from .codebook import (ConstraintFamily, alpha, group_cardinalities, lam,
+                       pair_counts, zeta)
+from .cyclo import position_means
 from .ratfn import HornerStack, RationalFn, ZERO, over_lcm, solve
 
 
@@ -56,13 +63,30 @@ class TransferMatrix:
                      for row in self.entries)
 
     @cached_property
+    def _position_means(self):
+        """(N^2 times the mean of the indicator at each state's position, N)
+        for the A-LOCO closed form, whose states are the positions of one
+        period that read 1; None for every other matrix."""
+        fam = self.family
+        if self.origin != "closed_form" or fam.kind != "aloco":
+            return None
+        n, ones = pair_counts(fam)[:2]
+        return position_means(fam, "x", n, ones), n
+
+    @cached_property
     def stationary(self):
         """Exact pi with pi G(1) = pi and sum(pi) = 1, as a tuple.
 
+        The A-LOCO closed form visits each state as often as its position
+        reads 1, so its pi is the position means normalised.  Otherwise
         (G(1)^T - I) pi = 0, with the normalisation in place of the last
         equation, goes to ``solve``: row i is column i of G(1) less e_i,
         which ``solve`` scales to ints by the lcm of its denominators.
         """
+        if self._position_means:
+            means, _ = self._position_means
+            total = sum(means)
+            return tuple(Fraction(v, total) for v in means)
         g1 = self._g1
         n = self.n
         a = []
@@ -81,9 +105,14 @@ class TransferMatrix:
     def prob_one(self):
         """Exact density of labeled symbols: 1 / (pi G'(1) 1).
 
-        Each row sum of G'(1) is one int over the lcm of the unreduced
+        For the A-LOCO closed form it is the mean of the position means,
+        whose sum over a period of P symbols is an int over N^2.  Otherwise
+        each row sum of G'(1) is one int over the lcm of the unreduced
         denominators c d(1)^2 of its entries' slopes at 1.
         """
+        if self._position_means:
+            means, n = self._position_means
+            return Fraction(sum(means), n * n * len(means))
         mean = Fraction(0)
         for p, row in zip(self.stationary, self.entries):
             nums, scale = over_lcm(e.derivative_parts(1) for e in row if e)
@@ -206,12 +235,6 @@ def alternate_sx(x):
 # ---------------------------------------------------------------------------
 
 
-def _beta(a, b, n_words, period):
-    """a * D^b / (N - D^period), a geometric family with ratio 1/N."""
-    return RationalFn.geometric(Fraction(a, n_words), b,
-                                Fraction(1, n_words), period)
-
-
 def _lambda_chains(fam, m):
     """chains[d][g]: product of (1 - alpha_c) for c = d down to d-g, for
     2 <= d-g <= d <= m; each factor computed once."""
@@ -227,7 +250,17 @@ def _lambda_chains(fam, m):
 
 
 def closed_form_aloco(m, x):
-    """(m+x)-state matrix for bridged fixed-length streams, zero-run family."""
+    """(m+x)-state matrix for bridged fixed-length streams, zero-run family.
+
+    With N words and period P = m + x, every word-to-word entry is
+    a D^b / (N - D^P), a geometric tail over later periods with ratio
+    D^P / N.  Where the run can also close within the word, as lc D^k, the
+    tail is lc D^(k+P) / (N - D^P), and the sum is lc N D^k / (N - D^P):
+    the D^(k+P) terms cancel.  Each entry is made from its canonical parts,
+    the numerator -p D^b and the scale q of a = p/q over the shared
+    denominator D^P - N, which is primitive with a positive leading
+    coefficient and coprime to every monomial.
+    """
     fam = ConstraintFamily("aloco", x, m)
     if m < x + 2:
         raise ValueError("closed form requires m >= x + 2; use the grid")
@@ -236,25 +269,22 @@ def closed_form_aloco(m, x):
     z = zeta(fam)
     n = m + x
     chains = _lambda_chains(fam, m)
+    den = (-n_words,) + (0,) * (period - 1) + (1,)  # D^P - N
     entries = [[ZERO] * n for _ in range(n)]
     for i in range(1, m + 1):  # 1-based word columns
         for j in range(1, m + 1):
             if i == m and j == 1:
-                val = _beta(z, m + 2 * x + 1, n_words, period)
+                a, b = z, m + 2 * x + 1
             elif j == i:
-                val = _beta(Fraction(1), m + x, n_words, period)
+                a, b = Fraction(1), period
             elif j == i + 1 or j > i + 1 + x:
-                lc = chains[m + 1 - i][j - i - 1]
-                val = RationalFn.monomial(lc, j - i) + _beta(
-                    lc, m - i + j + x, n_words, period
-                )
-            elif i + 2 <= j <= i + 1 + x:
-                lc = chains[m + 1 - i][j - i - 1]
-                val = _beta(lc, m - i + j + x, n_words, period)
-            else:  # j < i
-                lc = chains[m + 1 - j][i - j - 1]
-                val = _beta(1 / lc, m - i + j + x, n_words, period)
-            entries[i - 1][j - 1] = val
+                a, b = chains[m + 1 - i][j - i - 1] * n_words, j - i
+            elif j > i:
+                a, b = chains[m + 1 - i][j - i - 1], period + j - i
+            else:
+                a, b = 1 / chains[m + 1 - j][i - j - 1], period + j - i
+            entries[i - 1][j - 1] = RationalFn._of(
+                ((0,) * b + (-a.numerator,), a.denominator, den))
     entries[m - 1][m] = RationalFn.monomial(z, 1)
     for k in range(1, x):
         entries[m + k - 1][m + k] = RationalFn.monomial(Fraction(1), 1)

@@ -163,7 +163,9 @@ def listed_autocorr(codebook, signal="y"):
              for s in range(period)]
     periodic = [cycle[k % period] for k in range(kmax + 1)]
 
-    return AutocorrSeries(period=period, total=total, periodic=periodic)
+    aperiodic = [t - p for t, p in zip(total, periodic)]
+    return AutocorrSeries(period=period, total=total, periodic=periodic,
+                          aperiodic=aperiodic)
 
 
 def brute_force_ostd(fstd, k_bound, truncate=False):

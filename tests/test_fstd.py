@@ -116,6 +116,14 @@ class TestGridDiagrams:
             assert g.check()
             assert ostm_from_ostd(reduce_to_ostd(g)).check_stochastic()
 
+    @pytest.mark.parametrize("kind", ["aloco", "loco", "caloco", "cloco"])
+    def test_merged_diagrams_pass_check(self, kind):
+        # build_grid_fstd checks the raw diagram only: merging keeps it valid
+        for x in (1, 2):
+            for m in range(2 if kind in CLOCKED_KINDS else 1, 9):
+                cb = enumerate_codebook(ConstraintFamily(kind, x, m))
+                assert build_grid_fstd(cb).check(), (x, m)
+
     def test_merge_preserves_ostm(self):
         for kind, x, m in [("aloco", 1, 4), ("loco", 1, 4), ("aloco", 2, 5)]:
             cb = enumerate_codebook(ConstraintFamily(kind, x, m))

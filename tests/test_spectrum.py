@@ -99,22 +99,31 @@ class TestIntegerElimination:
             p * sum(derivative_at(e, 1) for e in row if e)
             for p, row in zip(pi, tm.entries))
 
-    def test_statistics_are_computed_once(self, monkeypatch):
-        solves = []
-        real_solve = transfer.solve
+    # the A-LOCO closed form reads its position means in place of a solve
+    @pytest.mark.parametrize("maker,solved", [(closed_form_loco_A, True),
+                                              (closed_form_aloco, False)])
+    def test_statistics_are_computed_once(self, maker, solved, monkeypatch):
+        solves, means = [], []
+        real_solve, real_means = transfer.solve, transfer.position_means
 
         def counting_solve(a, b):
             solves.append(len(a))
             return real_solve(a, b)
 
+        def counting_means(*args):
+            means.append(args)
+            return real_means(*args)
+
         monkeypatch.setattr(transfer, "solve", counting_solve)
-        tm = closed_form_aloco(6, 2)
+        monkeypatch.setattr(transfer, "position_means", counting_means)
+        tm = maker(6, 2)
         freqs = default_grid(32)
         first = spectrum_y(tm, freqs)
-        assert solves == [tm.n]
+        want = ([tm.n], []) if solved else ([], [(tm.family, "x")])
+        assert (solves, [a[:2] for a in means]) == want
         assert np.array_equal(spectrum_y(tm, freqs), first)
         assert prob_one(tm) == tm.prob_one
-        assert solves == [tm.n]
+        assert (solves, [a[:2] for a in means]) == want
 
     def test_entries_cannot_change(self):
         tm = closed_form_ax(2)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,14 @@ from brute_force import (
 )
 from ccpsd import presets, transfer
 from ccpsd.clocked import bfs_ostd, clocked_inputs_from_fstd
-from ccpsd.codebook import CLOCKED_KINDS, ConstraintFamily, enumerate_codebook
+from ccpsd.codebook import (
+    CLOCKED_KINDS,
+    ConstraintFamily,
+    alpha,
+    enumerate_codebook,
+    group_cardinalities,
+    zeta,
+)
 from ccpsd.fstd import build_grid_fstd, build_infinite_fstd, reduce_to_ostd
 from ccpsd.ratfn import RationalFn, D, ZERO
 from ccpsd.transfer import (
@@ -120,18 +128,83 @@ class TestFiniteClosedForms:
         # the closed form needs only group cardinalities, never the codebook
         assert closed_form_aloco(32, 1).check_stochastic()
 
-    @pytest.mark.parametrize("maker", [closed_form_aloco, closed_form_loco_A])
-    def test_entries_equal_gcd_built(self, maker, monkeypatch):
+    # every m <= 12 for x <= 3, and two past the grid sweep
+    ALOCO_CASES = [(m, x) for x in (1, 2, 3) for m in range(x + 2, 13)] + [
+        (60, 1), (40, 2)]
+
+    @pytest.mark.parametrize("m,x", ALOCO_CASES)
+    def test_aloco_entries_equal_generic_built(self, m, x):
+        # the integer-built entries equal the paper's monomials plus
+        # geometric tails, summed by the generic arithmetic, and are as
+        # Euclid's gcd reduces them (checked on the first and last word
+        # rows past m = 12, which hold every kind of entry)
+        tm = closed_form_aloco(m, x)
+        assert tm.entries == aloco_reference(m, x)
+        rows = tm.entries if m <= 12 else (tm.entries[0], tm.entries[m - 1])
+        for row in rows:
+            for e in row:
+                assert e == RationalFn(e.num, e.den)
+                assert (e.num, e.den) == euclid_canonical(e.num, e.den)
+
+    @pytest.mark.parametrize("m,x", ALOCO_CASES)
+    def test_aloco_statistics_equal_solved(self, m, x):
+        # pi and p1 from the position means equal those of the solve
+        tm = closed_form_aloco(m, x)
+        solved = replace(tm, origin="solved")  # any origin but closed_form
+        assert tm.stationary == solved.stationary == fraction_stationary(tm)
+        assert all(type(p) is F for p in tm.stationary)
+        assert tm.prob_one == solved.prob_one == fraction_prob_one(tm)
+
+    def test_loco_entries_equal_gcd_built(self):
         # entries are canonical, as Euclid's gcd would reduce them
-        cases = [(m, x) for x in (1, 2, 3) for m in range(x + 2, 13)]
-        direct = [maker(m, x) for m, x in cases]
-        monkeypatch.setattr(transfer, "_beta", beta)
-        for (m, x), tm in zip(cases, direct):
-            ref = maker(m, x)
-            for row, ref_row in zip(tm.entries, ref.entries):
-                for e, r in zip(row, ref_row):
-                    assert e == r == RationalFn(e.num, e.den), (m, x)
-                    assert (e.num, e.den) == euclid_canonical(e.num, e.den)
+        for x in (1, 2, 3):
+            for m in range(x + 2, 13):
+                for row in closed_form_loco_A(m, x).entries:
+                    for e in row:
+                        assert e == RationalFn(e.num, e.den), (m, x)
+                        assert (e.num, e.den) == euclid_canonical(e.num,
+                                                                  e.den)
+
+
+def aloco_reference(m, x):
+    """Entries of ``closed_form_aloco`` as the paper writes them: word to
+    word, a monomial where the run can close directly plus the geometric
+    tail beta over later periods, with the continuation ratios multiplied
+    out here."""
+    fam = ConstraintFamily("aloco", x, m)
+    n_words, period, z = group_cardinalities(fam, m)[0], m + x, zeta(fam)
+
+    def chain(d, g):
+        """Product of 1 - alpha_c for c = d down to d - g."""
+        out = F(1)
+        for c in range(d - g, d + 1):
+            out *= 1 - alpha(fam, c)
+        return out
+
+    def b(a, power):
+        return beta(a, power, n_words, period)
+
+    n = m + x
+    entries = [[ZERO] * n for _ in range(n)]
+    for i in range(1, m + 1):
+        for j in range(1, m + 1):
+            if i == m and j == 1:
+                val = b(z, m + 2 * x + 1)
+            elif j == i:
+                val = b(1, period)
+            elif j == i + 1 or j > i + 1 + x:
+                lc = chain(m + 1 - i, j - i - 1)
+                val = mono(lc, j - i) + b(lc, period + j - i)
+            elif j > i:
+                val = b(chain(m + 1 - i, j - i - 1), period + j - i)
+            else:
+                val = b(1 / chain(m + 1 - j, i - j - 1), period + j - i)
+            entries[i - 1][j - 1] = val
+    entries[m - 1][m] = mono(z, 1)
+    for k in range(1, x):
+        entries[m + k - 1][m + k] = D
+    entries[m + x - 1][0] = D
+    return tuple(tuple(row) for row in entries)
 
 
 def _finite_matrices():

@@ -12,16 +12,18 @@ Families:
 
 Every count and listing comes from one model of the constraint: an
 Aho-Corasick automaton over ``forbidden_patterns`` and its cached table of
-pattern-free continuations.  Group cardinalities and ``pair_counts`` (counts
-of the words with given pairs of bits set, and their sums along diagonals)
-read the table, so their cost grows with the length, not with N.  A
-``Codebook`` counts its N and lists its words only when they are read, in
-ascending lexicographic order, by joining halves: every pattern-free head of
-m // 2 bits, in order, is followed by each of the ascending pattern-free
-tails read from the automaton state the head ends in, and the tails of each
-state are listed once.  Listing refuses more than ``ENUMERATION_LIMIT``
-words; only ``codebook --out`` and the Monte-Carlo streams of finite families
-list words.
+accepted continuations.  For the self-clocked kinds the automaton's language
+already leaves out the two constant words: a fresh start state leads to the
+states "all zeros so far" and "all ones so far", which accept nothing, so no
+count or listing below subtracts them.  Group cardinalities and
+``pair_counts`` (counts of the words with given pairs of bits set, and their
+sums along diagonals) read the table, so their cost grows with the length,
+not with N.  A ``Codebook`` counts its N and lists its words only when they
+are read, in ascending lexicographic order, by joining halves: every head of
+m // 2 bits, in order, is followed by each of the ascending accepted tails
+read from the automaton state the head ends in, and the tails of each state
+are listed once.  Listing refuses more than ``ENUMERATION_LIMIT`` words; only
+``codebook --out`` and the Monte-Carlo streams of finite families list words.
 """
 
 from __future__ import annotations
@@ -69,11 +71,6 @@ class ConstraintFamily:
                 raise ValueError("clocked families need m >= 2")
 
     @property
-    def uses_zero_one_constraint(self):
-        """True when both 0-runs and 1-runs are constrained (the symmetric set)."""
-        return self.kind in ("sx", "loco", "cloco")
-
-    @property
     def bridging(self):
         if self.kind in INFINITE_KINDS:
             return None
@@ -84,7 +81,7 @@ def forbidden_patterns(family):
     """The forbidden windows as bit tuples."""
     x = family.x
     pats = [(1,) + (0,) * j + (1,) for j in range(1, x + 1)]
-    if family.uses_zero_one_constraint:
+    if family.kind in ("sx", "loco", "cloco"):  # 1-runs are bounded too
         pats += [(0,) + (1,) * j + (0,) for j in range(1, x + 1)]
     return pats
 
@@ -93,18 +90,28 @@ class Automaton:
     """Aho-Corasick table of a forbidden-pattern set, with completion counts.
 
     States are the proper prefixes of the patterns, shortest first, then one
-    dead state; state 0 is the empty prefix.  A live state stands for the
+    dead state; state 0 is the empty prefix.  A prefix state stands for the
     longest suffix of the bits read that is a proper pattern prefix, and
     ``delta[s][b]`` is the state after reading bit b: dead once a pattern
-    has ended, and dead ever after.
+    has ended, and dead ever after.  Every prefix state accepts.
+
+    A ``clocked`` automaton also refuses the constant strings.  Before the
+    dead state it has a fresh ``start`` state and the two ``constant``
+    states "all zeros so far" and "all ones so far", which accept nothing.
+    Constant state b copies the prefix state one b reaches, except that
+    reading b again stays put; so it accepts one continuation fewer, b^r.
+    That needs reading b twice to reach the state one b reaches, which
+    holds for every pattern set of the package; other sets raise
+    ``ValueError``.
     """
 
-    def __init__(self, patterns):
+    def __init__(self, patterns, clocked=False):
         prefixes = sorted({p[:k] for p in patterns for k in range(len(p))},
                           key=lambda q: (len(q), q))
         index = {q: i for i, q in enumerate(prefixes)}
         patterns = set(patterns)
-        dead = len(prefixes)
+        n = len(prefixes)
+        dead = n + 3 * clocked
         self.delta = [[dead, dead] for _ in range(dead + 1)]
         fail = {0: 0}  # the longest proper suffix state of a live prefix
         for q in prefixes:
@@ -120,10 +127,21 @@ class Automaton:
                 self.delta[i][b] = index.get(t, back)
                 if t in index:
                     fail[index[t]] = back
-        self._counts = [[1] * dead + [0]]
+        self.start, self.constant = 0, ()
+        if clocked:
+            self.start, self.constant = n, (n + 1, n + 2)
+            self.delta[n] = list(self.constant)
+            for b, (c, s) in enumerate(zip(self.constant, self.delta[0])):
+                if self.delta[s][b] != s:
+                    raise ValueError(f"reading {b} twice leaves the state"
+                                     f" one {b} reaches")
+                self.delta[c] = self.delta[s].copy()
+                self.delta[c][b] = c
+        # row 0: the prefix states accept, the others do not
+        self._counts = [[1] * n + [0] * (dead + 1 - n)]
 
     def count(self, r, s):
-        """Pattern-free r-bit continuations from state s."""
+        """Accepted r-bit continuations from state s."""
         if r < 0:
             return 0
         rows = self._counts
@@ -133,10 +151,10 @@ class Automaton:
         return rows[r][s]
 
     def walk(self, length):
-        """Every pattern-free ``length``-bit string, lexicographically
+        """Every accepted ``length``-bit string, lexicographically
         ascending: each head of ``length // 2`` bits, in order, joined to
-        the ascending tails read from the state it ends in.  Tails are
-        listed once per distinct end state."""
+        the ascending tails, read from the state it ends in, that end in an
+        accepting state.  Tails are listed once per distinct end state."""
         dead = len(self.delta) - 1
         # (bit, state after) of each live step, the 0-step first
         steps = [[((b,), t) for b, t in enumerate(row) if t != dead]
@@ -150,15 +168,17 @@ class Automaton:
             return level
 
         half = length // 2
-        heads = strings(0, half)
+        heads = strings(self.start, half)
+        accepts = self._counts[0]
         tails = {}
         for _, s in heads:
             if s not in tails:
-                tails[s] = [w for w, _ in strings(s, length - half)]
+                tails[s] = [w for w, t in strings(s, length - half)
+                            if accepts[t]]
         return [h + t for h, s in heads for t in tails[s]]
 
     def pair_counts(self, length):
-        """(ones, with_first, with_last, lag_sums) of the pattern-free
+        """(ones, with_first, with_last, lag_sums) of the accepted
         ``length``-bit strings, as Python ints: ones[q] counts the strings
         with bit q set, with_first[q] those with bits 0 and q, with_last[q]
         those with bits q and length - 1, and lag_sums[d] sums over q those
@@ -166,12 +186,13 @@ class Automaton:
         both 1, these are G's diagonal, row 0, column length - 1 and
         diagonal sums.
 
-        Row 0 of ``rows`` counts the prefixes by the state they end in, and
-        row i + 1 the prefixes whose bit i is 1; each bit steps them all
-        forward by one matrix product.  Column j of G is those rows read
-        against the completions of a 1 at bit j; it is added into the sums
-        and dropped, so memory grows like length times the states, not
-        length squared.
+        Row 0 of ``rows`` counts the prefixes read from ``start`` by the
+        state they end in, and row i + 1 the prefixes whose bit i is 1; each
+        bit steps them all forward by one matrix product.  Column j of G is
+        those rows read against the accepted completions of a 1 at bit j, so
+        a clocked automaton's constant strings are never counted.  Each
+        column is added into the sums and dropped, so memory grows like
+        length times the states, not length squared.
         """
         live = len(self.delta) - 1
 
@@ -185,12 +206,12 @@ class Automaton:
             return t
 
         both, one = steps((0, 1)), steps((1,))
-        self.count(length, 0)
+        self.count(length, self.start)
         # row j: the completions of a 1 at bit j, by the state before it
         afters = np.array(self._counts[length - 1::-1], object)[
             :, [row[1] for row in self.delta[:live]]]
         rows = np.zeros((length + 1, live), object)
-        rows[0, 0] = 1
+        rows[0, self.start] = 1
         ones, with_first = [], []
         lag_sums = np.zeros(length, object)
         for j, after in enumerate(afters):
@@ -210,26 +231,20 @@ _automaton = lru_cache(maxsize=None)(Automaton)
 
 
 def automaton(family):
-    """The cached constraint automaton of a family's forbidden patterns."""
-    return _automaton(tuple(forbidden_patterns(family)))
+    """The cached constraint automaton of a family's forbidden patterns,
+    clocked for the self-clocked kinds: it accepts exactly the words."""
+    return _automaton(tuple(forbidden_patterns(family)),
+                      family.kind in CLOCKED_KINDS)
 
 
 def pair_counts(family):
     """(N, ones, with_first, with_last, lag_sums) of a finite family's
     codebook, counted, not listed, as Python ints: ``Automaton.pair_counts``
-    of its words, which are N."""
+    of the words its automaton accepts, which are N."""
     if family.m is None:
         raise ValueError("infinite-length families have no codebook")
     m, auto = family.m, automaton(family)
-    n = auto.count(m, 0)
-    ones, with_first, with_last, lag_sums = auto.pair_counts(m)
-    if family.kind in CLOCKED_KINDS:
-        # drop the all-zero word and the all-one word, which sets every
-        # bit: m - d pairs of bits lie d apart
-        return (n - 2, [u - 1 for u in ones], [u - 1 for u in with_first],
-                [u - 1 for u in with_last],
-                [u - (m - d) for d, u in enumerate(lag_sums)])
-    return n, ones, with_first, with_last, lag_sums
+    return (auto.count(m, auto.start), *auto.pair_counts(m))
 
 
 def enumerate_codebook(family):
@@ -241,7 +256,8 @@ def enumerate_codebook(family):
 
 class Codebook:
     """The whole codebook of a finite family: N is counted, and the words,
-    bit tuples in ascending lexicographic order, are listed on first read."""
+    bit tuples in ascending lexicographic order, are listed on first read,
+    both from the family's automaton, which accepts exactly the words."""
 
     def __init__(self, family):
         self.family = family
@@ -257,12 +273,7 @@ class Codebook:
             raise ValueError(
                 f"{fam.kind} x={fam.x} m={fam.m} has {n_words} words, more"
                 f" than the enumeration limit of {ENUMERATION_LIMIT}")
-        words = automaton(fam).walk(fam.m)
-        if fam.kind in CLOCKED_KINDS:
-            # the all-zero and all-one words are always pattern-free, and
-            # are the first and last in lexicographic order
-            return words[1:-1]
-        return words
+        return automaton(fam).walk(fam.m)
 
     @property
     def N1(self):
@@ -293,14 +304,9 @@ def group_cardinalities(family, length):
     # rejects the kinds without codewords, as enumeration would
     ConstraintFamily(family.kind, family.x, length)
     auto = automaton(family)
-    d = auto.delta
-    n = auto.count(length, 0)
-    n1, n2, n3 = (auto.count(length - 2, d[d[0][a]][b])
-                  for a, b in ((0, 0), (1, 1), (1, 0)))
-    if family.kind in CLOCKED_KINDS:
-        # the all-zero and all-one words are always pattern-free
-        return n - 2, n1 - 1, n2 - 1, n3
-    return n, n1, n2, n3
+    d, s = auto.delta, auto.start
+    return (auto.count(length, s), *(auto.count(length - 2, d[d[s][a]][b])
+                                     for a, b in ((0, 0), (1, 1), (1, 0))))
 
 
 def zeta(family):

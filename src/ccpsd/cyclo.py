@@ -17,6 +17,9 @@ import numpy as np
 
 from .codebook import pair_counts
 
+# Frequencies in (0, 1/2] at which ``bandwidth_3db`` reads a PSD.
+BANDWIDTH_POINTS = 4096
+
 
 @dataclass
 class AutocorrSeries:
@@ -164,13 +167,14 @@ def continuous_psd_from_aperiodic(series, freqs, with_pulse=True):
                          np.asarray(freqs, dtype=float), with_pulse)
 
 
-def bandwidth_3db(psd_fn, points=4096):
+def bandwidth_3db(psd_fn):
     """Twice the frequency where the PSD first drops to half its DC limit.
 
-    psd_fn maps an array of frequencies in (0, 1/2] to PSD values; the DC
-    limit is taken as the continuous extension at f = 0.
+    psd_fn maps an array of frequencies in (0, 1/2] to PSD values, read at
+    ``BANDWIDTH_POINTS`` of them; the DC limit is taken as the continuous
+    extension at f = 0.
     """
-    f = np.arange(1, points + 1) / (2 * points)
+    f = np.arange(1, BANDWIDTH_POINTS + 1) / (2 * BANDWIDTH_POINTS)
     s = psd_fn(f)
     s0 = float(psd_fn(np.array([0.0]))[0])
     thresh = s0 / 2.0

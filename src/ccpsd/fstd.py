@@ -10,9 +10,10 @@ Two constructions are provided:
 * ``build_grid_fstd`` -- the positional grid for a stream of uniformly drawn
   fixed-length codewords with bridging: one column per position of the
   codeword-plus-bridge period, states keyed by (column, last x+1 bits).  Each
-  edge probability is a ratio of completion counts of the automaton.  A
-  self-clocked word that is constant so far keeps its whole history, since
-  it lacks the one constant completion; this makes its grid exact.
+  edge probability is a ratio of completion counts of the automaton, which
+  for a self-clocked family already refuses the constant words.  A word in
+  one of its constant states keeps its whole history, since it lacks the one
+  constant completion; this makes its grid exact.
 
 ``reduce_to_ostd`` aggregates all label-free paths between labeled states
 (states whose most recent bit is a 1): each one-step edge holds the path
@@ -25,8 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .codebook import (CLOCKED_KINDS, INFINITE_KINDS, ConstraintFamily,
-                       automaton)
+from .codebook import INFINITE_KINDS, ConstraintFamily, automaton
 from .ratfn import RationalFn
 
 
@@ -152,7 +152,9 @@ def build_grid_fstd(codebook, merge=True):
     """Positional-grid FSTD for a finite family under uniform codeword usage.
 
     Only ``codebook.family`` is read: every edge probability is a ratio of
-    completion counts of the constraint automaton.
+    completion counts of the family's automaton, read from the state each
+    node was first reached in.  Only the keep-the-whole-history rule reads
+    the automaton's ``constant`` states.
     """
     family = codebook.family
     # With z-symbol bridges the grid tracks the flipped indicator, in which
@@ -161,28 +163,19 @@ def build_grid_fstd(codebook, merge=True):
     m, x = family.m, family.x
     period = m + x
     auto = automaton(family)
-    clocked = family.kind in CLOCKED_KINDS
-
-    def completions(r, s, const):
-        # a clocked word that is constant so far loses its constant completion
-        return auto.count(r, s) - (clocked and const)
 
     # Stream words are uniform over the codebook.  The loco patterns are
     # symmetric, so the flipped words obey the same automaton.
-    first = auto.delta[0]
-    n_first = [completions(m - 1, s, True) for s in first]
+    first = auto.delta[auto.start]
+    n_first = [auto.count(m - 1, s) for s in first]
     draw_first = [(b, Fraction(n_first[b], sum(n_first))) for b in (0, 1)]
 
-    def successors(col, hist, s, const):
-        """(bit, probability, automaton state, constant flag) of each edge."""
+    def successors(col, hist, s):
+        """(bit, probability, automaton state) of each edge."""
         if col < m - 1:  # word bits
-            total = completions(m - 1 - col, s, const)
-            steps = []
-            for b, t in enumerate(auto.delta[s]):
-                c = const and b == hist[-1]
-                steps.append((b, Fraction(completions(m - 2 - col, t, c), total),
-                              t, c))
-            return steps
+            total = auto.count(m - 1 - col, s)
+            return [(b, Fraction(auto.count(m - 2 - col, t), total), t)
+                    for b, t in enumerate(auto.delta[s])]
         if col == period - 1:  # the first bit of the next word
             if not flipped and hist[-1] == 1:
                 pairs = [(1, Fraction(1))]
@@ -190,7 +183,7 @@ def build_grid_fstd(codebook, merge=True):
                 pairs = [(0, Fraction(1))]
             else:
                 pairs = draw_first
-            return [(b, p, first[b], True) for b, p in pairs]
+            return [(b, p, first[b]) for b, p in pairs]
         # Bridge bits repeat the first one.  z symbols read 1; ones bridge a
         # 1 to a word starting with 1, and zeros bridge the rest.
         if col >= m or (not flipped and hist[-1] == 0):
@@ -199,26 +192,27 @@ def build_grid_fstd(codebook, merge=True):
             pairs = [(1, Fraction(1))]
         else:
             pairs = draw_first
-        return [(b, p, None, False) for b, p in pairs]
+        return [(b, p, None) for b, p in pairs]
 
     # A state is a column and the stream bits it remembers: the last x+1,
-    # or the whole word while a clocked word is constant.  The walk starts
-    # after a word ending in 0 and its bridge, which every stream visits.
+    # or the whole word while the automaton is in a constant state.  The
+    # walk starts after a word ending in 0 and its bridge, which every
+    # stream visits.
     start = (period - 1, (0,) + (int(flipped),) * x)
-    info = {start: (None, False)}  # automaton state and constant flag
+    info = {start: None}  # the automaton state
     out = {}
     todo = [start]
     while todo:
         col, hist = node = todo.pop()
         out[node] = []
-        for b, p, s, const in successors(col, hist, *info[node]):
+        for b, p, s in successors(col, hist, info[node]):
             if p:
                 nxt = (col + 1) % period
-                keep = max(x + 1, nxt + 1 if clocked and const else 0)
+                keep = max(x + 1, nxt + 1 if s in auto.constant else 0)
                 target = (nxt, (hist + (b,))[-keep:])
                 out[node].append((b, p, target))
                 if target not in info:
-                    info[target] = (s, const)
+                    info[target] = s
                     todo.append(target)
 
     nodes = sorted(out)

@@ -40,6 +40,8 @@ Arithmetic runs on ints only:
   ``ValueError`` naming the column with no pivot.
 * ``HornerStack`` evaluates many rational functions at an array of points
   in one pass of Horner's rule, with the coefficients rounded to floats once.
+  It is the one float kernel: ``evaluate`` at a float or complex point, or
+  an array of them, goes through it.
 """
 
 from __future__ import annotations
@@ -214,15 +216,6 @@ def _at(p, z, top):
     return acc * den ** (top - len(p) + 1)
 
 
-def _float_at(p, s, z):
-    """Horner's rule at a float or complex z on the coefficients p / s, each
-    rounded to a float."""
-    acc = 0 * z
-    for v in reversed(p):
-        acc = acc * z + v / s
-    return acc
-
-
 def _derivative(p):
     return tuple(i * v for i, v in enumerate(p))[1:]
 
@@ -370,25 +363,19 @@ class RationalFn:
     # -- queries ---------------------------------------------------------
 
     def evaluate(self, z):
-        """Evaluate at a complex/float point (exact if z is a Fraction).
-
-        A numpy array of points is evaluated elementwise in one Horner pass,
-        with the coefficients rounded to floats on each such call.
+        """Evaluate at a point: exactly at an int or Fraction, else by
+        ``HornerStack`` at a float, complex or numpy array of them, with the
+        coefficients rounded to floats on each call.  A single point gives a
+        numpy scalar, an array of points an array of their values.
         """
-        if isinstance(z, np.ndarray):
-            return HornerStack([self])(z)[0]
+        if not _is_exact(z):
+            return HornerStack([self])(np.asarray(z))[0][()]
         n, c, d = self._n, self._c, self._d
-        if _is_exact(z):
-            top = max(len(n), len(d)) - 1
-            den = _at(d, z, top)
-            if not den:
-                raise ZeroDivisionError("evaluation at a pole")
-            return Fraction(_at(n, z, top), c * den)
-        lead = d[-1]
-        den = _float_at(d, lead, z)
-        if den == 0:
+        top = max(len(n), len(d)) - 1
+        den = _at(d, z, top)
+        if not den:
             raise ZeroDivisionError("evaluation at a pole")
-        return _float_at(n, c * lead, z) / den
+        return Fraction(_at(n, z, top), c * den)
 
     def derivative_parts(self, z):
         """(t, q) with R'(z) = t / q unreduced and q > 0, at an exact point

@@ -5,7 +5,8 @@ from math import lcm
 
 import numpy as np
 
-from ccpsd.codebook import CLOCKED_KINDS, Codebook, automaton, forbidden_patterns
+from ccpsd.codebook import (CLOCKED_KINDS, Automaton, Codebook,
+                            forbidden_patterns)
 from ccpsd.cyclo import AutocorrSeries
 from ccpsd.ratfn import solve
 
@@ -50,11 +51,11 @@ def brute_force_codebook(family):
 
 
 def depth_first_words(family):
-    """The family's words listed depth first over its constraint automaton,
-    most-significant bit first, with the clocked kinds' constant words
-    filtered out by their bit sums: the reference for the head/tail join of
-    ``enumerate_codebook``."""
-    m, auto = family.m, automaton(family)
+    """The family's words listed depth first over the unclocked automaton of
+    its forbidden patterns, most-significant bit first, with the clocked
+    kinds' constant words filtered out by their bit sums: the reference for
+    the head/tail join of ``enumerate_codebook``."""
+    m, auto = family.m, Automaton(tuple(forbidden_patterns(family)))
     delta, bits, words = auto.delta, [], []
     stack = [(-1, None, 0)]  # (index of the bit, the bit, state after)
     while stack:

@@ -84,11 +84,12 @@ class TestEnumeration:
         for x in (1, 2, 3):
             for m in range(2, 13):
                 fam = ConstraintFamily(kind, x, m)
-                listed = automaton(fam).walk(m)
+                unclocked = Automaton(tuple(forbidden_patterns(fam)))
+                listed = unclocked.walk(m)
                 cb = enumerate_codebook(fam)
                 assert (listed[0], listed[-1]) == ((0,) * m, (1,) * m)
                 assert cb.words == listed[1:-1]
-                assert cb.N == group_cardinalities(fam, m)[0]
+                assert cb.N == unclocked.count(m, 0) - 2
 
     def test_known_sizes(self):
         # length-4 words avoiding 101
@@ -129,6 +130,35 @@ class TestEnumeration:
         pats = forbidden_patterns(fam)
         for w in enumerate_codebook(fam).words:
             assert not contains_forbidden(w, pats)
+
+
+class TestClockedAutomaton:
+    @pytest.mark.parametrize("x", [1, 2, 3])
+    @pytest.mark.parametrize("kind", CLOCKED_KINDS)
+    def test_constant_states_count_one_continuation_fewer(self, kind, x):
+        auto = automaton(ConstraintFamily(kind, x, 2))
+        for b, c in enumerate(auto.constant):
+            copied = auto.delta[0][b]  # the prefix state one b reaches
+            assert auto.delta[auto.start][b] == c and auto.delta[c][b] == c
+            assert auto.count(0, c) == 0  # accepts nothing
+            for r in range(13):
+                assert auto.count(r, c) == auto.count(r, copied) - 1
+
+    def test_refuses_patterns_the_constant_states_cannot_follow(self):
+        # after 00 the automaton of {000} is one step from the pattern, after
+        # 0 two steps: one constant state per bit cannot stand for both
+        assert Automaton(((0, 0, 0),)).count(3, 0) == 7
+        with pytest.raises(ValueError, match="reading 0 twice"):
+            Automaton(((0, 0, 0),), clocked=True)
+        with pytest.raises(ValueError, match="reading 1 twice"):
+            Automaton(((1, 0, 1), (1, 1, 1)), clocked=True)
+        # a hand-built set whose constant states do copy a prefix state
+        unclocked = Automaton(((0, 1, 1, 0),))
+        auto = Automaton(((0, 1, 1, 0),), clocked=True)
+        for m in range(2, 9):
+            want = [w for w in unclocked.walk(m) if 0 < sum(w) < m]
+            assert auto.walk(m) == want
+            assert auto.count(m, auto.start) == len(want)
 
 
 class TestCardinalities:

@@ -178,12 +178,13 @@ class Automaton:
         return [h + t for h, s in heads for t in tails[s]]
 
     def pair_counts(self, length):
-        """(ones, with_first, with_last, lag_sums) of the accepted
-        ``length``-bit strings, as Python ints: ones[q] counts the strings
-        with bit q set, with_first[q] those with bits 0 and q, with_last[q]
-        those with bits q and length - 1, and lag_sums[d] sums over q those
-        with bits q and q + d.  With G[i][j] the strings with bits i and j
-        both 1, these are G's diagonal, row 0, column length - 1 and
+        """(ones, with_first, with_last, with_next, lag_sums) of the
+        accepted ``length``-bit strings, as Python ints: ones[q] counts the
+        strings with bit q set, with_first[q] those with bits 0 and q,
+        with_last[q] those with bits q and length - 1, with_next[q] those
+        with bits q and q + 1, and lag_sums[d] sums over q those with bits q
+        and q + d.  With G[i][j] the strings with bits i and j both 1, these
+        are G's diagonal, row 0, column length - 1, first superdiagonal and
         diagonal sums.
 
         Row 0 of ``rows`` counts the prefixes read from ``start`` by the
@@ -212,19 +213,21 @@ class Automaton:
             :, [row[1] for row in self.delta[:live]]]
         rows = np.zeros((length + 1, live), object)
         rows[0, self.start] = 1
-        ones, with_first = [], []
+        ones, with_first, with_next = [], [], []
         lag_sums = np.zeros(length, object)
         for j, after in enumerate(afters):
             col = rows[:j + 1] @ after  # G[j][j], then G[i][j] for i < j
             ones.append(col[0])
             with_first.append(col[min(j, 1)])  # G[0][j]
+            if j:
+                with_next.append(col[j])  # G[j - 1][j]
             lag_sums[1:j + 1] += col[j:0:-1]
             row_j = rows[0] @ one  # the prefixes whose bit j is 1
             rows[:j + 1] = rows[:j + 1] @ both
             rows[j + 1] = row_j
         lag_sums[0] = sum(ones)
         with_last = list(col[1:]) + [col[0]]
-        return ones, with_first, with_last, lag_sums.tolist()
+        return ones, with_first, with_last, with_next, lag_sums.tolist()
 
 
 _automaton = lru_cache(maxsize=None)(Automaton)
@@ -238,9 +241,10 @@ def automaton(family):
 
 
 def pair_counts(family):
-    """(N, ones, with_first, with_last, lag_sums) of a finite family's
-    codebook, counted, not listed, as Python ints: ``Automaton.pair_counts``
-    of the words its automaton accepts, which are N."""
+    """(N, ones, with_first, with_last, with_next, lag_sums) of a finite
+    family's codebook, counted, not listed, as Python ints:
+    ``Automaton.pair_counts`` of the words its automaton accepts, which are
+    N."""
     if family.m is None:
         raise ValueError("infinite-length families have no codebook")
     m, auto = family.m, automaton(family)

@@ -77,7 +77,7 @@ def exact_autocorr(codebook, signal="y"):
     period = m + x
     kmax = (m + 2 * x - 1) + period
     scale, _, f = signal_levels(fam, signal)
-    n, ones, with_first, with_last, lag_sums = pair_counts(fam)
+    n, ones, with_first, with_last, _, lag_sums = pair_counts(fam)
     n2 = n * n
     first, last = ones[0], ones[-1]
     jump = f[1][1] - f[0][0]  # a bridge moves by jump when a = c = 1

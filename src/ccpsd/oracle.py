@@ -138,13 +138,21 @@ def _sx_levels(seed, n, x):
 
 
 def _iid_levels(seed, n):
-    rng = _rng(seed)
+    """Fair +-1 symbols, those of ``rng.integers(0, 2)`` drawn in chunks.
+
+    numpy draws those bits from 32-bit halves of the 64-bit draws, low half
+    first, and keeps each half's top bit; so symbol 2i is bit 31 of draw i
+    and symbol 2i + 1 its bit 63, read here from the raw draws.
+    """
+    bits = _rng(seed).bit_generator
     y = np.empty(n, dtype=np.int8)
     for a in range(0, n, CHUNK_SYMBOLS):
-        levels = rng.integers(0, 2, size=min(CHUNK_SYMBOLS, n - a))
-        levels *= 2
-        levels -= 1
-        y[a:a + len(levels)] = levels
+        c = min(CHUNK_SYMBOLS, n - a)
+        draws = bits.random_raw(-(-c // 2))
+        out = y[a:a + c]
+        out[0::2] = (draws >> 30) & 2  # the bit as 0 or 2
+        out[1::2] = (draws[:c // 2] >> 62) & 2
+        out -= 1
     return y
 
 
@@ -209,10 +217,12 @@ def _lag_sums(stream, k0, lags):
     U[:-1]^T W[1:], plus the pairs that reach past the last full row.  Each
     product is in {-1, 0, 1} and a chunk of at most CHUNK_SYMBOLS symbols
     keeps every partial sum an integer below 2^24, so the float32 matrix
-    products are exact in any summation order.
+    products are exact in any summation order.  Any B >= lags is exact;
+    B is the least multiple of 16 that is, since narrower rows cost fewer
+    products and 16 float32 values fill a vector register.
     """
     n = len(stream) - k0
-    b = max(lags, 64)  # shorter rows make matrix products too small to be fast
+    b = -(-lags // 16) * 16
     rows = n // b
     step = max(1, CHUNK_SYMBOLS // b)
     c0 = np.zeros((b, b))

@@ -9,17 +9,21 @@ Closed-form constructions are provided for every supported family, alongside
 ``alternate_sx`` are the compact two-state/one-state forms obtained by
 tracking runs between transitions instead of between ones.
 
-The exact statistics stay on ints until each result is made.  The states
-of the A-LOCO closed form are the positions of one period that read 1, so
-its pi is the indicator's position means (``cyclo.position_means``, ints
-over N^2) normalised, and p1 is their average; nothing is solved.  Every
-other matrix -- the LOCO closed form, whose forced states need joint
-counts, and the grid, BFS and stream matrices -- solves: pi is one
-``solve``, which scales each equation (a column of G(1) less the identity)
-to ints by the lcm of its denominators, and p1 = 1 / (pi G'(1) 1) takes
-each row sum of G'(1) as one int over the lcm of its entries'
-denominators, from coefficient sums.  A row of G(1) sums to 1 when its
-numerators, scaled to the lcm L of its denominators, sum to L.
+The exact statistics stay on ints until each result is made.  Every state
+emits one labeled symbol, so where a constructor can count how often each
+state is visited it hands the matrix those counts and their scale
+(``visits``): pi is the counts normalised and p1 their sum over the scale,
+with nothing solved.  The A-LOCO closed form's states are the positions of
+one period that read 1, so its counts are the indicator's position means
+(``cyclo.position_means``, ints over N^2); the LOCO closed form's are the
+words in which each free, forced or bridge state occurs, from the ones and
+adjacent pair counts of ``codebook.pair_counts``.  Every other matrix --
+grid, BFS and streams -- solves: pi is one ``solve``, which scales each
+equation (a column of G(1) less the identity) to ints by the lcm of its
+denominators, and p1 = 1 / (pi G'(1) 1) takes each row sum of G'(1) as one
+int over the lcm of its entries' denominators, from coefficient sums.  A
+row of G(1) sums to 1 when its nonzero numerators, scaled to the lcm L of
+their denominators, sum to L.
 """
 
 from __future__ import annotations
@@ -30,8 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .codebook import (ConstraintFamily, alpha, group_cardinalities, lam,
-                       pair_counts, zeta)
+from .codebook import ConstraintFamily, alpha, lam, pair_counts, zeta
 from .cyclo import position_means
 from .ratfn import HornerStack, RationalFn, ZERO, over_lcm, solve
 
@@ -48,6 +51,9 @@ class TransferMatrix:
     entries: tuple  # n x n nested tuples of RationalFn
     labels: list  # state descriptors, canonical order
     origin: str = "closed_form"
+    # (counts, scale) when the constructor counts visits: state i is
+    # visited counts[i] / scale times a symbol on average
+    visits: tuple | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "entries",
@@ -59,34 +65,24 @@ class TransferMatrix:
 
     @cached_property
     def _g1(self):
-        return tuple(tuple(e.evaluate(1) if e else Fraction(0) for e in row)
+        """G(1), with the int 0 where an entry is zero."""
+        return tuple(tuple(e.evaluate(1) if e else 0 for e in row)
                      for row in self.entries)
-
-    @cached_property
-    def _position_means(self):
-        """(N^2 times the mean of the indicator at each state's position, N)
-        for the A-LOCO closed form, whose states are the positions of one
-        period that read 1; None for every other matrix."""
-        fam = self.family
-        if self.origin != "closed_form" or fam.kind != "aloco":
-            return None
-        n, ones = pair_counts(fam)[:2]
-        return position_means(fam, "x", n, ones), n
 
     @cached_property
     def stationary(self):
         """Exact pi with pi G(1) = pi and sum(pi) = 1, as a tuple.
 
-        The A-LOCO closed form visits each state as often as its position
-        reads 1, so its pi is the position means normalised.  Otherwise
-        (G(1)^T - I) pi = 0, with the normalisation in place of the last
-        equation, goes to ``solve``: row i is column i of G(1) less e_i,
-        which ``solve`` scales to ints by the lcm of its denominators.
+        A matrix with visit counts visits each state as often as its count
+        says, so pi is the counts normalised.  Otherwise (G(1)^T - I) pi = 0,
+        with the normalisation in place of the last equation, goes to
+        ``solve``: row i is column i of G(1) less e_i, which ``solve`` scales
+        to ints by the lcm of its denominators.
         """
-        if self._position_means:
-            means, _ = self._position_means
-            total = sum(means)
-            return tuple(Fraction(v, total) for v in means)
+        if self.visits:
+            counts, _ = self.visits
+            total = sum(counts)
+            return tuple(Fraction(v, total) for v in counts)
         g1 = self._g1
         n = self.n
         a = []
@@ -105,14 +101,14 @@ class TransferMatrix:
     def prob_one(self):
         """Exact density of labeled symbols: 1 / (pi G'(1) 1).
 
-        For the A-LOCO closed form it is the mean of the position means,
-        whose sum over a period of P symbols is an int over N^2.  Otherwise
-        each row sum of G'(1) is one int over the lcm of the unreduced
-        denominators c d(1)^2 of its entries' slopes at 1.
+        Every state emits one labeled symbol, so with visit counts it is the
+        visits a symbol: their sum over the scale.  Otherwise each row sum of
+        G'(1) is one int over the lcm of the unreduced denominators c d(1)^2
+        of its entries' slopes at 1.
         """
-        if self._position_means:
-            means, n = self._position_means
-            return Fraction(sum(means), n * n * len(means))
+        if self.visits:
+            counts, scale = self.visits
+            return Fraction(sum(counts), scale)
         mean = Fraction(0)
         for p, row in zip(self.stationary, self.entries):
             nums, scale = over_lcm(e.derivative_parts(1) for e in row if e)
@@ -138,7 +134,8 @@ class TransferMatrix:
         """True if every row of G(1) sums to 1, compared over the lcm L of
         the row's denominators as sum num (L / den) == L."""
         for i, row in enumerate(self._g1):
-            nums, scale = over_lcm((v.numerator, v.denominator) for v in row)
+            nums, scale = over_lcm((v.numerator, v.denominator)
+                                   for v in row if v)
             if sum(nums) != scale:
                 raise ValueError(f"row {i} of G(1) sums to {sum(row)} != 1")
         return True
@@ -264,7 +261,7 @@ def closed_form_aloco(m, x):
     fam = ConstraintFamily("aloco", x, m)
     if m < x + 2:
         raise ValueError("closed form requires m >= x + 2; use the grid")
-    n_words = group_cardinalities(fam, m)[0]
+    n_words, ones = pair_counts(fam)[:2]
     period = m + x
     z = zeta(fam)
     n = m + x
@@ -292,7 +289,11 @@ def closed_form_aloco(m, x):
     labels = [("word", p) for p in range(1, m + 1)] + [
         ("bridge", b) for b in range(1, x + 1)
     ]
-    tm = TransferMatrix(fam, entries, labels)
+    # state i is position i of a period, visited when it reads 1: N^2 times
+    # its mean, over N^2 P
+    visits = (position_means(fam, "x", n_words, ones),
+              n_words * n_words * period)
+    tm = TransferMatrix(fam, entries, labels, visits=visits)
     tm.check_stochastic()
     return tm
 
@@ -311,6 +312,37 @@ def _loco_states(m, x):
     states += forced
     states += [("bridge", b) for b in range(1, x + 1)]
     return states
+
+
+def _loco_visits(fam, states):
+    """Words of the N in which each state of ``closed_form_loco_A`` is
+    visited, and the scale N P.
+
+    Every bridge slot is visited once a period, and word column p in the
+    words that read 0 there.  A word whose bits at 1-based columns c - 1
+    and c read 1, 0 reads 0 from c on for x columns or to the end of the
+    word, and is forced there: through state (p, c + x) at c <= p < c + x,
+    or through (p, m + 1) from c to the bridge when c + x > m.  The other
+    words reading 0 at p are free there.
+    """
+    m, x = fam.m, fam.x
+    n, ones, _, _, with_next, _ = pair_counts(fam)
+    fall = [0, 0] + [u - g for u, g in zip(ones, with_next)]  # fall[c]
+    count = {("bridge", b): n for b in range(1, x + 1)}
+    for f in range(x + 2, m + 1):
+        for p in range(f - x, f):
+            count["forced", p, f] = fall[f - x]
+    late = 0  # the falls whose forced run reaches the bridge
+    for p in range(m - x + 1, m + 1):
+        late += fall[p]
+        count["forced", p, m + 1] = late
+    forced = [0] * (m + 1)
+    for (kind, p, *_), v in count.items():
+        if kind == "forced":
+            forced[p] += v
+    for p in range(1, m + 1):
+        count["free", p] = n - ones[p - 1] - forced[p]
+    return [count[s] for s in states], n * (m + x)
 
 
 def closed_form_loco_A(m, x):
@@ -367,6 +399,7 @@ def closed_form_loco_A(m, x):
         chain *= lam_at[m - c + 2]
     add(("bridge", x), ("bridge", 1), chain, m + 1)
 
-    tm = TransferMatrix(fam, entries, states)
+    tm = TransferMatrix(fam, entries, states,
+                        visits=_loco_visits(fam, states))
     tm.check_stochastic()
     return tm

@@ -206,5 +206,6 @@ class TestPairCounts:
             w = np.array(enumerate_codebook(fam).words, dtype=np.int64)
             g = w.T @ w  # words with bits i and j both 1
             want = (len(w), np.diag(g).tolist(), g[0].tolist(),
-                    g[:, -1].tolist(), [int(np.trace(g, d)) for d in range(m)])
+                    g[:, -1].tolist(), np.diag(g, 1).tolist(),
+                    [int(np.trace(g, d)) for d in range(m)])
             assert pair_counts(fam) == want, m

@@ -202,6 +202,15 @@ class TestScale:
         got = spectrum_y(closed_form(m, 1), freqs)
         assert np.max(np.abs(got - want)) < 1e-9
 
+    @pytest.mark.parametrize("m,x", [(100, 1), (60, 2)])
+    def test_loco_closed_form_equals_autocorrelation_at_length(self, m, x):
+        freqs = default_grid(64)
+        series = exact_autocorr(enumerate_codebook(ConstraintFamily("loco", x,
+                                                                    m)))
+        want = continuous_psd_from_aperiodic(series, freqs, with_pulse=False)
+        got = spectrum_y(closed_form_loco_A(m, x), freqs)
+        assert np.max(np.abs(got - want)) < 1e-9
+
     def test_bandwidth_of_long_words(self, tmp_path):
         # aloco x=1 m=200 has about 9e48 words
         out = tmp_path / "bw.json"

@@ -228,6 +228,16 @@ class TestChunkedGeneration:
             assert_same_stream(cfg(kind, x, n=n, seed=seed),
                                ax_runs=three, sx_blocks=three)
 
+    @pytest.mark.parametrize("n", [1, oracle.CHUNK_SYMBOLS - 1,
+                                   oracle.CHUNK_SYMBOLS + 1, 10_000_000])
+    def test_iid_bits_are_those_of_integers(self, n):
+        # the raw-draw bits equal numpy's integers(0, 2) drawn as one array
+        want = np.random.Generator(np.random.Philox(8)).integers(0, 2, n)
+        want *= 2
+        want -= 1
+        assert np.array_equal(generate_stream(cfg("iid", 0, n=n, seed=8)),
+                              want)
+
     def test_geometric_inversion(self):
         rng = np.random.Generator(np.random.Philox(4))
         ref = np.random.Generator(np.random.Philox(4))
@@ -365,10 +375,11 @@ class TestBlockedLagProducts:
             assert np.array_equal(estimate_autocorr(s, kmax),
                                   estimate_autocorr_per_lag(s, kmax))
 
-    # rows of 64 symbols for kmax < 64, of kmax + 1 above
+    # rows of the least multiple of 16 symbols that holds the kmax + 1 lags
     @pytest.mark.parametrize("n,kmax", [
-        (n, kmax) for n in (1, 2, 50, 63, 64, 65, 640, 1000, 12_345)
-        for kmax in (0, 1, 5, 70) if kmax < n])
+        (n, kmax) for n in (1, 2, 15, 16, 17, 33, 50, 63, 64, 65, 640, 1000,
+                            12_345)
+        for kmax in (0, 1, 5, 15, 16, 70) if kmax < n])
     def test_row_edges(self, n, kmax):
         s = np.random.default_rng(n).integers(-1, 2, size=n).astype(np.int8)
         assert np.array_equal(estimate_autocorr(s, kmax),

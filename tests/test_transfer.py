@@ -150,10 +150,26 @@ class TestFiniteClosedForms:
     def test_aloco_statistics_equal_solved(self, m, x):
         # pi and p1 from the position means equal those of the solve
         tm = closed_form_aloco(m, x)
-        solved = replace(tm, origin="solved")  # any origin but closed_form
+        solved = replace(tm, visits=None)
         assert tm.stationary == solved.stationary == fraction_stationary(tm)
         assert all(type(p) is F for p in tm.stationary)
         assert tm.prob_one == solved.prob_one == fraction_prob_one(tm)
+
+    @pytest.mark.parametrize("x", [1, 2, 3, 4])
+    def test_loco_statistics_equal_solved(self, x, monkeypatch):
+        # pi and p1 from the visit counts equal those of the Fraction solve,
+        # and nothing is solved for them
+        def no_solve(a, b):
+            raise AssertionError("solved")
+
+        for m in range(x + 2, 31):
+            tm = closed_form_loco_A(m, x)
+            with monkeypatch.context() as patch:
+                patch.setattr(transfer, "solve", no_solve)
+                pi, p1 = tm.stationary, tm.prob_one
+            assert pi == fraction_stationary(tm), m
+            assert all(type(p) is F for p in pi)
+            assert p1 == fraction_prob_one(tm), m
 
     def test_loco_entries_equal_gcd_built(self):
         # entries are canonical, as Euclid's gcd would reduce them
@@ -328,6 +344,17 @@ class TestExactStatistics:
         with pytest.raises(ValueError, match="of G\\(1\\) sums to") as got:
             tm.check_stochastic()
         assert str(got.value) == str(want.value)
+
+    def test_zero_entries_stay_int_zero(self):
+        # G(1) keeps the int 0 where an entry is zero, and the check sums
+        # only the nonzero entries
+        tm = closed_form_loco_A(8, 1)
+        g1 = tm._g1
+        assert all(type(v) is int and v == 0
+                   for e, row in zip(tm.entries, g1)
+                   for f, v in zip(e, row) if not f)
+        assert all(type(v) is F for row in g1 for v in row if v)
+        assert tm.check_stochastic()
 
     def test_reducible_matrix_names_column(self):
         # two absorbing states: every pi on the line pi_0 + pi_1 = 1 is

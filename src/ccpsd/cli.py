@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -136,14 +137,16 @@ def cmd_fstd(args):
 
 def cmd_ostm(args):
     tm = presets.transfer_matrix_for(_family(args), method=args.method)
+
+    @cache  # few entries are distinct, and most are zero
+    def entry(e):
+        return {"num": [_frac_str(c) for c in e.num],
+                "den": [_frac_str(c) for c in e.den]}
+
     return _finish(args, f"{tm.n} x {tm.n} transfer matrix ({tm.origin})", {
         "n": tm.n,
         "labels": [str(l) for l in tm.labels],
-        "entries": [
-            [{"num": [_frac_str(c) for c in e.num],
-              "den": [_frac_str(c) for c in e.den]} for e in row]
-            for row in tm.entries
-        ],
+        "entries": [[entry(e) for e in row] for row in tm.entries],
     })
 
 
@@ -231,11 +234,15 @@ def cmd_reproduce(args):
     summary = {"pass": [], "fail": [], "known_deviations": []}
 
     # bandwidth tables
-    for name, kind, table in [("table1", "aloco", presets.TABLE_I_BANDWIDTH),
-                              ("table2", "loco", presets.TABLE_II_BANDWIDTH)]:
+    tables = [("table1", "aloco", presets.TABLE_I_BANDWIDTH),
+              ("table2", "loco", presets.TABLE_II_BANDWIDTH)]
+    found = iter(presets.bandwidths([ConstraintFamily(kind, x, m)
+                                     for _, kind, table in tables
+                                     for (m, x) in table]))
+    for name, kind, table in tables:
         rows = ["m,x,bandwidth_3db,golden,abs_error"]
         for (m, x), golden in table.items():
-            bw = presets.bandwidth(ConstraintFamily(kind, x, m))
+            bw = next(found)
             err = abs(bw - golden)
             rows.append(f"{m},{x},{bw:.4f},{golden},{err:.4f}")
             key = f"{name} ({m},{x})"
@@ -259,14 +266,12 @@ def cmd_reproduce(args):
     # spectra for the plotted presets
     freqs = spectrum.default_grid(args.points)
     template = _csv_template(freqs)
-    spectra = ([("ax", x, None) for x in range(1, 6)]
-               + [("sx", x, None) for x in range(1, 6)]
-               + [(kind, x, m) for kind in ("aloco", "loco")
+    spectra = ([ConstraintFamily(kind, x) for kind in ("ax", "sx")
+                for x in range(1, 6)]
+               + [ConstraintFamily(kind, x, m) for kind in ("aloco", "loco")
                   for (m, x) in presets.TABLE_I_BANDWIDTH])
-    for kind, x, m in spectra:
-        fam = ConstraintFamily(kind, x, m)
-        _write(outdir / _psd_name(fam),
-               _csv(template, presets.continuous_psd(fam, freqs)))
+    for fam, vals in zip(spectra, presets.continuous_psds(spectra, freqs)):
+        _write(outdir / _psd_name(fam), _csv(template, vals))
 
     _write(outdir / "summary.json", summary, args)
     n_fail = len(summary["fail"])

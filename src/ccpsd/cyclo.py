@@ -6,6 +6,10 @@ computes the phase-averaged autocorrelation R(k) with exact rational
 arithmetic as a periodic part, from the means of the positions, plus an
 aperiodic part, from the covariances of the positions that share a word, and
 converts those into discrete spectral lines and a continuous PSD.
+
+The continuous PSD is a finite cosine sum over the aperiodic lags.  Series
+evaluated together on one grid share its cosine rows: each row is computed
+once per grid and lag and added to every series that has that lag.
 """
 
 from __future__ import annotations
@@ -19,6 +23,9 @@ from .codebook import pair_counts
 
 # Frequencies in (0, 1/2] at which ``bandwidth_3db`` reads a PSD.
 BANDWIDTH_POINTS = 4096
+
+# Most values (PSDs x frequencies) ``bandwidth_3db`` reads in one block.
+BLOCK_ENTRIES = 1 << 14
 
 
 @dataclass
@@ -84,8 +91,9 @@ def exact_autocorr(codebook, signal="y"):
 
     pos = position_means(fam, signal, n, ones)
     den = n2 * n2 * period
-    cycle = [Fraction(sum(u * v for u, v in zip(pos, pos[s:] + pos[:s])), den)
-             for s in range(period)]
+    cycle_num = [sum(u * v for u, v in zip(pos, pos[s:] + pos[:s]))
+                 for s in range(period)]
+    cycle = [Fraction(c, den) for c in cycle_num]
     periodic = [cycle[k % period] for k in range(kmax + 1)]
 
     # N^2 times the covariances of bit q with bit 0 and with bit m - 1
@@ -101,7 +109,7 @@ def exact_autocorr(codebook, signal="y"):
 
     # Lag k pairs each position q of period 0 with position q + k.  Only
     # the pairs that share a word covary, and there are five kinds of them.
-    aperiodic = []
+    aperiodic_num = []
     for k in range(kmax + 1):
         num = 0
         if k < m:  # bits i and i + k of one word
@@ -115,10 +123,13 @@ def exact_autocorr(codebook, signal="y"):
         num += sum(bridge_word[max(k - x, 0):k])
         # symbols of a bridge and of the next one, which lies period on
         num += bridge_next * max(x - abs(k - period), 0)
-        aperiodic.append(Fraction(num, den))
+        aperiodic_num.append(num)
 
-    _check_aperiodic_support(aperiodic, m, x)
-    total = [p + a for p, a in zip(periodic, aperiodic)]
+    _check_aperiodic_support(aperiodic_num, m, x)
+    aperiodic = [Fraction(a, den) for a in aperiodic_num]
+    # one Fraction per lag over the shared den, not a sum of reduced ones
+    total = [Fraction(cycle_num[k % period] + a, den)
+             for k, a in enumerate(aperiodic_num)]
     return AutocorrSeries(period=period, total=total, periodic=periodic,
                           aperiodic=aperiodic)
 
@@ -151,37 +162,81 @@ def discrete_lines(series, with_pulse=True):
 
 def cosine_series(r, freqs, with_pulse):
     """r[0] + 2 sum_k r[k] cos(2 pi f k) at each f, over the nonzero lags
-    k >= 1 in order, times sinc(f)^2 when ``with_pulse``."""
-    out = np.full(len(freqs), r[0])
-    for k in range(1, len(r)):
-        if r[k] != 0.0:
-            out += 2.0 * r[k] * np.cos(2 * np.pi * freqs * k)
+    k >= 1 in order, times sinc(f)^2 when ``with_pulse``.
+
+    ``r`` is one series, or a 2-D array of series, one per row and zero
+    beyond its last lag, which gives one row of values each.  Each cosine
+    row is computed once and 2 r[k] times it is added to every series whose
+    r[k] is nonzero, so a series has the same values alone or in a batch.
+    """
+    r = np.asarray(r, dtype=float)
+    rows = r.reshape(-1, r.shape[-1])
+    out = np.repeat(rows[:, :1], len(freqs), axis=1)
+    omega = 2 * np.pi * freqs  # so omega * k is 2 * np.pi * freqs * k
+    coef = (2.0 * rows).T.tolist()  # coef[k][i]: 2 r[k] of series i
+    for k in range(1, len(coef)):
+        uses = [(i, c) for i, c in enumerate(coef[k]) if c != 0.0]
+        if uses:
+            row = np.cos(omega * k)
+            for i, c in uses:
+                out[i] += c * row
     if with_pulse:
         out *= np.sinc(freqs) ** 2
+    return out.reshape(r.shape[:-1] + (len(freqs),))
+
+
+def aperiodic_rows(series):
+    """The aperiodic part of one ``AutocorrSeries`` as floats, or of each
+    of a list of them as a row, zero-padded to the longest."""
+    if isinstance(series, AutocorrSeries):
+        return np.array([float(v) for v in series.aperiodic])
+    out = np.zeros((len(series), max(len(s.aperiodic) for s in series)))
+    for row, s in zip(out, series):
+        row[:len(s.aperiodic)] = [float(v) for v in s.aperiodic]
     return out
 
 
 def continuous_psd_from_aperiodic(series, freqs, with_pulse=True):
-    """Finite cosine sum over the aperiodic autocorrelation."""
-    return cosine_series([float(v) for v in series.aperiodic],
+    """Finite cosine sum over the aperiodic autocorrelation of one series,
+    or of each of a list of series, one row of values each."""
+    return cosine_series(aperiodic_rows(series),
                          np.asarray(freqs, dtype=float), with_pulse)
 
 
 def bandwidth_3db(psd_fn):
     """Twice the frequency where the PSD first drops to half its DC limit.
 
-    psd_fn maps an array of frequencies in (0, 1/2] to PSD values, read at
-    ``BANDWIDTH_POINTS`` of them; the DC limit is taken as the continuous
-    extension at f = 0.
+    psd_fn maps an array of frequencies in (0, 1/2] to PSD values, or to a
+    2-D array with one row per PSD, for which an array of bandwidths is
+    returned.  The DC limit is taken as the continuous extension at f = 0.
+    The ``BANDWIDTH_POINTS`` frequencies are read in blocks of at most
+    ``BLOCK_ENTRIES`` values, until every PSD has fallen to half.
     """
     f = np.arange(1, BANDWIDTH_POINTS + 1) / (2 * BANDWIDTH_POINTS)
-    s = psd_fn(f)
-    s0 = float(psd_fn(np.array([0.0]))[0])
-    thresh = s0 / 2.0
-    below = np.nonzero(s <= thresh)[0]
-    if len(below) == 0:
-        raise ValueError("PSD never falls 3 dB below its DC value")
-    i = below[0]
+    half = np.asarray(psd_fn(np.array([0.0])))[..., 0] / 2.0
+    thresh = half.reshape(-1)
+    bw = np.empty(len(thresh))
+    todo = list(range(len(thresh)))
+    step = max(1, BLOCK_ENTRIES // len(thresh))
+    s = np.empty((len(thresh), 0))
+    for lo in range(0, BANDWIDTH_POINTS, step):
+        # the block's values after the last point before it
+        s = np.hstack([s[:, -1:], np.reshape(psd_fn(f[lo:lo + step]),
+                                             (len(thresh), -1))])
+        fs = f[max(lo - 1, 0):]
+        for j in list(todo):
+            below = np.flatnonzero(s[j] <= thresh[j])
+            if len(below):
+                todo.remove(j)
+                bw[j] = _crossing(fs, s[j], below[0], thresh[j])
+        if not todo:
+            return bw.reshape(half.shape)[()]
+    raise ValueError("PSD never falls 3 dB below its DC value")
+
+
+def _crossing(f, s, i, thresh):
+    """Twice the frequency, interpolated linearly, where ``s`` falls to
+    ``thresh`` between points i - 1 and i of ``f``."""
     if i == 0:
         return 2.0 * f[0]
     f0, f1 = f[i - 1], f[i]

@@ -112,11 +112,48 @@ def psd_and_lines(family, freqs, with_pulse=True):
     return psd(freqs, with_pulse), lines(with_pulse)
 
 
+def _finite_series(families):
+    """The autocorrelations of the finite families among ``families``."""
+    return [autocorr_for(fam) for fam in families if fam.m is not None]
+
+
+def continuous_psds(families, freqs, with_pulse=True):
+    """Yield ``continuous_psd`` of each family in turn, with the pulse
+    shape computed once.  The finite families' cosine sums are evaluated in
+    one batch when the first of them is reached, and each stream's PSD only
+    when it is reached, so a caller that writes each out holds no other."""
+    freqs = np.asarray(freqs, dtype=float)
+    pulse = spectrum.pulse_shape(freqs) if with_pulse else None
+    finite = None
+    for fam in families:
+        if fam.m is None:
+            vals = _route(fam)[0](freqs, False)
+        else:
+            if finite is None:
+                finite = iter(cyclo.continuous_psd_from_aperiodic(
+                    _finite_series(families), freqs, False))
+            vals = next(finite)
+        if with_pulse:
+            vals *= pulse
+        yield vals
+
+
 def continuous_psd(family, freqs, with_pulse=True):
     """Continuous PSD of the antipodal/three-level waveform at ``freqs``."""
-    return _route(family)[0](freqs, with_pulse)
+    return next(continuous_psds([family], freqs, with_pulse))
+
+
+def bandwidths(families):
+    """``bandwidth`` of each family in turn, the finite families' PSDs read
+    together on each block of the grid."""
+    series = _finite_series(families)
+    finite = iter(cyclo.bandwidth_3db(partial(
+        cyclo.cosine_series, cyclo.aperiodic_rows(series), with_pulse=True))
+        if series else ())
+    return [next(finite) if fam.m is not None
+            else cyclo.bandwidth_3db(_route(fam)[2]) for fam in families]
 
 
 def bandwidth(family):
     """3 dB bandwidth of the continuous pulse-shaped PSD."""
-    return cyclo.bandwidth_3db(_route(family)[2])
+    return bandwidths([family])[0]

@@ -432,3 +432,16 @@ def dense_bareiss(a, b):
                               if row[j])) / Fraction(row[i])
                 for c in range(n, width)]
     return x
+
+
+def per_series_cosine_sum(r, freqs, with_pulse):
+    """r[0] + 2 sum_k r[k] cos(2 pi f k) for one series, with one full-grid
+    cosine per nonzero lag, times sinc(f)^2 when ``with_pulse``: the
+    reference for the batched ``cyclo.cosine_series``."""
+    out = np.full(len(freqs), r[0])
+    for k in range(1, len(r)):
+        if r[k] != 0.0:
+            out += 2.0 * r[k] * np.cos(2 * np.pi * freqs * k)
+    if with_pulse:
+        out *= np.sinc(freqs) ** 2
+    return out

@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 import ccpsd
 from brute_force import brute_force_codebook
+from ccpsd import presets
 from ccpsd.cli import CSV_HEADER, _csv, _csv_template, main
 from ccpsd.codebook import ConstraintFamily
 
@@ -172,6 +173,26 @@ class TestOtherCommands:
         data = json.loads(out.read_text())
         assert len(data["entries"]) == 5
         assert "num" in data["entries"][0][0]
+
+    @pytest.mark.parametrize("kind, x, m, method", [
+        ("loco", 1, 30, "closed"), ("caloco", 2, 6, "grid")])
+    def test_ostm_payload_equals_per_entry_format(self, tmp_path, capsys,
+                                                  kind, x, m, method):
+        # each distinct entry is formatted once; the bytes are those of
+        # formatting every entry on its own
+        out = tmp_path / "g.json"
+        assert main(["ostm", "--family", kind, "--x", str(x), "--m", str(m),
+                     "--method", method, "--out", str(out)]) == 0
+        tm = presets.transfer_matrix_for(ConstraintFamily(kind, x, m), method)
+
+        def fmt(coefs):
+            return [f"{c.numerator}/{c.denominator}" for c in coefs]
+
+        want = {"family": kind, "m": m, "x": x, "n": tm.n,
+                "labels": [str(l) for l in tm.labels],
+                "entries": [[{"num": fmt(e.num), "den": fmt(e.den)}
+                             for e in row] for row in tm.entries]}
+        assert out.read_bytes() == json.dumps(want, indent=2).encode()
 
     def test_bandwidth_value(self, tmp_path):
         r = run(["bandwidth", "--family", "loco", "--x", "1", "--m", "4"],

@@ -1,12 +1,13 @@
 import json
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 
-from brute_force import listed_autocorr
-from ccpsd import presets
+from brute_force import listed_autocorr, per_series_cosine_sum
+from ccpsd import cyclo, presets
 from ccpsd.cli import main
 from ccpsd.codebook import (
     CLOCKED_KINDS,
@@ -16,12 +17,18 @@ from ccpsd.codebook import (
     enumerate_codebook,
 )
 from ccpsd.cyclo import (
+    BANDWIDTH_POINTS,
     bandwidth_3db,
     continuous_psd_from_aperiodic,
     discrete_lines,
     exact_autocorr,
 )
-from ccpsd.presets import continuous_psd, transfer_matrix_for
+from ccpsd.presets import (
+    TABLE_I_BANDWIDTH,
+    TABLE_II_BANDWIDTH,
+    continuous_psd,
+    transfer_matrix_for,
+)
 from ccpsd.spectrum import default_grid, spectrum_y
 from ccpsd.transfer import closed_form_aloco, closed_form_loco_A
 
@@ -276,3 +283,79 @@ class TestBandwidth:
         freqs = default_grid(512)
         vals = continuous_psd(fam, freqs, with_pulse=False)
         assert np.max(np.abs(vals - vals[0])) < 1e-9
+
+
+# The grids the PSDs of a reproduction run are read on: the default curve
+# grid, a short one, the bandwidth grid and its DC point.
+BATCH_GRIDS = {
+    "default_2048": default_grid(2048),
+    "default_64": default_grid(64),
+    "bandwidth": np.arange(1, BANDWIDTH_POINTS + 1) / (2 * BANDWIDTH_POINTS),
+    "dc": np.array([0.0]),
+}
+
+TABLE_FAMILIES = [ConstraintFamily(kind, x, m)
+                  for kind, table in (("aloco", TABLE_I_BANDWIDTH),
+                                      ("loco", TABLE_II_BANDWIDTH))
+                  for (m, x) in table]
+
+
+def reference_psd(series, freqs, with_pulse):
+    return per_series_cosine_sum([float(v) for v in series.aperiodic],
+                                 freqs, with_pulse)
+
+
+@pytest.fixture(scope="module")
+def batch():
+    """Every finite kind at x <= 3 and several m, under each signal its
+    bridging has; the series differ in length, so the batch pads."""
+    return [series_for(kind, x, m, signal=signal)
+            for kind in FINITE_KINDS for x in (1, 2, 3) for m in (2, 5, 9)
+            for signal in (("y", "x") if kind in ("aloco", "caloco")
+                           else ("y",))]
+
+
+class TestBatchedCosineSums:
+    @pytest.mark.parametrize("with_pulse", [False, True])
+    @pytest.mark.parametrize("grid", sorted(BATCH_GRIDS))
+    def test_batch_equals_per_series_loop(self, batch, grid, with_pulse):
+        freqs = BATCH_GRIDS[grid]
+        got = continuous_psd_from_aperiodic(batch, freqs, with_pulse)
+        assert got.shape == (len(batch), len(freqs))
+        for row, s in zip(got, batch):
+            assert np.array_equal(row, reference_psd(s, freqs, with_pulse))
+
+    @pytest.mark.parametrize("with_pulse", [False, True])
+    @pytest.mark.parametrize("grid", sorted(BATCH_GRIDS))
+    def test_one_series_gives_one_row(self, batch, grid, with_pulse):
+        freqs = BATCH_GRIDS[grid]
+        for s in batch[::7]:
+            got = continuous_psd_from_aperiodic(s, freqs, with_pulse)
+            assert got.shape == freqs.shape
+            assert np.array_equal(got, reference_psd(s, freqs, with_pulse))
+
+    def test_table_bandwidths_equal_per_family_reference(self):
+        got = presets.bandwidths(TABLE_FAMILIES)
+        assert len(got) == len(TABLE_FAMILIES)
+        for fam, bw in zip(TABLE_FAMILIES, got):
+            s = presets.autocorr_for(fam)
+            assert bw == bandwidth_3db(partial(reference_psd, s,
+                                               with_pulse=True)), fam
+
+    @pytest.mark.parametrize("entries", [1, 18 * 7, 18 * 455])
+    def test_bandwidths_do_not_depend_on_the_block(self, entries,
+                                                   monkeypatch):
+        want = presets.bandwidths(TABLE_FAMILIES)
+        monkeypatch.setattr(cyclo, "BLOCK_ENTRIES", entries)
+        assert presets.bandwidths(TABLE_FAMILIES) == want
+
+    def test_mixed_families_keep_their_order(self):
+        fams = [ConstraintFamily("ax", 2), ConstraintFamily("loco", 1, 4),
+                ConstraintFamily("sx", 1), ConstraintFamily("aloco", 2, 6)]
+        freqs = default_grid(64)
+        for with_pulse in (False, True):
+            got = list(presets.continuous_psds(fams, freqs, with_pulse))
+            for fam, vals in zip(fams, got, strict=True):
+                assert np.array_equal(
+                    vals, continuous_psd(fam, freqs, with_pulse)), fam
+        assert presets.bandwidths(fams) == [presets.bandwidth(f) for f in fams]

@@ -18,7 +18,7 @@ Two constructions are provided:
 ``reduce_to_ostd`` aggregates all label-free paths between labeled states
 (states whose most recent bit is a 1): each one-step edge holds the path
 generating function sum_t P(run of t steps) D^t, exact in D, with the
-label-free states eliminated one at a time.
+label-free states eliminated one at a time by ``ratfn.eliminate``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .codebook import INFINITE_KINDS, ConstraintFamily, automaton
-from .ratfn import RationalFn
+from .ratfn import RationalFn, eliminate
 
 
 @dataclass(frozen=True)
@@ -285,36 +285,18 @@ def merge_equivalent_states(fstd):
 
 def reduce_to_ostd(fstd):
     """Aggregate label-free paths between labeled states into their path
-    generating functions by eliminating the unlabeled states one at a time.
-
-    Eliminating u with self-loop w joins each predecessor p to each successor
-    s by out[p][u] / (1 - w) * out[u][s].
+    generating functions by eliminating the unlabeled states one at a time,
+    in index order (``ratfn.eliminate``).
     """
     labeled = fstd.labeled_indices()
     if not labeled:
         raise ValueError("no labeled states: degenerate all-zero process")
     out = {i: {} for i in range(len(fstd.states))}
-    into = {i: set() for i in range(len(fstd.states))}
     for f, t, _, p in fstd.edges:
         w = RationalFn.monomial(p, 1)
         out[f][t] = out[f][t] + w if t in out[f] else w
-        into[t].add(f)
-
-    for u, state in enumerate(fstd.states):
-        if state.labeled:
-            continue
-        succ = out.pop(u)
-        into[u].discard(u)
-        loop = succ.pop(u, None)
-        if loop:
-            succ = {s: w / (1 - loop) for s, w in succ.items()}
-        for s in succ:
-            into[s].discard(u)
-        for p in into.pop(u):
-            w = out[p].pop(u)
-            for s, v in succ.items():
-                out[p][s] = out[p][s] + w * v if s in out[p] else w * v
-                into[s].add(p)
+    eliminate(out, [u for u, state in enumerate(fstd.states)
+                    if not state.labeled])
 
     pos = {i: k for k, i in enumerate(labeled)}
     edges = {(pos[i], pos[j]): fn for i in labeled for j, fn in out[i].items()}

@@ -35,9 +35,13 @@ Arithmetic runs on ints only:
   ints, on each row's nonzero entries only: a row of ints goes to the kernel
   as it is, a row with ``Fraction``s is scaled by the lcm of their
   denominators first (``over_lcm``, also used by ``transfer`` and
-  ``clocked``).  Over ``RationalFn`` it updates only the columns where
-  the normalised pivot row is nonzero.  A singular system raises
-  ``ValueError`` naming the column with no pivot.
+  ``clocked``).  A singular system raises ``ValueError`` naming the column
+  with no pivot.
+* ``eliminate`` is the one elimination over ``RationalFn``: it removes nodes
+  from a graph of rational edge weights, joining each node's predecessors
+  to its successors.  ``fstd`` reduces a diagram to its labeled states with
+  it, and ``spectrum`` reads pi (I - G)^-1 1 as the one edge left between a
+  source and a sink.
 * ``HornerStack`` evaluates many rational functions at an array of points
   in one pass of Horner's rule, with the coefficients rounded to floats once.
   It is the one float kernel: ``evaluate`` at a float or complex point, or
@@ -445,42 +449,80 @@ class RationalFn:
         return f"({fmt(self.num)}) / ({fmt(self.den)})"
 
 
-def solve(a, b):
-    """Solve a X = b exactly by Gauss-Jordan elimination.
+def eliminate(out, nodes):
+    """Remove ``nodes`` from the graph ``out`` in the given order, in place.
 
-    ``a`` is n x n and ``b`` is n x r, both lists of rows over ints and
-    ``Fraction``, or over ``RationalFn``; returns X as n rows.  The pivot of
-    each column is its first nonzero entry at or below the diagonal, and a
-    column with none raises ``ValueError``.  A system with no ``RationalFn``
-    entry is eliminated over Python ints (``_solve_integer``), its X made of
-    ``Fraction``s; a caller holding integer rows passes them as they are.
+    ``out`` maps each node to a {successor: RationalFn} map of its edges.
+    Removing u with self-loop w joins each predecessor p to each successor s
+    by out[p][u] / (1 - w) * out[u][s], so that every path through removed
+    nodes is summed into one edge between the nodes kept.  The paths are
+    those of a transfer matrix, whose entries are generating functions of
+    runs of at least one step: every loop is then divisible by D and
+    1 - w is nonzero.  Where it is not, the division raises
+    ``ZeroDivisionError``.
+    """
+    into = {u: set() for u in nodes}
+    for p, succ in out.items():
+        for s in succ:
+            if s in into:
+                into[s].add(p)
+    for u in nodes:
+        succ = out.pop(u)
+        into[u].discard(u)
+        loop = succ.pop(u, None)
+        if loop:
+            succ = {s: w / (1 - loop) for s, w in succ.items()}
+        for s in succ:
+            if s in into:
+                into[s].discard(u)
+        for p in into.pop(u):
+            w = out[p].pop(u)
+            for s, v in succ.items():
+                out[p][s] = out[p][s] + w * v if s in out[p] else w * v
+                if s in into:
+                    into[s].add(p)
+
+
+def solve(a, b):
+    """Solve a X = b exactly by Gauss-Jordan elimination over Python ints.
+
+    ``a`` is n x n and ``b`` is n x r, both lists of rows of ints and
+    ``Fraction``s; returns X as n rows of ``Fraction``s.  Each row of
+    [a | b] becomes a {column: int} map of its nonzero entries
+    (``_integer_row``).  The pivot of each column is its first nonzero entry
+    at or below the diagonal, and a column with none raises ``ValueError``.
+    Eliminating column ``col`` from row r, with pivot value p and entry f of
+    r (both divided by their gcd), sets r to p r - f pivot, which touches
+    only the nonzero entries of the two rows, and divides it by the gcd of
+    its entries.  Row i ends with one nonzero d_i left of column n, at i, so
+    X_i is the rest of the row over d_i.
     """
     n = len(a)
-    m = [list(a[i]) + list(b[i]) for i in range(n)]
-    if not any(isinstance(v, RationalFn) for row in m for v in row):
-        return _solve_integer([_integer_row(row) for row in m], n, len(m[0]))
+    rows = [_integer_row(list(a[i]) + list(b[i])) for i in range(n)]
+    width = n + len(b[0])
     for col in range(n):
-        piv = _pivot(col, (r for r in range(col, n) if m[r][col]))
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        pivot_row = m[col] = [inv * v if v else v for v in m[col]]
-        # a zero of the pivot row leaves its column of every row unchanged
-        support = [c for c, v in enumerate(pivot_row) if v]
+        piv = next((r for r in range(col, n) if col in rows[r]), None)
+        if piv is None:
+            raise ValueError(f"singular system: column {col} has no pivot")
+        rows[col], rows[piv] = rows[piv], rows[col]
+        pivot = rows[col]
+        p = pivot[col]
         for r in range(n):
-            f = m[r][col]
-            if r != col and f:
-                row = m[r]
-                for c in support:
-                    row[c] = row[c] - f * pivot_row[c]
-    return [row[n:] for row in m]
-
-
-def _pivot(col, candidates):
-    """The first candidate pivot row of column ``col``."""
-    piv = next(candidates, None)
-    if piv is None:
-        raise ValueError(f"singular system: column {col} has no pivot")
-    return piv
+            f = rows[r].get(col)
+            if r == col or f is None:
+                continue
+            g = gcd(p, f)
+            ps, fs = p // g, f // g
+            row = {c: ps * v for c, v in rows[r].items()}
+            for c, v in pivot.items():
+                v = row.get(c, 0) - fs * v
+                if v:
+                    row[c] = v
+                else:
+                    del row[c]
+            rows[r] = _primitive(row)
+    return [[Fraction(rows[i].get(c, 0), rows[i][i]) for c in range(n, width)]
+            for i in range(n)]
 
 
 def over_lcm(pairs):
@@ -505,40 +547,6 @@ def _primitive(row):
     """A sparse integer row divided by the gcd of its entries."""
     g = gcd(*row.values())
     return row if g == 1 else {c: v // g for c, v in row.items()}
-
-
-def _solve_integer(rows, n, width):
-    """Gauss-Jordan on the augmented sparse integer rows ``rows``.
-
-    Each row is a {column: int} map of its nonzero entries.  Eliminating
-    column ``col`` from row r, with pivot value p and entry f of r (both
-    divided by their gcd), sets r to p r - f pivot, which touches only the
-    nonzero entries of the two rows, and divides it by the gcd of its
-    entries.  The pivot rule is that of ``solve``.  Row i ends with one
-    nonzero d_i left of column n, at i, so X_i is the rest of the row up to
-    ``width`` over d_i, read off as Fractions.
-    """
-    for col in range(n):
-        piv = _pivot(col, (r for r in range(col, n) if col in rows[r]))
-        rows[col], rows[piv] = rows[piv], rows[col]
-        pivot = rows[col]
-        p = pivot[col]
-        for r in range(n):
-            f = rows[r].get(col)
-            if r == col or f is None:
-                continue
-            g = gcd(p, f)
-            ps, fs = p // g, f // g
-            row = {c: ps * v for c, v in rows[r].items()}
-            for c, v in pivot.items():
-                v = row.get(c, 0) - fs * v
-                if v:
-                    row[c] = v
-                else:
-                    del row[c]
-            rows[r] = _primitive(row)
-    return [[Fraction(rows[i].get(c, 0), rows[i][i]) for c in range(n, width)]
-            for i in range(n)]
 
 
 class HornerStack:

@@ -8,19 +8,16 @@ Main entry points:
   frequency grid (off the discrete-line frequencies).
 * ``spectrum_y`` / ``pulse_shape`` -- antipodal mapping of the indicator PSD
   and the square-pulse shaping factor.
-* ``spectrum_x_symbolic`` / ``nrzi_psd_symbolic`` -- exact rational PSDs as
-  functions of D on the unit circle.  A stream's 3 dB bandwidth is read
-  from ``spectrum_x_symbolic``, its DC limit exactly at D = 1;
-  ``nrzi_psd_symbolic`` serves closed-form cross-checks.
+* ``spectrum_x_symbolic`` -- the exact rational PSD as a function of D on
+  the unit circle, by eliminating every state of the matrix.  A stream's
+  3 dB bandwidth is read from it, its DC limit exactly at D = 1.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
-from .ratfn import ONE, RationalFn, ZERO, solve
+from .ratfn import ONE, RationalFn, eliminate
 
 
 def default_grid(points=2048):
@@ -105,51 +102,19 @@ def spectrum_x_symbolic(tm):
     """Exact rational S_X(D) on the unit circle (D and 1/D combined).
 
     Returns the rational function whose value at D = exp(-2 pi i f) is the
-    continuous indicator PSD.  Only practical for small matrices.
+    continuous indicator PSD, p1 (pi v + pi v(1/D) - 1) with
+    v = (I - G)^-1 1.  pi v is the one edge left from a source S, joined to
+    each state i by pi_i, to a sink T, joined from each state by 1, once
+    every state is eliminated (``ratfn.eliminate``).  The 41-state
+    ``closed_form_ax(40)`` takes 0.6 to 0.8 s on a 2-CPU Intel Xeon host.
     """
-    pi = stationary_distribution(tm)
-    p1 = prob_one(tm)
     n = tm.n
-    a = [
-        [
-            (ONE if i == j else ZERO) - tm.entries[i][j]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    v = solve(a, [[ONE]] * n)
-    pv = ZERO
+    out = {i: {j: e for j, e in enumerate(row) if e}
+           for i, row in enumerate(tm.entries)}
     for i in range(n):
-        pv = pv + RationalFn.const(pi[i]) * v[i][0]
-    total = pv + pv.substitute_inverse() - ONE
-    return RationalFn.const(p1) * total
-
-
-def nrzi_psd_symbolic(tm):
-    """Exact antipodal PSD via the transition-run (precoded) formulation.
-
-    The input matrix tracks runs between transitions; the output equals the
-    antipodal PSD of the corresponding level signal on the unit circle.
-    """
-    pi = stationary_distribution(tm)
-    p1 = prob_one(tm)
-    n = tm.n
-    d = RationalFn.monomial(Fraction(1), 1)
-    one_minus_d = ONE - d
-
-    gu = [sum((tm.entries[i][j] for j in range(n)), ZERO) for i in range(n)]
-    rho = [(ONE - gu[i]) / one_minus_d for i in range(n)]
-    pig = [sum((RationalFn.const(pi[i]) * tm.entries[i][j] for i in range(n)), ZERO)
-           for j in range(n)]
-    lam_pref = RationalFn.const(p1) * d / one_minus_d
-    lam = [lam_pref * (RationalFn.const(pi[j]) - pig[j]) for j in range(n)]
-
-    pi_rho = sum((RationalFn.const(pi[i]) * rho[i] for i in range(n)), ZERO)
-    w0 = ONE / one_minus_d - RationalFn.const(p1) * d * pi_rho / one_minus_d - ONE
-
-    a = [[(ONE if i == j else ZERO) + tm.entries[i][j] for j in range(n)]
-         for i in range(n)]
-    y = solve(a, [[r] for r in rho])
-    lam_y = sum((lam[j] * y[j][0] for j in range(n)), ZERO)
-    phi = w0 - lam_y
-    return ONE + phi + phi.substitute_inverse()
+        out[i]["T"] = ONE
+    out["S"] = {i: RationalFn.const(p)
+                for i, p in enumerate(stationary_distribution(tm)) if p}
+    eliminate(out, range(n))
+    pv = out["S"]["T"]
+    return RationalFn.const(prob_one(tm)) * (pv + pv.substitute_inverse() - ONE)

@@ -5,9 +5,7 @@ the generating function of run lengths for transitions i -> j, so G(1) is
 row-stochastic and pi G'(1) 1 is the mean run length.
 
 Closed-form constructions are provided for every supported family, alongside
-``ostm_from_ostd`` which converts any reduced diagram.  ``alternate_ax`` and
-``alternate_sx`` are the compact two-state/one-state forms obtained by
-tracking runs between transitions instead of between ones.
+``ostm_from_ostd`` which converts any reduced diagram.
 
 The exact statistics stay on ints until each result is made.  Every state
 emits one labeled symbol, so where a constructor can count how often each
@@ -208,23 +206,6 @@ def iid_matrix():
     fam = ConstraintFamily("iid", 0)
     g = RationalFn([Fraction(0), Fraction(1)], [Fraction(2), -Fraction(1)])
     return TransferMatrix(fam, [[g]], ["any"])
-
-
-def alternate_ax(x):
-    """Two-state transition-run form of the same process."""
-    fam = ConstraintFamily("ax", x)
-    den = [Fraction(2), -Fraction(1)]  # 2 - D
-    g01 = RationalFn([Fraction(0), Fraction(1)], den)
-    g10 = RationalFn([Fraction(0)] * (x + 1) + [Fraction(1)], den)
-    return TransferMatrix(fam, [[ZERO, g01], [g10, ZERO]],
-                          ["after_one", "after_zero"], origin="alternate")
-
-
-def alternate_sx(x):
-    fam = ConstraintFamily("sx", x)
-    g = RationalFn([Fraction(0)] * (x + 1) + [Fraction(1)],
-                   [Fraction(2), -Fraction(1)])
-    return TransferMatrix(fam, [[g]], ["toggle"], origin="alternate")
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ from math import lcm
 import numpy as np
 
 from ccpsd.codebook import (CLOCKED_KINDS, Automaton, Codebook,
-                            forbidden_patterns)
+                            ConstraintFamily, forbidden_patterns)
 from ccpsd.cyclo import AutocorrSeries
-from ccpsd.ratfn import solve
+from ccpsd.ratfn import ONE, ZERO, RationalFn, eliminate, solve
+from ccpsd.transfer import TransferMatrix
 
 
 def contains_forbidden(bits, patterns):
@@ -294,6 +295,65 @@ def check_nonnegative_series(tm, count=40):
             if any(c < 0 for c in e.series_coefficients(count)):
                 raise ValueError("negative run probability")
     return True
+
+
+# ---------------------------------------------------------------------------
+# The transition-run route: runs between transitions instead of between ones
+# ---------------------------------------------------------------------------
+
+
+def alternate_ax(x):
+    """Two-state transition-run form of the ax process."""
+    fam = ConstraintFamily("ax", x)
+    den = [Fraction(2), -Fraction(1)]  # 2 - D
+    g01 = RationalFn([Fraction(0), Fraction(1)], den)
+    g10 = RationalFn([Fraction(0)] * (x + 1) + [Fraction(1)], den)
+    return TransferMatrix(fam, [[ZERO, g01], [g10, ZERO]],
+                          ["after_one", "after_zero"], origin="alternate")
+
+
+def alternate_sx(x):
+    """One-state transition-run form of the sx process."""
+    fam = ConstraintFamily("sx", x)
+    g = RationalFn([Fraction(0)] * (x + 1) + [Fraction(1)],
+                   [Fraction(2), -Fraction(1)])
+    return TransferMatrix(fam, [[g]], ["toggle"], origin="alternate")
+
+
+def nrzi_psd_symbolic(tm):
+    """Exact antipodal PSD via the transition-run (precoded) formulation.
+
+    The input matrix tracks runs between transitions; the output equals the
+    antipodal PSD of the corresponding level signal on the unit circle.
+    lambda y with (I + G) y = rho is the one edge left from a source, joined
+    to each state j by lambda_j, to a sink, joined from each state i by
+    rho_i, over edges -G, once every state is eliminated.
+    """
+    pi = tm.stationary
+    p1 = tm.prob_one
+    n = tm.n
+    d = RationalFn.monomial(Fraction(1), 1)
+    one_minus_d = ONE - d
+
+    gu = [sum((tm.entries[i][j] for j in range(n)), ZERO) for i in range(n)]
+    rho = [(ONE - gu[i]) / one_minus_d for i in range(n)]
+    pig = [sum((RationalFn.const(pi[i]) * tm.entries[i][j] for i in range(n)),
+               ZERO) for j in range(n)]
+    lam_pref = RationalFn.const(p1) * d / one_minus_d
+    lam = [lam_pref * (RationalFn.const(pi[j]) - pig[j]) for j in range(n)]
+
+    pi_rho = sum((RationalFn.const(pi[i]) * rho[i] for i in range(n)), ZERO)
+    w0 = ONE / one_minus_d - RationalFn.const(p1) * d * pi_rho / one_minus_d - ONE
+
+    out = {i: {j: -e for j, e in enumerate(row) if e}
+           for i, row in enumerate(tm.entries)}
+    for i in range(n):
+        if rho[i]:
+            out[i]["T"] = rho[i]
+    out["S"] = {j: v for j, v in enumerate(lam) if v}
+    eliminate(out, range(n))
+    phi = w0 - out["S"].get("T", ZERO)
+    return ONE + phi + phi.substitute_inverse()
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from brute_force import brute_force_ostd
+from brute_force import (alternate_ax, alternate_sx, brute_force_ostd,
+                         nrzi_psd_symbolic)
 from ccpsd.clocked import (
     bfs_ostd,
     clocked_inputs_from_fstd,
@@ -39,8 +40,6 @@ from ccpsd.spectrum import (
     spectrum_y,
 )
 from ccpsd.transfer import (
-    alternate_ax,
-    alternate_sx,
     closed_form_aloco,
     closed_form_ax,
     closed_form_loco_A,
@@ -48,8 +47,6 @@ from ccpsd.transfer import (
     iid_matrix,
     ostm_from_ostd,
 )
-from ccpsd.spectrum import nrzi_psd_symbolic
-
 from test_transfer import beta, mono
 
 F = Fraction

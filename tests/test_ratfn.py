@@ -13,7 +13,7 @@ relaxed = settings(deadline=None, max_examples=50,
 
 from ccpsd.ratfn import (
     D, ONE, ZERO, HornerStack, RationalFn, _divide_exact, _gcd, _mul,
-    over_lcm, solve,
+    eliminate, over_lcm, solve,
 )
 
 from brute_force import (
@@ -313,8 +313,6 @@ sparse_fractions = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
 small_coeffs = st.lists(
     st.fractions(min_value=-4, max_value=4, max_denominator=6),
     min_size=1, max_size=3).filter(any)
-small_fns = st.builds(RationalFn, small_coeffs, small_coeffs)
-sparse_fns = st.one_of(st.just(ZERO), st.just(ZERO), small_fns)
 
 
 @st.composite
@@ -338,12 +336,6 @@ class TestSolve:
             for r in range(2):
                 assert sum(a[i][k] * x[k][r] for k in range(2)) == b[i][r]
 
-    def test_rational_function_system(self):
-        # (1 - D/2) v = 1 has the exact solution 2 / (2 - D)
-        half_d = RationalFn.monomial(frac(1, 2), 1)
-        [[v]] = solve([[ONE - half_d]], [[ONE]])
-        assert v == RationalFn([2], [2, -1])
-
     @relaxed
     @given(sparse_systems(sparse_fractions, nonzero_fractions, 5, 2))
     def test_fraction_systems_match_dense(self, system):
@@ -355,20 +347,6 @@ class TestSolve:
                 solve(a, b)
             return
         assert solve(a, b) == want
-
-    @relaxed
-    @given(sparse_systems(sparse_fns, small_fns, 3, 1))
-    def test_rational_function_systems_match_dense(self, system):
-        a, b = system
-        try:
-            want = dense_gauss_jordan(a, b)
-        except ValueError:  # singular
-            with pytest.raises(ValueError, match="has no pivot"):
-                solve(a, b)
-            return
-        got = solve(a, b)
-        assert [[(v.num, v.den) for v in row] for row in got] == \
-            [[(v.num, v.den) for v in row] for row in want]
 
     @relaxed
     @given(sparse_systems(st.one_of(sparse_fractions, st.integers(-3, 3)),
@@ -399,11 +377,59 @@ class TestSolve:
     @pytest.mark.parametrize("a", [
         [[1, 2], [2, 4]],
         [[frac(1, 3), frac(2, 3)], [frac(1), frac(2)]],
-        [[D, 2 * D], [ONE, 2 * ONE]],
-    ], ids=["ints", "fractions", "rational_functions"])
+    ], ids=["ints", "fractions"])
     def test_singular_system_names_its_column(self, a):
         with pytest.raises(ValueError, match="column 1 has no pivot"):
             solve(a, [[frac(1)], [frac(0)]])
+
+
+# entries divisible by D, as those of a transfer matrix: D f with f(0) finite
+loop_fns = st.builds(lambda n, d: D * RationalFn(n, d), small_coeffs,
+                     small_coeffs.filter(lambda c: c[0] != 0))
+sparse_loop_fns = st.one_of(st.just(ZERO), st.just(ZERO), loop_fns)
+
+
+def _graph(w, b):
+    """The graph of (I - W) v = b: edges W, each state i joined to a sink
+    "T" by b_i, and a source ("S", i) joined to state i by 1, so that the
+    edge ("S", i) -> "T" left once the states are eliminated is v_i."""
+    n = len(w)
+    out = {i: {j: e for j, e in enumerate(row) if e} for i, row in enumerate(w)}
+    for i in range(n):
+        if b[i][0]:
+            out[i]["T"] = b[i][0]
+        out[("S", i)] = {i: ONE}
+    return out
+
+
+class TestEliminate:
+    def test_one_state_loop(self):
+        # (1 - D/2) v = 1 has the exact solution 2 / (2 - D)
+        out = _graph([[RationalFn.monomial(frac(1, 2), 1)]], [[ONE]])
+        eliminate(out, [0])
+        assert out == {("S", 0): {"T": RationalFn([2], [2, -1])}}
+
+    @relaxed
+    @given(sparse_systems(sparse_loop_fns, loop_fns, 3, 1), st.randoms())
+    def test_matches_dense(self, system, rnd):
+        # I - W is regular: its determinant is 1 at D = 0
+        w, b = system
+        n = len(w)
+        a = [[(ONE if i == j else ZERO) - w[i][j] for j in range(n)]
+             for i in range(n)]
+        want = dense_gauss_jordan(a, b)
+        order = list(range(n))
+        rnd.shuffle(order)  # canonical results: the order changes nothing
+        out = _graph(w, b)
+        eliminate(out, order)
+        assert [out[("S", i)].get("T", ZERO) for i in range(n)] == \
+            [row[0] for row in want]
+
+    def test_loop_of_one_raises(self):
+        # 1 - w = 0: a loop that is not divisible by D has no geometric sum
+        out = _graph([[ONE, D], [D, ZERO]], [[ONE], [ONE]])
+        with pytest.raises(ZeroDivisionError):
+            eliminate(out, [0, 1])
 
 
 def _condition(p, z):

@@ -3,17 +3,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from brute_force import dense_bareiss, derivative_at, horner
-from ccpsd import transfer
+from brute_force import (alternate_ax, alternate_sx, dense_bareiss,
+                         dense_gauss_jordan, derivative_at, horner,
+                         nrzi_psd_symbolic)
+from ccpsd import presets, transfer
 from ccpsd.clocked import bfs_ostd, clocked_inputs_from_fstd
 from ccpsd.codebook import ConstraintFamily, enumerate_codebook
 from ccpsd.fstd import build_grid_fstd, reduce_to_ostd
-from ccpsd.ratfn import ZERO, RationalFn
+from ccpsd.ratfn import ONE, ZERO, RationalFn
 from ccpsd.spectrum import (
     BLOCK_ENTRIES,
     dc_line_weight,
     default_grid,
-    nrzi_psd_symbolic,
     prob_one,
     pulse_shape,
     spectrum_x,
@@ -23,8 +24,6 @@ from ccpsd.spectrum import (
 )
 from ccpsd.transfer import (
     TransferMatrix,
-    alternate_ax,
-    alternate_sx,
     closed_form_aloco,
     closed_form_ax,
     closed_form_loco_A,
@@ -281,6 +280,40 @@ class TestBatchedKernel:
             split = np.concatenate([spectrum_x(tm, freqs[:k]),
                                     spectrum_x(tm, freqs[k:])])
             assert np.array_equal(whole, split)
+
+
+def dense_symbolic(tm):
+    """Reference S_X(D) = p1 (pi v + pi v(1/D) - 1), with v solving
+    (I - G) v = 1 by dense Gauss-Jordan over RationalFn."""
+    n = tm.n
+    a = [[(ONE if i == j else ZERO) - tm.entries[i][j] for j in range(n)]
+         for i in range(n)]
+    v = dense_gauss_jordan(a, [[ONE]] * n)
+    pv = sum((RationalFn.const(p) * row[0]
+              for p, row in zip(stationary_distribution(tm), v)), ZERO)
+    return RationalFn.const(prob_one(tm)) * (pv + pv.substitute_inverse() - ONE)
+
+
+class TestSymbolicElimination:
+    """The state elimination of ``spectrum_x_symbolic`` gives the same
+    canonical RationalFn as a dense solve of (I - G) v = 1."""
+
+    @pytest.mark.parametrize("make", [
+        *(lambda x=x: closed_form_ax(x) for x in (1, 2, 3, 5, 8)),
+        *(lambda x=x: closed_form_sx(x) for x in (1, 2, 3, 5, 8)),
+        iid_matrix,
+        lambda: closed_form_aloco(6, 1),
+        lambda: closed_form_loco_A(6, 1),
+        lambda: presets.transfer_matrix_for(ConstraintFamily("caloco", 1, 6),
+                                            "grid"),
+        lambda: presets.transfer_matrix_for(ConstraintFamily("cloco", 2, 6),
+                                            "grid"),
+    ], ids=[*(f"ax{x}" for x in (1, 2, 3, 5, 8)),
+            *(f"sx{x}" for x in (1, 2, 3, 5, 8)), "iid", "aloco6_1",
+            "loco6_1", "grid_caloco6_1", "grid_cloco6_2"])
+    def test_equals_dense_solve(self, make):
+        tm = make()
+        assert spectrum_x_symbolic(tm) == dense_symbolic(tm)
 
 
 class TestAlternateForms:

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from brute_force import (
+    alternate_ax,
+    alternate_sx,
     check_nonnegative_series,
     derivative_at,
     euclid_canonical,
@@ -237,7 +239,7 @@ def _finite_matrices():
 def _stream_matrices():
     for x in range(1, 7):
         yield from (closed_form_ax(x), closed_form_sx(x),
-                    transfer.alternate_ax(x), transfer.alternate_sx(x))
+                    alternate_ax(x), alternate_sx(x))
         for kind in ("ax", "sx"):
             yield presets.transfer_matrix_for(ConstraintFamily(kind, x), "grid")
 

@@ -60,13 +60,15 @@ def nonnegative_int(text):
 
 
 def _write(path, payload, args=None, extra=None):
-    """Write one output file: text as it is, anything else as JSON.
+    """Write one output file: text as it is, anything else as indented JSON
+    chunk by chunk, as the encoder yields it (the bytes of ``json.dumps``).
 
     Given the parsed ``args``, also write ``<path>.manifest.json`` with the
     tool version, the full configuration, the file's name and ``extra``.
     """
-    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2)
-    Path(path).write_text(text)
+    with open(path, "w") as fh:
+        fh.writelines([payload] if isinstance(payload, str)
+                      else json.JSONEncoder(indent=2).iterencode(payload))
     if args is not None:
         manifest = {
             "tool": "ccpsd",

@@ -18,7 +18,8 @@ Two constructions are provided:
 ``reduce_to_ostd`` aggregates all label-free paths between labeled states
 (states whose most recent bit is a 1): each one-step edge holds the path
 generating function sum_t P(run of t steps) D^t, exact in D, with the
-label-free states eliminated one at a time by ``ratfn.eliminate``.
+label-free states eliminated one at a time by ``ratfn.eliminate``
+(``path_functions``, which ``clocked`` reads its run lists from too).
 """
 
 from __future__ import annotations
@@ -283,25 +284,28 @@ def merge_equivalent_states(fstd):
 # ---------------------------------------------------------------------------
 
 
+def path_functions(transitions, labeled):
+    """{i: {j: RationalFn}} over labeled states: the per-bit edges (from,
+    to, p) as p D, the unlabeled states eliminated in index order by
+    ``ratfn.eliminate``: D^t in (i, j) has coefficient P(run of t steps)."""
+    out = {i: {} for i in range(len(labeled))}
+    for f, t, p in transitions:
+        w = RationalFn.monomial(p, 1)
+        out[f][t] = out[f][t] + w if t in out[f] else w
+    eliminate(out, [u for u, flag in enumerate(labeled) if not flag])
+    return out
+
+
 def reduce_to_ostd(fstd):
     """Aggregate label-free paths between labeled states into their path
-    generating functions by eliminating the unlabeled states one at a time,
-    in index order (``ratfn.eliminate``).
-    """
+    generating functions (``path_functions``)."""
     labeled = fstd.labeled_indices()
     if not labeled:
         raise ValueError("no labeled states: degenerate all-zero process")
-    out = {i: {} for i in range(len(fstd.states))}
-    for f, t, _, p in fstd.edges:
-        w = RationalFn.monomial(p, 1)
-        out[f][t] = out[f][t] + w if t in out[f] else w
-    eliminate(out, [u for u, state in enumerate(fstd.states)
-                    if not state.labeled])
-
+    out = path_functions([(f, t, p) for f, t, _, p in fstd.edges],
+                         [state.labeled for state in fstd.states])
     pos = {i: k for k, i in enumerate(labeled)}
     edges = {(pos[i], pos[j]): fn for i in labeled for j, fn in out[i].items()}
-    keys = [
-        (fstd.states[i].category, fstd.states[i].position, fstd.states[i].history)
-        for i in labeled
-    ]
+    keys = [(s.category, s.position, s.history)
+            for s in (fstd.states[i] for i in labeled)]
     return Ostd(family=fstd.family, state_keys=keys, edges=edges)

@@ -35,13 +35,13 @@ Arithmetic runs on ints only:
   ints, on each row's nonzero entries only: a row of ints goes to the kernel
   as it is, a row with ``Fraction``s is scaled by the lcm of their
   denominators first (``over_lcm``, also used by ``transfer`` and
-  ``clocked``).  A singular system raises ``ValueError`` naming the column
-  with no pivot.
+  ``sum_at_one``).  A singular system raises ``ValueError`` naming the
+  column with no pivot.
 * ``eliminate`` is the one elimination over ``RationalFn``: it removes nodes
   from a graph of rational edge weights, joining each node's predecessors
   to its successors.  ``fstd`` reduces a diagram to its labeled states with
-  it, and ``spectrum`` reads pi (I - G)^-1 1 as the one edge left between a
-  source and a sink.
+  it, which ``clocked`` reads its run lists from, and ``spectrum`` reads
+  pi (I - G)^-1 1 as the one edge left between a source and a sink.
 * ``HornerStack`` evaluates many rational functions at an array of points
   in one pass of Horner's rule, with the coefficients rounded to floats once.
   It is the one float kernel: ``evaluate`` at a float or complex point, or
@@ -396,6 +396,14 @@ class RationalFn:
                  - _at(n, z, top) * _at(_derivative(d), z, top - 1))
         return top_d * z.denominator, c * den * den
 
+    def terms(self):
+        """The (power, coefficient) pairs of a polynomial's nonzero
+        coefficients, read from its integer parts; None if the denominator
+        is not constant."""
+        if self._d != _ONE:
+            return None
+        return [(t, Fraction(v, self._c)) for t, v in enumerate(self._n) if v]
+
     def substitute_inverse(self):
         """Return R(1/D) as a rational function of D.
 
@@ -531,6 +539,14 @@ def over_lcm(pairs):
     pairs = list(pairs)
     scale = lcm(*(d for _, d in pairs))
     return [v * (scale // d) for v, d in pairs], scale
+
+
+def sum_at_one(fns):
+    """The sum of the values of ``fns`` at D = 1, as one int over the lcm
+    of their unreduced denominators c d(1), from coefficient sums."""
+    parts = [(sum(f._n), f._c * sum(f._d)) for f in fns]
+    nums, scale = over_lcm((t, q) if q > 0 else (-t, -q) for t, q in parts)
+    return Fraction(sum(nums), scale)
 
 
 def _integer_row(row):

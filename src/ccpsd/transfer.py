@@ -20,8 +20,7 @@ grid, BFS and streams -- solves: pi is one ``solve``, which scales each
 equation (a column of G(1) less the identity) to ints by the lcm of its
 denominators, and p1 = 1 / (pi G'(1) 1) takes each row sum of G'(1) as one
 int over the lcm of its entries' denominators, from coefficient sums.  A
-row of G(1) sums to 1 when its nonzero numerators, scaled to the lcm L of
-their denominators, sum to L.
+row of G(1) is checked to sum to 1 the same way (``ratfn.sum_at_one``).
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import numpy as np
 
 from .codebook import ConstraintFamily, alpha, lam, pair_counts, zeta
 from .cyclo import position_means
-from .ratfn import HornerStack, RationalFn, ZERO, over_lcm, solve
+from .ratfn import HornerStack, RationalFn, ZERO, over_lcm, solve, sum_at_one
 
 
 @dataclass(frozen=True)
@@ -129,13 +128,12 @@ class TransferMatrix:
                 np.array(which))
 
     def check_stochastic(self):
-        """True if every row of G(1) sums to 1, compared over the lcm L of
-        the row's denominators as sum num (L / den) == L."""
-        for i, row in enumerate(self._g1):
-            nums, scale = over_lcm((v.numerator, v.denominator)
-                                   for v in row if v)
-            if sum(nums) != scale:
-                raise ValueError(f"row {i} of G(1) sums to {sum(row)} != 1")
+        """True if every row of G(1) sums to 1, summed by ``sum_at_one``
+        from the entries' unreduced coefficient sums."""
+        for i, row in enumerate(self.entries):
+            total = sum_at_one(e for e in row if e)
+            if total != 1:
+                raise ValueError(f"row {i} of G(1) sums to {total} != 1")
         return True
 
     def __eq__(self, other):

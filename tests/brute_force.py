@@ -201,9 +201,12 @@ def brute_force_ostd(fstd, k_bound, truncate=False):
 
 
 def fraction_bfs(inputs):
-    """Reference for ``clocked.bfs_ostd``: the same bounded BFS with every
-    mass a ``Fraction``, and conservation checked by rescanning every edge
-    for each source."""
+    """Reference for ``clocked.bfs_ostd``, which reads its run lists from
+    the eliminated diagram: a bounded breadth-first search that pushes
+    ``Fraction`` masses from every labeled state through the per-bit edges
+    for k_eff + 1 steps, absorbing them at labeled states, with the mass
+    left over and each source's total (rescanning every edge) checked as
+    ``bfs_ostd`` checks them, under the same messages."""
     lab = [i for i, flag in enumerate(inputs.labeled) if flag]
     lab_pos = {i: k for k, i in enumerate(lab)}
     mass = [[Fraction(0)] * len(lab) for _ in range(inputs.n)]

@@ -10,8 +10,11 @@ from ccpsd.clocked import (
     clocked_inputs_from_fstd,
     effective_run_bound,
 )
-from ccpsd.codebook import ConstraintFamily, enumerate_codebook
+from ccpsd.codebook import ConstraintFamily, enumerate_codebook, pair_counts
+from ccpsd.cyclo import position_means
 from ccpsd.fstd import build_grid_fstd
+from ccpsd.ratfn import ZERO, RationalFn
+from ccpsd.transfer import TransferMatrix
 
 PAIRS = [("caloco", 1, 2), ("caloco", 1, 3), ("caloco", 2, 2)]
 
@@ -55,13 +58,18 @@ class TestSearchOstd:
             clocked_inputs_from_fstd(f)
 
 
+# lengths beyond the small sweep, where the BFS reference takes about 1 s
+LONG = {("caloco", 1): [45], ("cloco", 1): [40]}
+
+
 class TestIntegerMasses:
-    """The BFS over int masses equals the Fraction-mass reference."""
+    """The run lists read from the eliminated diagram equal the
+    Fraction-mass BFS reference."""
 
     @pytest.mark.parametrize("kind", ["caloco", "cloco"])
     @pytest.mark.parametrize("x", [1, 2])
     def test_equals_fraction_reference(self, kind, x):
-        for m in range(2, 11):
+        for m in [*range(2, 11), *LONG.get((kind, x), [])]:
             inputs = clocked_inputs_from_fstd(fstd_for(kind, x, m))
             got, want = bfs_ostd(inputs), fraction_bfs(inputs)
             assert got == want, m
@@ -91,3 +99,40 @@ class TestIntegerMasses:
                                              "1/4 != 1") as got:
             bfs_ostd(inputs)
         assert str(got.value) == str(want.value)
+
+    def test_unlabeled_cycle_is_not_absorbed(self):
+        # state 1 returns to itself with probability 1/2, so the run 0 -> 0
+        # has every length from 2 on: 1/4 of it is longer than 3 steps
+        inputs = ClockedInputs(
+            n=2, transitions=[(0, 1, Fraction(1)), (1, 1, Fraction(1, 2)),
+                              (1, 0, Fraction(1, 2))],
+            labeled=[True, False], k_eff=2)
+        with pytest.raises(ValueError) as want:
+            fraction_bfs(inputs)
+        with pytest.raises(ValueError, match="probability 1/4 not absorbed "
+                                             "within k_eff") as got:
+            bfs_ostd(inputs)
+        assert str(got.value) == str(want.value)
+
+
+class TestDensityAtScale:
+    """A check at m = 30 that does not go through the elimination: the
+    matrix of the run lists has the density of ones that the automaton's
+    counts give, the position means of the x signal over N^2 P."""
+
+    @pytest.mark.parametrize("x", [1, 2])
+    def test_prob_one_equals_position_means(self, x):
+        fam = ConstraintFamily("caloco", x, 30)
+        edges = bfs_ostd(clocked_inputs_from_fstd(
+            build_grid_fstd(enumerate_codebook(fam))))
+        n = 1 + max(max(key) for key in edges)
+        entries = [[ZERO] * n for _ in range(n)]
+        for (a, b), runs in edges.items():
+            for t, p in runs:
+                entries[a][b] = entries[a][b] + RationalFn.monomial(p, t)
+        tm = TransferMatrix(fam, entries, list(range(n)), origin="bfs")
+        n_words, ones = pair_counts(fam)[:2]
+        period = fam.m + fam.x
+        means = position_means(fam, "x", n_words, ones)
+        assert tm.prob_one == Fraction(sum(means),
+                                       n_words * n_words * period)

@@ -13,7 +13,7 @@ relaxed = settings(deadline=None, max_examples=50,
 
 from ccpsd.ratfn import (
     D, ONE, ZERO, HornerStack, RationalFn, _divide_exact, _gcd, _mul,
-    eliminate, over_lcm, solve,
+    eliminate, over_lcm, solve, sum_at_one,
 )
 
 from brute_force import (
@@ -223,6 +223,26 @@ class TestEvaluation:
         assert s[3] == Fraction(1, 4)
         assert s[4] == Fraction(1, 8)
         assert s[7] == Fraction(1, 64)
+
+    @relaxed
+    @given(st.lists(fns(), max_size=4))
+    def test_sum_at_one_equals_evaluate(self, row):
+        try:
+            want = sum((f.evaluate(1) for f in row), Fraction(0))
+        except ZeroDivisionError:
+            return
+        got = sum_at_one(row)
+        assert got == want and type(got) is Fraction
+
+    @relaxed
+    @given(fns())
+    def test_terms_are_the_nonzero_coefficients(self, f):
+        terms = f.terms()
+        if f.den != (1,):
+            assert terms is None
+            return
+        assert terms == [(t, c) for t, c in enumerate(f.num) if c]
+        assert all(type(c) is Fraction for _, c in terms)
 
     def test_series_requires_nonzero_den_at_zero(self):
         with pytest.raises(ValueError):

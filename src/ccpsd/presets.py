@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, lru_cache, partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -69,13 +69,13 @@ def autocorr_for(family):
 
 def _route(family):
     """A family's spectrum from its one exact computation, chosen here alone:
-    the autocorrelation of a finite code, or the transfer matrix of a
-    stream, whose stationary statistics it computes once.
+    the autocorrelation of a finite code, or the exact rational PSD of a
+    stream's transfer matrix, made once.
 
     Returns ``(psd, lines, shaped)``: ``psd(freqs, with_pulse=True)`` off the
     line frequencies, ``lines(with_pulse=True)`` the discrete lines, and
     ``shaped(freqs)`` the pulse-shaped PSD that also takes f = 0, where it
-    gives the continuous DC limit.
+    gives the continuous DC limit, exactly.
     """
     if family.m is not None:
         series = autocorr_for(family)
@@ -92,15 +92,14 @@ def _route(family):
             return []
         return [(0.0, float(spectrum.dc_line_weight(tm)))]
 
-    symbolic = cache(lambda: spectrum.spectrum_x_symbolic(tm))
-
     def shaped(f):
-        sym, pos = symbolic(), f > 0
+        pos = f > 0
         vals = np.empty(f.shape)
         if pos.any():
-            vals[pos] = 4.0 * sym.evaluate(np.exp(-2j * np.pi * f[pos])).real
+            vals[pos] = spectrum.spectrum_y(tm, f[pos])
         if not pos.all():  # the DC limit, exactly
-            vals[~pos] = 4.0 * float(sym.evaluate(Fraction(1)))
+            vals[~pos] = 4.0 * float(
+                spectrum.spectrum_x_symbolic(tm).evaluate(Fraction(1)))
         return spectrum.pulse_shape(f) * vals
 
     return psd, lines, shaped

@@ -40,12 +40,13 @@ Arithmetic runs on ints only:
 * ``eliminate`` is the one elimination over ``RationalFn``: it removes nodes
   from a graph of rational edge weights, joining each node's predecessors
   to its successors.  ``fstd`` reduces a diagram to its labeled states with
-  it, which ``clocked`` reads its run lists from, and ``spectrum`` reads
+  it, which ``clocked`` reads its run lists from, and ``transfer`` reads
   pi (I - G)^-1 1 as the one edge left between a source and a sink.
 * ``HornerStack`` evaluates many rational functions at an array of points
   in one pass of Horner's rule, with the coefficients rounded to floats once.
   It is the one float kernel: ``evaluate`` at a float or complex point, or
-  an array of them, goes through it.
+  an array of them, goes through it, and with ``real`` through
+  ``HornerStack.real``, the real parts in real arithmetic.
 """
 
 from __future__ import annotations
@@ -366,14 +367,17 @@ class RationalFn:
 
     # -- queries ---------------------------------------------------------
 
-    def evaluate(self, z):
+    def evaluate(self, z, real=False):
         """Evaluate at a point: exactly at an int or Fraction, else by
         ``HornerStack`` at a float, complex or numpy array of them, with the
         coefficients rounded to floats on each call.  A single point gives a
-        numpy scalar, an array of points an array of their values.
+        numpy scalar, an array of points an array of their values.  With
+        ``real``, the real parts of the values at float or complex points,
+        from Horner's rule in real arithmetic (``HornerStack.real``).
         """
         if not _is_exact(z):
-            return HornerStack([self])(np.asarray(z))[0][()]
+            stack = HornerStack([self])
+            return (stack.real if real else stack)(np.asarray(z))[0][()]
         n, c, d = self._n, self._c, self._d
         top = max(len(n), len(d)) - 1
         den = _at(d, z, top)
@@ -586,6 +590,22 @@ class HornerStack:
             raise ZeroDivisionError("evaluation at a pole")
         return _horner(self.num, z) / den
 
+    def real(self, z):
+        """Real parts of the values at complex ``z``, of the same shape as
+        ``__call__``'s.
+
+        Horner's rule runs on the real and imaginary parts in real
+        arithmetic.  Each real operation rounds alike wherever its point sits
+        in the array, which numpy's complex product does not, so a point's
+        value does not depend on the grid it is evaluated on.
+        """
+        nr, ni = _horner_parts(self.num, z)
+        dr, di = _horner_parts(self.den, z)
+        mag = dr * dr + di * di
+        if np.any(mag == 0):
+            raise ZeroDivisionError("evaluation at a pole")
+        return (nr * dr + ni * di) / mag
+
 
 def _stack_coeffs(polys):
     """Rows of p / s for (p, s) in ``polys``: int true division rounds each
@@ -605,6 +625,17 @@ def _horner(coeffs, z):
         acc *= z
         acc += c.reshape(shape)
     return acc
+
+
+def _horner_parts(coeffs, z):
+    """``_horner`` at complex ``z`` as its real and imaginary parts."""
+    x, y = z.real, z.imag
+    shape = (len(coeffs),) + (1,) * z.ndim
+    re = np.zeros((len(coeffs),) + z.shape)
+    im = np.zeros_like(re)
+    for c in coeffs.T:
+        re, im = re * x - im * y + c.reshape(shape), re * y + im * x
+    return re, im
 
 
 def _coerce(v):

@@ -15,12 +15,14 @@ with nothing solved.  The A-LOCO closed form's states are the positions of
 one period that read 1, so its counts are the indicator's position means
 (``cyclo.position_means``, ints over N^2); the LOCO closed form's are the
 words in which each free, forced or bridge state occurs, from the ones and
-adjacent pair counts of ``codebook.pair_counts``.  Every other matrix --
-grid, BFS and streams -- solves: pi is one ``solve``, which scales each
-equation (a column of G(1) less the identity) to ints by the lcm of its
-denominators, and p1 = 1 / (pi G'(1) 1) takes each row sum of G'(1) as one
-int over the lcm of its entries' denominators, from coefficient sums.  A
-row of G(1) is checked to sum to 1 the same way (``ratfn.sum_at_one``).
+adjacent pair counts of ``codebook.pair_counts``; a stream closed form's
+are read from its fair coins.  Every other matrix -- grid and BFS --
+solves: pi is one ``solve``, which scales each equation (a column of G(1)
+less the identity) to ints by the lcm of its denominators, and
+p1 = 1 / (pi G'(1) 1) takes each row sum of G'(1) as one int over the lcm
+of its entries' denominators, from coefficient sums.  A row of G(1) is
+checked to sum to 1 the same way (``ratfn.sum_at_one``).
+The exact PSD S_X(D) (``psd_x``) is kept on the matrix as pi is.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ import numpy as np
 
 from .codebook import ConstraintFamily, alpha, lam, pair_counts, zeta
 from .cyclo import position_means
-from .ratfn import HornerStack, RationalFn, ZERO, over_lcm, solve, sum_at_one
+from .ratfn import (HornerStack, ONE, RationalFn, ZERO, eliminate, over_lcm,
+                    solve, sum_at_one)
 
 
 @dataclass(frozen=True)
@@ -113,6 +116,32 @@ class TransferMatrix:
         return 1 / mean
 
     @cached_property
+    def psd_x(self):
+        """Exact rational S_X(D) on the unit circle (D and 1/D combined).
+
+        Its value at D = exp(-2 pi i f) is the continuous indicator PSD,
+        p1 (pi v + pi v(1/D) - 1) with v = (I - G)^-1 1.  pi v is the one
+        edge left from a source S, joined to each state i by pi_i, to a sink
+        T, joined from each state by 1, once every state is eliminated
+        (``ratfn.eliminate``), from the last state back.  A stream's return
+        edges all enter state 0, so removing it first would join every
+        row to each of its successors; the 81-state ``closed_form_ax(80)``
+        takes 0.012 s in this order and 14.5 s in index order on a 2-CPU
+        Intel Xeon host.
+        """
+        n = self.n
+        out = {i: {j: e for j, e in enumerate(row) if e}
+               for i, row in enumerate(self.entries)}
+        for i in range(n):
+            out[i]["T"] = ONE
+        out["S"] = {i: RationalFn.const(p)
+                    for i, p in enumerate(self.stationary) if p}
+        eliminate(out, range(n - 1, -1, -1))
+        pv = out["S"]["T"]
+        return RationalFn.const(self.prob_one) * (
+            pv + pv.substitute_inverse() - ONE)
+
+    @cached_property
     def entry_stack(self):
         """(HornerStack of the distinct nonzero entries, rows, columns,
         stack index) over the nonzero positions, as index arrays."""
@@ -184,7 +213,14 @@ def closed_form_ax(x):
     for i in range(n - 1):
         entries[i][i + 1] = half_d
     entries[n - 1][n - 1] = entries[n - 1][n - 1] + half_d
-    return TransferMatrix(fam, entries, [("run", r) for r in range(1, n + 1)])
+    # each state sends half its visits back to state 0 and half on, so
+    # state r < x takes 2^-(r+1) of them and the last state, which keeps
+    # its own half, as many as the one before it; a visit is followed by
+    # (x + 4) / 2 symbols on average
+    visits = (tuple(1 << (x - 1 - r) for r in range(x)) + (1,),
+              (1 << (x - 1)) * (x + 4))
+    return TransferMatrix(fam, entries, [("run", r) for r in range(1, n + 1)],
+                          visits=visits)
 
 
 def closed_form_sx(x):
@@ -196,14 +232,18 @@ def closed_form_sx(x):
     for i in range(n - 1):
         entries[i][i + 1] = RationalFn.monomial(Fraction(1), 1)
     entries[n - 1][n - 1] = RationalFn.monomial(Fraction(1, 2), 1)
-    return TransferMatrix(fam, entries, [("run", r) for r in range(1, n + 1)])
+    # a cycle visits each state once and the last, which keeps half its
+    # visits, twice on average; half the symbols are labeled
+    visits = ((1,) * x + (2,), 2 * (x + 2))
+    return TransferMatrix(fam, entries, [("run", r) for r in range(1, n + 1)],
+                          visits=visits)
 
 
 def iid_matrix():
     """Single-state matrix of a fair-coin stream: geometric(1/2) runs."""
     fam = ConstraintFamily("iid", 0)
     g = RationalFn([Fraction(0), Fraction(1)], [Fraction(2), -Fraction(1)])
-    return TransferMatrix(fam, [[g]], ["any"])
+    return TransferMatrix(fam, [[g]], ["any"], visits=((1,), 2))
 
 
 # ---------------------------------------------------------------------------

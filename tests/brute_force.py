@@ -436,6 +436,75 @@ def horner(p, z):
     return acc
 
 
+class GaussianRational:
+    """re + i im with ``Fraction`` parts: exact complex arithmetic for
+    ``horner`` and ``dense_gauss_jordan`` at rational points of the unit
+    circle."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    @staticmethod
+    def _of(v):
+        return v if isinstance(v, GaussianRational) else GaussianRational(v)
+
+    def __add__(self, other):
+        other = self._of(other)
+        return GaussianRational(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._of(other)
+        return GaussianRational(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other):
+        return self._of(other) - self
+
+    def __mul__(self, other):
+        other = self._of(other)
+        return GaussianRational(self.re * other.re - self.im * other.im,
+                                self.re * other.im + self.im * other.re)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = self._of(other)
+        mag = other.re * other.re + other.im * other.im
+        return self * GaussianRational(other.re / mag, -other.im / mag)
+
+    def __rtruediv__(self, other):
+        return self._of(other) / self
+
+    def __eq__(self, other):
+        other = self._of(other)
+        return self.re == other.re and self.im == other.im
+
+    __hash__ = None
+
+
+def unit_circle_point(t):
+    """z = exp(-2 pi i f) with tan(pi f) = t, exactly, for a rational t."""
+    t = Fraction(t)
+    return GaussianRational((1 - t * t) / (1 + t * t), -2 * t / (1 + t * t))
+
+
+def solved_psd_x(tm, z):
+    """S_X(z) = p1 (2 Re(pi v) - 1) with (I - G(z)) v = 1 solved by dense
+    Gauss-Jordan over ``GaussianRational``s, at a rational point z of the
+    unit circle."""
+    n = tm.n
+    a = [[GaussianRational(int(i == j))
+          - (horner(e.num, z) / horner(e.den, z) if e else 0)
+          for j, e in enumerate(row)] for i, row in enumerate(tm.entries)]
+    v = dense_gauss_jordan(a, [[GaussianRational(1)]] * n)
+    pv = sum((p * row[0] for p, row in zip(tm.stationary, v)),
+             GaussianRational(0))
+    return tm.prob_one * (2 * pv.re - 1)
+
+
 def dense_gauss_jordan(a, b):
     """a X = b by Gauss-Jordan over every column of every row, pivoting on
     the first nonzero entry at or below the diagonal; a column with none

@@ -482,6 +482,24 @@ class TestArrayEvaluate:
             kappa = _condition(a.num, z) + _condition(a.den, z)
             assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want) * kappa)
 
+    @relaxed
+    @given(nonzero_fns())
+    def test_real_part_matches_scalar(self, a):
+        # in real arithmetic a complex point alone gives the real part it
+        # gives within an array bit for bit, and near the complex kernel's
+        z = np.exp(-2j * np.pi * (np.arange(32) + 0.5) / 64)
+        try:
+            got = a.evaluate(z, real=True)
+            full = a.evaluate(z)
+        except ZeroDivisionError:
+            return
+        assert got.dtype == float and got.shape == z.shape
+        alone = np.array([a.evaluate(v, real=True) for v in z])
+        assert _same_bits(got, alone)
+        kappa = _condition(a.num, z) + _condition(a.den, z)
+        assert np.all(np.abs(got - full.real)
+                      <= 1e-15 * np.abs(full) * kappa)
+
     def test_point_gives_a_numpy_scalar(self):
         f = ONE / (ONE - D)
         assert f.evaluate(0.5) == np.float64(2.0)

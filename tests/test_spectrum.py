@@ -5,12 +5,12 @@ import pytest
 
 from brute_force import (alternate_ax, alternate_sx, dense_bareiss,
                          dense_gauss_jordan, derivative_at, horner,
-                         nrzi_psd_symbolic)
+                         nrzi_psd_symbolic, solved_psd_x, unit_circle_point)
 from ccpsd import presets, transfer
 from ccpsd.clocked import bfs_ostd, clocked_inputs_from_fstd
 from ccpsd.codebook import ConstraintFamily, enumerate_codebook
 from ccpsd.fstd import build_grid_fstd, reduce_to_ostd
-from ccpsd.ratfn import ONE, ZERO, RationalFn
+from ccpsd.ratfn import ONE, ZERO, RationalFn, eliminate
 from ccpsd.spectrum import (
     BLOCK_ENTRIES,
     dc_line_weight,
@@ -84,6 +84,22 @@ class TestStationary:
                 == pi[j]
         assert pi == dense_stationary(tm)
 
+    @pytest.mark.parametrize("make", [closed_form_ax, closed_form_sx])
+    def test_counted_visits_equal_solve(self, make):
+        # the stream closed forms count their visits; the same entries
+        # without counts go to the solve
+        for x in range(1, 31):
+            tm = make(x)
+            solved = TransferMatrix(tm.family, tm.entries, tm.labels)
+            assert tm.stationary == solved.stationary
+            assert tm.prob_one == solved.prob_one
+
+    def test_iid_counts_equal_solve(self):
+        tm = iid_matrix()
+        solved = TransferMatrix(tm.family, tm.entries, tm.labels)
+        assert (tm.stationary, tm.prob_one) == (solved.stationary,
+                                                solved.prob_one)
+
 
 class TestIntegerElimination:
     """The stationary solve over ints gives the unique exact pi, once."""
@@ -98,13 +114,14 @@ class TestIntegerElimination:
             p * sum(derivative_at(e, 1) for e in row if e)
             for p, row in zip(pi, tm.entries))
 
-    # the finite closed forms count their visits in place of a solve, the
-    # A-LOCO one from its position means
+    # the closed forms count their visits in place of a solve, the A-LOCO
+    # one from its position means; a grid matrix solves once
     @pytest.mark.parametrize("make,solved,means", [
         (lambda: closed_form_loco_A(6, 2), False, False),
         (lambda: closed_form_aloco(6, 2), False, True),
-        (lambda: closed_form_ax(2), True, False)],
-        ids=["loco", "aloco", "ax"])
+        (lambda: closed_form_ax(2), False, False),
+        (lambda: _grid_ostm(), True, False)],
+        ids=["loco", "aloco", "ax", "grid"])
     def test_statistics_are_computed_once(self, make, solved, means,
                                           monkeypatch):
         solves, reads = [], []
@@ -244,10 +261,9 @@ class TestBatchedKernel:
         diff = np.abs(spectrum_x(tm, freqs) - spectrum_x_per_point(tm, freqs))
         assert np.max(diff) < 1e-10
 
+    # the dense kernel serves codeword families; streams are checked
+    # against exact values in TestExactReference
     @pytest.mark.parametrize("make", [
-        *(lambda x=x: closed_form_ax(x) for x in (1, 5)),
-        *(lambda x=x: closed_form_sx(x) for x in (1, 5)),
-        iid_matrix,
         lambda: closed_form_aloco(6, 2),
         lambda: closed_form_loco_A(6, 1),
         _grid_ostm,
@@ -255,9 +271,8 @@ class TestBatchedKernel:
         lambda: _grid_ostm("cloco", 2, 6),
         lambda: _bfs_matrix("caloco", 1, 5),
         lambda: _bfs_matrix("cloco", 2, 6),
-    ], ids=["ax1", "ax5", "sx1", "sx5", "iid", "aloco6_2", "loco6_1",
-            "grid_aloco5_2", "grid_loco5_1", "grid_cloco6_2", "bfs_caloco5_1",
-            "bfs_cloco6_2"])
+    ], ids=["aloco6_2", "loco6_1", "grid_aloco5_2", "grid_loco5_1",
+            "grid_cloco6_2", "bfs_caloco5_1", "bfs_cloco6_2"])
     def test_equals_per_entry_kernel(self, make):
         tm = make()
         freqs = default_grid(256)
@@ -265,7 +280,7 @@ class TestBatchedKernel:
                               spectrum_x_per_entry(tm, freqs))
 
     def test_equals_per_entry_kernel_over_blocks(self):
-        tm = closed_form_ax(30)
+        tm = closed_form_loco_A(20, 1)
         freqs = default_grid(2048)
         assert len(freqs) * tm.n ** 2 > 7 * BLOCK_ENTRIES  # eight blocks
         assert np.array_equal(spectrum_x(tm, freqs),
@@ -314,6 +329,60 @@ class TestSymbolicElimination:
     def test_equals_dense_solve(self, make):
         tm = make()
         assert spectrum_x_symbolic(tm) == dense_symbolic(tm)
+
+
+def index_order_symbolic(tm):
+    """S_X(D) with the states eliminated in index order."""
+    out = {i: {j: e for j, e in enumerate(row) if e}
+           for i, row in enumerate(tm.entries)}
+    for i in range(tm.n):
+        out[i]["T"] = ONE
+    out["S"] = {i: RationalFn.const(p) for i, p in enumerate(tm.stationary)}
+    eliminate(out, range(tm.n))
+    pv = out["S"]["T"]
+    return RationalFn.const(tm.prob_one) * (pv + pv.substitute_inverse() - ONE)
+
+
+class TestEliminationOrder:
+    """Eliminating from the last state back gives the canonical RationalFn
+    of index order, at sizes a dense solve would take long on."""
+
+    @pytest.mark.parametrize("make", [closed_form_ax, closed_form_sx],
+                             ids=["ax", "sx"])
+    @pytest.mark.parametrize("x", [20, 40])
+    def test_equals_index_order(self, make, x):
+        tm = make(x)
+        assert spectrum_x_symbolic(tm) == index_order_symbolic(tm)
+
+    def test_kept_on_the_matrix(self):
+        tm = closed_form_ax(3)
+        assert spectrum_x_symbolic(tm) is spectrum_x_symbolic(tm)
+
+
+class TestExactReference:
+    """A stream's PSD on a grid against S_X solved exactly at Gaussian-
+    rational points of the unit circle, z = ((1 - t^2) - 2it) / (1 + t^2),
+    that is f = arctan(t) / pi; t = 1/2000 sits near DC, where a dense
+    float solve loses most."""
+
+    TS = [F(1, 2000), F(1, 500), F(1, 100), F(1, 10), F(1, 3), F(1), F(3),
+          F(40)]
+
+    @pytest.mark.parametrize("make", [closed_form_ax, closed_form_sx],
+                             ids=["ax", "sx"])
+    @pytest.mark.parametrize("x", [1, 2, 3, 4, 5])
+    def test_matches_exact_solve(self, make, x):
+        tm = make(x)
+        freqs = np.arctan([float(t) for t in self.TS]) / np.pi
+        got = spectrum_x(tm, freqs)
+        for t, g in zip(self.TS, got):
+            want = solved_psd_x(tm, unit_circle_point(t))
+            assert abs(F(float(g)) - want) <= F(1, 10 ** 13) * abs(want), t
+
+    def test_iid_is_exact(self):
+        freqs = np.arctan([float(t) for t in self.TS]) / np.pi
+        got = spectrum_x(iid_matrix(), freqs)
+        assert all(g == 0.25 for g in got)
 
 
 class TestAlternateForms:

@@ -22,8 +22,11 @@ not with N.  A ``Codebook`` counts its N and lists its words only when they
 are read, in ascending lexicographic order, by joining halves: every head of
 m // 2 bits, in order, is followed by each of the ascending accepted tails
 read from the automaton state the head ends in, and the tails of each state
-are listed once.  Listing refuses more than ``ENUMERATION_LIMIT`` words; only
-``codebook --out`` and the Monte-Carlo streams of finite families list words.
+are listed once.  A listed word is a ``bytes`` object of one byte, 0 or 1,
+per bit: one object per word, not one per bit, which the words' joined
+bytes turn into a numpy array and ``bytes.translate`` into text.  Listing
+refuses more than ``ENUMERATION_LIMIT`` words; only ``codebook --out`` and
+the Monte-Carlo streams of finite families list words.
 """
 
 from __future__ import annotations
@@ -38,9 +41,9 @@ INFINITE_KINDS = ("ax", "sx")
 CLOCKED_KINDS = ("caloco", "cloco")
 FINITE_KINDS = ("aloco", "loco") + CLOCKED_KINDS
 KINDS = ("iid",) + INFINITE_KINDS + FINITE_KINDS
-# Most words a Codebook lists.  `codebook --out` peaks at about 450 MB RSS
-# for the N = 922,111 words of aloco x=1 m=24; m=26 would take about three
-# times that.
+# Most words a Codebook lists.  `codebook --out` peaks at about 170 MB RSS
+# for the N = 922,111 words of aloco x=1 m=24, about 60 bytes a listed word;
+# m=26 would take about three times that.
 ENUMERATION_LIMIT = 1 << 20
 # Maps the bytes 0 and 1 of a word to the characters "0" and "1".
 _BIT_CHARS = bytes.maketrans(b"\0\1", b"01")
@@ -151,18 +154,19 @@ class Automaton:
         return rows[r][s]
 
     def walk(self, length):
-        """Every accepted ``length``-bit string, lexicographically
-        ascending: each head of ``length // 2`` bits, in order, joined to
-        the ascending tails, read from the state it ends in, that end in an
-        accepting state.  Tails are listed once per distinct end state."""
+        """Every accepted ``length``-bit string, as ``bytes`` of one 0/1
+        byte per bit, lexicographically ascending: each head of
+        ``length // 2`` bits, in order, joined to the ascending tails, read
+        from the state it ends in, that end in an accepting state.  Tails
+        are listed once per distinct end state."""
         dead = len(self.delta) - 1
-        # (bit, state after) of each live step, the 0-step first
-        steps = [[((b,), t) for b, t in enumerate(row) if t != dead]
+        # (bit as a byte, state after) of each live step, the 0-step first
+        steps = [[(bytes((b,)), t) for b, t in enumerate(row) if t != dead]
                  for row in self.delta]
 
         def strings(state, n):
             """The ascending n-bit strings read from state, with end states."""
-            level = [((), state)]
+            level = [(b"", state)]
             for _ in range(n):
                 level = [(w + b, t) for w, s in level for b, t in steps[s]]
             return level
@@ -260,8 +264,9 @@ def enumerate_codebook(family):
 
 class Codebook:
     """The whole codebook of a finite family: N is counted, and the words,
-    bit tuples in ascending lexicographic order, are listed on first read,
-    both from the family's automaton, which accepts exactly the words."""
+    ``bytes`` of one 0/1 byte per bit in ascending lexicographic order, are
+    listed on first read, both from the family's automaton, which accepts
+    exactly the words."""
 
     def __init__(self, family):
         self.family = family
@@ -282,20 +287,20 @@ class Codebook:
     @property
     def N1(self):
         """Words starting 00."""
-        return sum(1 for w in self.words if w[:2] == (0, 0))
+        return sum(1 for w in self.words if w[:2] == b"\0\0")
 
     @property
     def N2(self):
         """Words starting 11."""
-        return sum(1 for w in self.words if w[:2] == (1, 1))
+        return sum(1 for w in self.words if w[:2] == b"\1\1")
 
     @property
     def N3(self):
         """Words starting 10 (equivalently 1 0^{x+1} once length permits)."""
-        return sum(1 for w in self.words if w[:2] == (1, 0))
+        return sum(1 for w in self.words if w[:2] == b"\1\0")
 
     def as_bitstrings(self):
-        return [bytes(w).translate(_BIT_CHARS).decode() for w in self.words]
+        return [w.translate(_BIT_CHARS).decode() for w in self.words]
 
 
 def group_cardinalities(family, length):

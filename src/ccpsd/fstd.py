@@ -106,7 +106,8 @@ def _trailing_run(history, bit):
 def build_infinite_fstd(family):
     if family.kind not in INFINITE_KINDS:
         raise ValueError("infinite FSTDs exist only for the ax/sx families")
-    windows = set(automaton(family).walk(family.x + 2))
+    # as bit tuples, so the histories and the state payloads are tuples
+    windows = set(map(tuple, automaton(family).walk(family.x + 2)))
     # histories of the last x+1 bits that occur in a bi-infinite valid
     # stream: each ends one pattern-free window and starts another
     histories = sorted({w[1:] for w in windows} & {w[:-1] for w in windows})

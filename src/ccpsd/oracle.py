@@ -166,8 +166,8 @@ def _word_levels(seed, n, fam):
     chunks of at most CHUNK_SYMBOLS symbols, each drawing the indices of
     the words after its own.
     """
-    words = np.array(enumerate_codebook(fam).words, dtype=np.int8)
-    m = fam.m
+    listed, m = enumerate_codebook(fam).words, fam.m
+    words = np.frombuffer(b"".join(listed), np.int8).reshape(len(listed), m)
     period = m + fam.x
     scale, offset, bridge = signal_levels(fam, "y")
     table = np.empty((len(words), 2, period), dtype=np.int8)

@@ -36,17 +36,23 @@ class ListedCodebook(Codebook):
         return len(self.words)
 
 
+def word_array(words, dtype=np.int64):
+    """The listed words, ``bytes`` of one 0/1 byte per bit, as an N x m
+    array, built bit by bit from each word's ints."""
+    return np.array([list(w) for w in words], dtype=dtype)
+
+
 def brute_force_codebook(family):
     """Filter all 2^m strings; test oracle for enumerate_codebook."""
     m = family.m
     patterns = forbidden_patterns(family)
     words = []
     for v in range(2 ** m):
-        bits = tuple((v >> (m - 1 - i)) & 1 for i in range(m))
+        bits = bytes((v >> (m - 1 - i)) & 1 for i in range(m))
         if not contains_forbidden(bits, patterns):
             words.append(bits)
     if family.kind in CLOCKED_KINDS:
-        allzero, allone = (0,) * m, (1,) * m
+        allzero, allone = bytes(m), b"\1" * m
         words = [w for w in words if w != allzero and w != allone]
     return ListedCodebook(family, words)
 
@@ -66,7 +72,7 @@ def depth_first_words(family):
             bits.append(b)
         left = m - depth - 1
         if not left:
-            words.append(tuple(bits))
+            words.append(bytes(bits))
             continue
         for c in (1, 0):  # 0 is popped, and so listed, first
             t = delta[s][c]
@@ -84,7 +90,7 @@ def _signal_values(codebook, signal):
     first bit c of the right word: it is f[a][c].
     """
     fam = codebook.family
-    words = np.array(codebook.words, dtype=np.int64)
+    words = word_array(codebook.words)
     if signal == "y":
         w = 2 * words - 1
         if fam.bridging == "z_symbols":

@@ -390,6 +390,11 @@ def golden_commands(case):
         return [["ostm", "--family", kind, "--x", str(x), "--m", str(m),
                  "--method", "closed", "--out", f"{kind}_x{x}_m{m}.json"]
                 for x in (1, 2) for m in range(x + 2, 9)]
+    if case == "codebook":
+        return [["codebook", "--family", kind, "--x", str(x), "--m", str(m),
+                 "--out", f"{kind}_x{x}_m{m}.json"]
+                for kind, x, m in (("aloco", 1, 6), ("loco", 2, 8),
+                                   ("caloco", 1, 6), ("cloco", 2, 8))]
     if case == "grid":
         return [["ostm", "--family", kind, "--x", str(x), "--m", "6",
                  "--method", "grid", "--out", f"{kind}_x{x}_m6.json"]

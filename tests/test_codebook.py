@@ -1,10 +1,12 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brute_force import brute_force_codebook, contains_forbidden, depth_first_words
+from brute_force import (brute_force_codebook, contains_forbidden,
+                         depth_first_words, word_array)
 from ccpsd.codebook import (
     CLOCKED_KINDS,
     ENUMERATION_LIMIT,
@@ -79,6 +81,20 @@ class TestEnumeration:
         assert len(words) == group_cardinalities(fam, 24)[0] == 922111
         assert all(a < b for a, b in zip(words, words[1:]))
 
+    def test_lists_a_word_in_under_96_bytes(self):
+        # one bytes object of m one-byte bits and its list slot per word,
+        # about 62 bytes; a tuple of m ints takes about 210
+        fam = ConstraintFamily("aloco", 1, 20)
+        assert enumerate_codebook(fam).N == 97229  # counted, not listed
+        tracemalloc.start()
+        try:
+            words = enumerate_codebook(fam).words
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(words) == 97229
+        assert peak < 96 * len(words), f"peak {peak} bytes"
+
     @pytest.mark.parametrize("kind", CLOCKED_KINDS)
     def test_clocked_drops_exactly_the_constant_words(self, kind):
         for x in (1, 2, 3):
@@ -87,7 +103,7 @@ class TestEnumeration:
                 unclocked = Automaton(tuple(forbidden_patterns(fam)))
                 listed = unclocked.walk(m)
                 cb = enumerate_codebook(fam)
-                assert (listed[0], listed[-1]) == ((0,) * m, (1,) * m)
+                assert (listed[0], listed[-1]) == (bytes(m), b"\1" * m)
                 assert cb.words == listed[1:-1]
                 assert cb.N == unclocked.count(m, 0) - 2
 
@@ -203,7 +219,7 @@ class TestPairCounts:
     def test_equals_gram_of_listed_words(self, kind, x):
         for m in range(2 if kind in CLOCKED_KINDS else 1, 13):
             fam = ConstraintFamily(kind, x, m)
-            w = np.array(enumerate_codebook(fam).words, dtype=np.int64)
+            w = word_array(enumerate_codebook(fam).words)
             g = w.T @ w  # words with bits i and j both 1
             want = (len(w), np.diag(g).tolist(), g[0].tolist(),
                     g[:, -1].tolist(), np.diag(g, 1).tolist(),

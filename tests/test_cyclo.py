@@ -6,7 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from brute_force import listed_autocorr, per_series_cosine_sum
+from brute_force import listed_autocorr, per_series_cosine_sum, word_array
 from ccpsd import cyclo, presets
 from ccpsd.cli import main
 from ccpsd.codebook import (
@@ -78,7 +78,7 @@ def exact_autocorr_dense(codebook, signal):
     fam = codebook.family
     m, x = fam.m, fam.x
     period = m + x
-    words = np.array(codebook.words, dtype=np.int64)
+    words = word_array(codebook.words)
     n = len(words)
     both = np.outer(words[:, -1], words[:, 0])
     if signal == "y":

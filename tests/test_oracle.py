@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from brute_force import contains_forbidden
+from brute_force import contains_forbidden, word_array
 from ccpsd import oracle
 from ccpsd.codebook import (ConstraintFamily, enumerate_codebook,
                             forbidden_patterns)
@@ -76,7 +76,7 @@ def generate_stream_reference(config, ax_runs=ax_batch_runs,
     if fam.kind == "iid":
         return (2 * rng.integers(0, 2, size=n) - 1).astype(np.int8)
     cb = enumerate_codebook(fam)
-    words = np.array(cb.words, dtype=np.int8)
+    words = word_array(cb.words, np.int8)
     m = fam.m
     period = m + x
     n_words = (n // period) + 2

@@ -335,7 +335,10 @@ def main(argv=None):
     except UsageError as exc:
         parser.error(str(exc))
     except (ValueError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # numpy's failed allocations say how much they asked for; a bare
+        # MemoryError says nothing
+        text = str(exc) or "out of memory"
+        print(f"error: {text}", file=sys.stderr)
         return 1
 
 

@@ -110,11 +110,36 @@ def _ax_levels(seed, n, x):
         batch += 1
 
 
+def _flip_levels(flips, size, level):
+    """``size`` int8 symbols at +-level: ``level`` before the first of the
+    distinct indices ``flips``, its sign flipped at each of them.
+
+    The sign of a symbol is the parity of the flips at or before it.  The
+    flips are marked one bit each, 64 to a word in the order of the symbols;
+    six shift-xors give each bit the parity of its word up to it, and a
+    running xor of the words' top bits carries the parity across words.
+    """
+    marks = np.zeros(-(-size // 64) * 64, dtype=np.uint8)
+    marks[flips] = 1
+    words = np.packbits(marks, bitorder="little").view("<u8")
+    del marks  # so the unpacked signs take its place
+    for shift in (1, 2, 4, 8, 16, 32):
+        words ^= words << shift
+    # all ones in the words after an odd number of flips
+    words[1:] ^= -np.bitwise_xor.accumulate(words[:-1] >> 63)
+    signs = np.unpackbits(words.view(np.uint8), bitorder="little")[:size]
+    signs = signs.view(np.int8)
+    signs *= -2 * level
+    signs += level
+    return signs
+
+
 def _sx_levels(seed, n, x):
     """Alternating one-runs and zero-runs, each of length x + geometric.
 
     Blocks draw one after another (top-up batches continue the same
-    draws), block i a one-run when i is even.
+    draws), block i a one-run when i is even.  Each chunk of blocks is
+    written as the sign flips at its block starts (see ``_flip_levels``).
     """
     rng = _rng(seed)
     y = np.empty(n, dtype=np.int8)
@@ -122,18 +147,14 @@ def _sx_levels(seed, n, x):
     odd = False  # whether the next block is a zero-run
     while pos < n:
         c = _chunk(n - pos, x + 2, CHUNK_SYMBOLS)
-        lens = _geometric_half(rng, c, x)
-        end = np.cumsum(lens) + pos
-        k = int(np.searchsorted(end, n))  # first block reaching symbol n
-        if k < c:
-            lens = lens[:k + 1]
-            lens[k] -= end[k] - n
-        signs = np.full(len(lens), -1, dtype=np.int8)
-        signs[int(odd)::2] = 1
-        top = pos + int(lens.sum())
-        y[pos:top] = np.repeat(signs, lens)
-        pos = top
-        odd ^= len(lens) % 2 == 1
+        ends = np.cumsum(_geometric_half(rng, c, x))  # block ends from pos
+        # the blocks up to the first that reaches symbol n, or all c
+        blocks = min(int(np.searchsorted(ends, n - pos)), c - 1) + 1
+        size = min(int(ends[-1]), n - pos)
+        y[pos:pos + size] = _flip_levels(ends[:blocks - 1], size,
+                                         -1 if odd else 1)
+        pos += size
+        odd ^= blocks % 2 == 1
     return y
 
 
@@ -212,21 +233,28 @@ def _lag_sums(stream, k0, lags):
     """sum_a s[a] s[a+k] for k0 <= k < k0 + lags, exact, as float64.
 
     With u = s[:n-k0] and w = s[k0:] cut into rows of B symbols, a pair at
-    lag k0 + j (j < B) lies in one row or in two adjacent rows, so its sum
-    is the j-th diagonal of U^T W plus the (j-B)-th diagonal of
-    U[:-1]^T W[1:], plus the pairs that reach past the last full row.  Each
-    product is in {-1, 0, 1} and a chunk of at most CHUNK_SYMBOLS symbols
-    keeps every partial sum an integer below 2^24, so the float32 matrix
-    products are exact in any summation order.  Any B >= lags is exact;
-    B is the least multiple of 16 that is, since narrower rows cost fewer
-    products and 16 float32 values fill a vector register.
+    lag k0 + j (j < B) lies in one row or in two adjacent rows.  Within a
+    row its sum is the j-th diagonal of U^T W.  Across rows it pairs one of
+    the last j columns of a U row with one of the first j columns of the
+    next W row, so for any e >= lags - 1 it is the (j-e)-th diagonal of the
+    e x e corner product U[:-1, B-e:]^T W[1:, :e].  e is lags - 1 rounded
+    up to a multiple of 8, so at most B: with one OpenBLAS thread on a Xeon,
+    float32 products of an odd width such as B - 1 took up to twice as long
+    as at the next multiple of 8.  The pairs that reach past the last full
+    row are added one lag at a time.
+    Each product is in {-1, 0, 1} and a chunk of at most CHUNK_SYMBOLS
+    symbols keeps every partial sum an integer below 2^24, so the float32
+    matrix products are exact in any summation order.  Any B >= lags is
+    exact; B is the least multiple of 16 that is, since narrower rows cost
+    fewer products and 16 float32 values fill a vector register.
     """
     n = len(stream) - k0
     b = -(-lags // 16) * 16
+    e = -(-(lags - 1) // 8) * 8
     rows = n // b
     step = max(1, CHUNK_SYMBOLS // b)
     c0 = np.zeros((b, b))
-    c1 = np.zeros((b, b))
+    c1 = np.zeros((e, e))
     for r0 in range(0, rows, step):
         r1 = min(r0 + step, rows)
         hi = min(r1 + 1, rows) * b  # one overlap row for pairs across rows
@@ -234,14 +262,14 @@ def _lag_sums(stream, k0, lags):
         u = w if k0 == 0 else (
             stream[r0 * b:hi].astype(np.float32).reshape(-1, b))
         c0 += u[:r1 - r0].T @ w[:r1 - r0]
-        c1 += u[:-1].T @ w[1:]
+        c1 += u[:-1, b - e:].T @ w[1:, :e]
     out = np.empty(lags)
     tail = rows * b
     for j in range(lags):
         lo = max(0, tail - j)
         rest = np.dot(stream[lo:n - j].astype(np.int64),
                       stream[k0 + lo + j:k0 + n].astype(np.int64))
-        out[j] = np.trace(c0, j) + np.trace(c1, j - b) + float(rest)
+        out[j] = np.trace(c0, j) + np.trace(c1, j - e) + float(rest)
     return out
 
 

@@ -5,6 +5,7 @@ from math import lcm
 
 import numpy as np
 
+from ccpsd import oracle
 from ccpsd.codebook import (CLOCKED_KINDS, Automaton, Codebook,
                             ConstraintFamily, forbidden_patterns)
 from ccpsd.cyclo import AutocorrSeries
@@ -40,6 +41,30 @@ def word_array(words, dtype=np.int64):
     """The listed words, ``bytes`` of one 0/1 byte per bit, as an N x m
     array, built bit by bit from each word's ints."""
     return np.array([list(w) for w in words], dtype=dtype)
+
+
+def repeat_sx_levels(seed, n, x):
+    """``oracle._sx_levels`` from the same chunks of draws, each chunk's
+    blocks written by repeating its alternating block signs."""
+    rng = oracle._rng(seed)
+    y = np.empty(n, dtype=np.int8)
+    pos = 0
+    odd = False  # whether the next block is a zero-run
+    while pos < n:
+        c = oracle._chunk(n - pos, x + 2, oracle.CHUNK_SYMBOLS)
+        lens = oracle._geometric_half(rng, c, x)
+        end = np.cumsum(lens) + pos
+        k = int(np.searchsorted(end, n))  # first block reaching symbol n
+        if k < c:
+            lens = lens[:k + 1]
+            lens[k] -= end[k] - n
+        signs = np.full(len(lens), -1, dtype=np.int8)
+        signs[int(odd)::2] = 1
+        top = pos + int(lens.sum())
+        y[pos:top] = np.repeat(signs, lens)
+        pos = top
+        odd ^= len(lens) % 2 == 1
+    return y
 
 
 def brute_force_codebook(family):

@@ -368,6 +368,16 @@ class TestExitCodes:
         assert "Unable to allocate" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_memory_error_without_text(self, monkeypatch, capsys):
+        # a bare MemoryError, as a dense allocation in Python code raises,
+        # carries no text; this one allocates nothing
+        def exhausted(args):
+            raise MemoryError()
+
+        monkeypatch.setattr(ccpsd.cli, "cmd_psd", exhausted)
+        assert main(["psd", "--family", "ax", "--x", "1"]) == 1
+        assert capsys.readouterr().err == "error: out of memory\n"
+
     def test_negative_points_is_usage_error(self, tmp_path):
         r = run(["psd", "--family", "ax", "--x", "1", "--points", "-3"],
                 tmp_path)

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from brute_force import contains_forbidden, word_array
+from brute_force import contains_forbidden, repeat_sx_levels, word_array
 from ccpsd import oracle
 from ccpsd.codebook import (ConstraintFamily, enumerate_codebook,
                             forbidden_patterns)
@@ -87,6 +87,18 @@ def generate_stream_reference(config, ax_runs=ax_batch_runs,
         both = (w[:-1, -1] == 1) & (w[1:, 0] == 1)
         out[:, m:] = np.where(both[:, None], 1, -1)
     return out.reshape(-1)[:n]
+
+
+def flip_levels_per_symbol(flips, size, level):
+    """Reference: each symbol's sign from the flips at or before it."""
+    flips = set(flips)
+    out = np.empty(size, dtype=np.int8)
+    sign = level
+    for i in range(size):
+        if i in flips:
+            sign = -sign
+        out[i] = sign
+    return out
 
 
 def estimate_psd_per_lag(stream, freqs, family, kmax):
@@ -227,6 +239,31 @@ class TestChunkedGeneration:
         for seed in (0, 2, 9):
             assert_same_stream(cfg(kind, x, n=n, seed=seed),
                                ax_runs=three, sx_blocks=three)
+
+    # chunks of 1000 draws end at symbols that are not multiples of 64
+    @pytest.mark.parametrize("chunk", [oracle.CHUNK_SYMBOLS, 1000])
+    @pytest.mark.parametrize("x", range(1, 7))
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 12_345, 1_000_000])
+    def test_sx_parity_equals_repeated_signs(self, x, n, chunk, monkeypatch):
+        monkeypatch.setattr(oracle, "CHUNK_SYMBOLS", chunk)
+        for seed in (1, 102):
+            assert np.array_equal(oracle._sx_levels(seed, n, x),
+                                  repeat_sx_levels(seed, n, x))
+
+    @pytest.mark.parametrize("size", [1, 63, 64, 65, 128, 129, 1000])
+    def test_flip_levels(self, size):
+        rng = np.random.default_rng(size)
+        cases = [[], [0], [63, 64], [size // 2, size // 2 + 1],
+                 [0, 1, 2, 62, 63, 64, 65, 127, 128],
+                 sorted(rng.choice(size, size // 3, replace=False))]
+        for flips in cases:
+            flips = [i for i in flips if i < size]
+            for level in (1, -1):
+                got = oracle._flip_levels(np.array(flips, dtype=np.int64),
+                                          size, level)
+                assert got.dtype == np.int8
+                assert np.array_equal(
+                    got, flip_levels_per_symbol(flips, size, level)), flips
 
     @pytest.mark.parametrize("n", [1, oracle.CHUNK_SYMBOLS - 1,
                                    oracle.CHUNK_SYMBOLS + 1, 10_000_000])
@@ -375,11 +412,12 @@ class TestBlockedLagProducts:
             assert np.array_equal(estimate_autocorr(s, kmax),
                                   estimate_autocorr_per_lag(s, kmax))
 
-    # rows of the least multiple of 16 symbols that holds the kmax + 1 lags
+    # rows of the least multiple of 16 symbols that holds the kmax + 1 lags,
+    # and cross-row corners as wide as the rows (kmax 15, 31, 47) or narrower
     @pytest.mark.parametrize("n,kmax", [
         (n, kmax) for n in (1, 2, 15, 16, 17, 33, 50, 63, 64, 65, 640, 1000,
                             12_345)
-        for kmax in (0, 1, 5, 15, 16, 70) if kmax < n])
+        for kmax in (0, 1, 5, 15, 16, 31, 32, 47, 70) if kmax < n])
     def test_row_edges(self, n, kmax):
         s = np.random.default_rng(n).integers(-1, 2, size=n).astype(np.int8)
         assert np.array_equal(estimate_autocorr(s, kmax),

@@ -81,12 +81,13 @@ def _write(path, payload, args=None, extra=None):
             manifest, indent=2, sort_keys=True, default=str))
 
 
-def _finish(args, message, fields, lead=None):
+def _finish(args, message, fields, lead=None, extra=None):
     """End a JSON command: with ``--out``, write ``lead``, the family header
-    and ``fields`` there; print ``message``; return exit code 0."""
+    and ``fields`` there and ``extra`` into its manifest; print ``message``;
+    return exit code 0."""
     if args.out:
         _write(args.out, {**(lead or {}), "family": args.family, "m": args.m,
-                          "x": args.x, **fields}, args)
+                          "x": args.x, **fields}, args, extra)
     print(message)
     return 0
 
@@ -212,7 +213,8 @@ def cmd_mc(args):
     report = oracle.deviation_report(est, theory, freqs)
     return _finish(args, f"max deviation {report['max_abs_deviation']:.5f} "
                          f"over {report['points']} points",
-                   {"seed": args.seed, "symbols": args.symbols}, lead=report)
+                   {"seed": args.seed, "symbols": args.symbols}, lead=report,
+                   extra={"workers": oracle.WORKERS})
 
 
 def cmd_clocked_ostd(args):

@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 import ccpsd
 from brute_force import brute_force_codebook
-from ccpsd import presets
+from ccpsd import oracle, presets
 from ccpsd.cli import CSV_HEADER, _csv, _csv_template, main
 from ccpsd.codebook import ConstraintFamily
 
@@ -101,6 +101,14 @@ class TestPsdCommand:
         manifest = json.loads((tmp_path / "a1.csv.manifest.json").read_text())
         assert manifest["tool"] == "ccpsd"
         assert manifest["config"]["family"] == "ax"
+
+    def test_mc_manifest_records_workers(self, tmp_path, capsys):
+        out = tmp_path / "mc.json"
+        assert main(["mc", "--family", "sx", "--x", "1", "--symbols", "10000",
+                     "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "mc.json.manifest.json").read_text())
+        assert manifest["workers"] == oracle.WORKERS >= 1
+        assert "workers" not in json.loads(out.read_text())
 
     def test_rerun_is_byte_identical(self, tmp_path):
         out = tmp_path / "p.csv"

@@ -1,4 +1,7 @@
 import hashlib
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -197,7 +200,16 @@ class FixedUniforms:
         return self.values.copy()
 
 
-class TestChunkedGeneration:
+@pytest.fixture(params=[1, 3], ids=["workers1", "workers3"])
+def workers(request, monkeypatch):
+    """Run a test with oracle.WORKERS set to one and to three, the lag sums
+    split across them as with a one-thread BLAS."""
+    monkeypatch.setattr(oracle, "WORKERS", request.param)
+    monkeypatch.setattr(oracle, "SERIAL_BLAS", True)
+    return request.param
+
+
+class ChunkedStreams:
     """Chunked streams equal the ones drawn as whole arrays."""
 
     @pytest.mark.parametrize("kind,x,m", IDENTITY_FAMILIES)
@@ -205,18 +217,6 @@ class TestChunkedGeneration:
     def test_short_streams(self, kind, x, m, n):
         for seed in (0, 1, 7, 101):
             assert_same_stream(cfg(kind, x, m, n=n, seed=seed))
-
-    @pytest.mark.parametrize("kind,x,m", IDENTITY_FAMILIES)
-    def test_chunk_lengths(self, kind, x, m):
-        c = oracle.CHUNK_SYMBOLS
-        for n in (c - 1, c, 2 * c + 1):
-            assert_same_stream(cfg(kind, x, m, n=n, seed=3))
-
-    @pytest.mark.parametrize("kind,x,m", [("ax", 1, None), ("ax", 5, None),
-                                          ("sx", 1, None), ("iid", 0, None),
-                                          ("aloco", 1, 4), ("cloco", 2, 5)])
-    def test_million_symbols(self, kind, x, m):
-        assert_same_stream(cfg(kind, x, m, n=1_000_000, seed=11))
 
     @pytest.mark.parametrize("kind,x,m", IDENTITY_FAMILIES)
     def test_small_chunks(self, kind, x, m, monkeypatch):
@@ -249,6 +249,21 @@ class TestChunkedGeneration:
         for seed in (1, 102):
             assert np.array_equal(oracle._sx_levels(seed, n, x),
                                   repeat_sx_levels(seed, n, x))
+
+
+class TestChunkedGeneration(ChunkedStreams):
+    @pytest.mark.parametrize("kind,x,m", IDENTITY_FAMILIES)
+    def test_chunk_lengths(self, kind, x, m):
+        c = oracle.CHUNK_SYMBOLS
+        for n in (c - 1, c, 2 * c + 1):
+            assert_same_stream(cfg(kind, x, m, n=n, seed=3))
+
+    @pytest.mark.parametrize("kind,x,m", [("ax", 1, None), ("ax", 5, None),
+                                          ("sx", 1, None), ("iid", 0, None),
+                                          ("aloco", 1, 4), ("cloco", 2, 5)])
+    def test_million_symbols(self, kind, x, m):
+        assert_same_stream(cfg(kind, x, m, n=1_000_000, seed=11))
+
 
     @pytest.mark.parametrize("size", [1, 63, 64, 65, 128, 129, 1000])
     def test_flip_levels(self, size):
@@ -299,6 +314,11 @@ class TestChunkedGeneration:
         assert np.array_equal(oracle._rng(6, offset).random(9), whole[offset:])
 
 
+@pytest.mark.usefixtures("workers")
+class TestChunkedGenerationOnWorkers(ChunkedStreams):
+    """The same streams drawn in pieces on one and on three workers."""
+
+
 # sha256 of the int8 streams of the acceptance suite's Monte-Carlo cases,
 # and of aloco and loco at x=2 m=6, at 10^6 symbols, at the case seed and at
 # the case seed + 101, as drawn before generation was chunked (the finite
@@ -346,12 +366,21 @@ MC_STREAM_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("kind,x,m,seed", list(MC_STREAM_SHA256))
-def test_monte_carlo_streams_are_pinned(kind, x, m, seed):
+def assert_pinned(kind, x, m, seed):
     s = generate_stream(cfg(kind, x, m, n=1_000_000, seed=seed))
     assert s.dtype == np.int8
     digest = hashlib.sha256(s.tobytes()).hexdigest()
     assert digest == MC_STREAM_SHA256[(kind, x, m, seed)]
+
+
+@pytest.mark.parametrize("kind,x,m,seed", list(MC_STREAM_SHA256))
+def test_monte_carlo_streams_are_pinned(kind, x, m, seed):
+    assert_pinned(kind, x, m, seed)
+
+
+@pytest.mark.parametrize("kind,x,m,seed", list(MC_STREAM_SHA256))
+def test_pinned_streams_on_workers(kind, x, m, seed, workers):
+    assert_pinned(kind, x, m, seed)
 
 
 @pytest.mark.parametrize("kind,x,m", [("ax", 1, None), ("sx", 1, None),
@@ -369,6 +398,116 @@ def test_generation_memory_is_output_plus_one_chunk(kind, x, m, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2 * n + 64 * oracle.CHUNK_SYMBOLS, f"peak {peak} bytes"
+
+
+@pytest.mark.parametrize("x", [200, 2000])
+def test_sx_memory_at_long_blocks(x, workers):
+    # the pieces in flight hold at most 16 CHUNK_SYMBOLS / (x + 2) blocks
+    # together, so their scratch does not grow with x; uncapped, one piece
+    # spans the stream
+    n = 10**7
+    tracemalloc.start()
+    try:
+        oracle._sx_levels(1, n, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.8 * n, f"{peak / n:.2f} bytes per symbol"
+
+
+def no_pool(threads):
+    raise AssertionError("thread pool used")
+
+
+class TestWorkers:
+    """``_ahead`` runs its calls on WORKERS threads, yielding in order."""
+
+    def test_results_in_order_and_calls_in_flight(self, workers):
+        lock = threading.Lock()
+        flight = [0, 0]  # calls running now, most at once
+
+        def call(i):
+            with lock:
+                flight[0] += 1
+                flight[1] = max(flight)
+            time.sleep(0.002)
+            with lock:
+                flight[0] -= 1
+            return i * i
+
+        assert list(oracle._ahead(call, range(20))) == [
+            i * i for i in range(20)]
+        assert flight[0] == 0 and flight[1] <= workers
+
+    def test_error_of_a_call_reaches_the_caller(self, workers):
+        # with three workers, item 4 is made on a pool thread
+        def call(i):
+            if i == 4:
+                raise ZeroDivisionError("item 4")
+            return i
+
+        with pytest.raises(ZeroDivisionError, match="item 4"):
+            list(oracle._ahead(call, range(10)))
+
+    def test_stopping_early_waits_for_running_calls(self, workers):
+        started, finished = [], []
+
+        def call(i):
+            started.append(i)
+            time.sleep(0.01)
+            finished.append(i)
+            return i
+
+        results = oracle._ahead(call, range(100))
+        assert next(results) == 0
+        results.close()
+        assert sorted(finished) == sorted(started)
+        assert len(started) <= workers
+
+    def test_stream_error_reaches_the_caller(self, workers, monkeypatch):
+        def failing(seed, x, first, out):
+            raise MemoryError(f"piece at block {first}")
+
+        monkeypatch.setattr(oracle, "_sx_piece", failing)
+        with pytest.raises(MemoryError, match="piece at block 0"):
+            generate_stream(cfg("sx", 1, n=10**6))
+
+    def test_more_workers_than_cpus_with_short_switches(self, monkeypatch):
+        # pieces stitched out of order or slices written twice would change
+        # a stream; lag spans summed twice or left out would change a sum
+        monkeypatch.setattr(oracle, "WORKERS", 8)
+        monkeypatch.setattr(oracle, "SERIAL_BLAS", True)
+        monkeypatch.setattr(oracle, "CHUNK_SYMBOLS", 4096)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for kind, x in [("ax", 2), ("sx", 3), ("iid", 0)]:
+                config = cfg(kind, x, n=100_000)
+                s = generate_stream(config)
+                assert np.array_equal(s, generate_stream_reference(config))
+                assert np.array_equal(estimate_autocorr(s, 40),
+                                      estimate_autocorr_per_lag(s, 40))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_one_worker_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(oracle, "WORKERS", 1)
+        monkeypatch.setattr(oracle, "_pool", no_pool)
+        threads = threading.active_count()
+        for kind, x in [("ax", 1), ("sx", 1), ("iid", 0)]:
+            s = generate_stream(cfg(kind, x, n=300_000))
+            estimate_autocorr(s, 64)
+            assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("kmax", [5, 64])
+    def test_threaded_blas_sums_lags_on_the_calling_thread(self, kmax,
+                                                           monkeypatch):
+        s = generate_stream(cfg("sx", 2, n=100_003))
+        monkeypatch.setattr(oracle, "WORKERS", 3)
+        monkeypatch.setattr(oracle, "SERIAL_BLAS", False)
+        monkeypatch.setattr(oracle, "_pool", no_pool)
+        assert np.array_equal(estimate_autocorr(s, kmax),
+                              estimate_autocorr_per_lag(s, kmax))
 
 
 class TestEstimation:
@@ -400,6 +539,11 @@ class TestEstimation:
         assert np.max(np.abs(est - theory)) < 0.05
 
 
+ROW_EDGES = [(n, kmax) for n in (1, 2, 15, 16, 17, 33, 50, 63, 64, 65, 640,
+                                  1000, 12_345)
+             for kmax in (0, 1, 5, 15, 16, 31, 32, 47, 70) if kmax < n]
+
+
 class TestBlockedLagProducts:
     """The blocked Gram-matrix lag sums equal one dot product per lag."""
 
@@ -414,14 +558,17 @@ class TestBlockedLagProducts:
 
     # rows of the least multiple of 16 symbols that holds the kmax + 1 lags,
     # and cross-row corners as wide as the rows (kmax 15, 31, 47) or narrower
-    @pytest.mark.parametrize("n,kmax", [
-        (n, kmax) for n in (1, 2, 15, 16, 17, 33, 50, 63, 64, 65, 640, 1000,
-                            12_345)
-        for kmax in (0, 1, 5, 15, 16, 31, 32, 47, 70) if kmax < n])
+    @pytest.mark.parametrize("n,kmax", ROW_EDGES)
     def test_row_edges(self, n, kmax):
         s = np.random.default_rng(n).integers(-1, 2, size=n).astype(np.int8)
         assert np.array_equal(estimate_autocorr(s, kmax),
                               estimate_autocorr_per_lag(s, kmax))
+
+    # spans of the rows on each worker, fewer rows than workers among them
+    # (n = 17 or 33 at kmax 16 to 31, n = 50 to 65 at kmax 47)
+    @pytest.mark.parametrize("n,kmax", ROW_EDGES)
+    def test_row_edges_on_workers(self, n, kmax, workers):
+        self.test_row_edges(n, kmax)
 
     def test_chunk_and_lag_block_boundaries(self, monkeypatch):
         s = generate_stream(cfg("loco", 1, 4, n=50_000))

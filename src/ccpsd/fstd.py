@@ -83,6 +83,7 @@ class Ostd:
     family: ConstraintFamily
     state_keys: list  # canonical (category, position, history) per state
     edges: dict  # (i, j) -> nonzero path generating function (RationalFn)
+    visits: tuple | None = None  # a grid's, as ``TransferMatrix.visits``
 
     @property
     def n(self):
@@ -297,9 +298,35 @@ def path_functions(transitions, labeled):
     return out
 
 
+def _grid_visits(fstd, labeled):
+    """(masses, P): the probability that a period of P symbols of a
+    codeword grid passes through each ``labeled`` state, pushed forward
+    exactly from a state of the last column for two periods and kept over
+    a third.  Each word's first bit is drawn in the bridge before it from
+    one law whatever came before, so the second word is uniform, and no
+    state of the third period remembers an older bit."""
+    period = fstd.family.m + fstd.family.x
+    out = [[] for _ in fstd.states]
+    for f, t, _, p in fstd.edges:
+        out[f].append((t, p))
+    mass = {next(i for i, s in enumerate(fstd.states)
+                 if s.position == period - 1): Fraction(1)}
+    kept = {}
+    for step in range(3 * period):
+        step_mass = {}
+        for i, w in mass.items():
+            for t, p in out[i]:
+                step_mass[t] = step_mass.get(t, 0) + w * p
+        mass = step_mass
+        if step >= 2 * period:
+            kept.update(mass)
+    return tuple(kept.get(i, Fraction(0)) for i in labeled), period
+
+
 def reduce_to_ostd(fstd):
     """Aggregate label-free paths between labeled states into their path
-    generating functions (``path_functions``)."""
+    generating functions (``path_functions``); a codeword grid's labeled
+    states also get their visits (``_grid_visits``)."""
     labeled = fstd.labeled_indices()
     if not labeled:
         raise ValueError("no labeled states: degenerate all-zero process")
@@ -309,4 +336,6 @@ def reduce_to_ostd(fstd):
     edges = {(pos[i], pos[j]): fn for i in labeled for j, fn in out[i].items()}
     keys = [(s.category, s.position, s.history)
             for s in (fstd.states[i] for i in labeled)]
-    return Ostd(family=fstd.family, state_keys=keys, edges=edges)
+    visits = (None if fstd.family.kind in INFINITE_KINDS
+              else _grid_visits(fstd, labeled))
+    return Ostd(fstd.family, keys, edges, visits)

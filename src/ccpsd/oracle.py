@@ -427,19 +427,28 @@ def _estimate_periodic(stream, period, kmax):
     """Autocorrelation of the per-phase mean profile.
 
     The per-phase sums are exact integers, taken over rows of
-    PROFILE_FOLD periods and folded, plus the periods left over.
+    PROFILE_FOLD periods and folded, plus the periods left over.  A column
+    sum adds one symbol of each row, at most 1 in size, so it fits an int32.
     """
     rows = len(stream) // period
     wide = rows - rows % PROFILE_FOLD
     sums = (stream[:wide * period].reshape(-1, PROFILE_FOLD * period)
-            .sum(axis=0, dtype=np.int64).reshape(-1, period).sum(axis=0))
+            .sum(axis=0, dtype=np.int32).reshape(-1, period).sum(axis=0))
     sums += stream[wide * period:rows * period].reshape(-1, period).sum(
-        axis=0, dtype=np.int64)
+        axis=0, dtype=np.int32)
     prof = sums / rows
     out = np.empty(kmax + 1)
     for k in range(kmax + 1):
         out[k] = float(np.mean(prof * np.roll(prof, -k % period)))
     return out
+
+
+def _total(stream):
+    """Exact sum of a stream of values in {-1, 0, 1}: int32 sums of blocks
+    of 2^30 symbols, which cannot overflow, added as Python ints."""
+    block = 1 << 30
+    return sum(int(stream[i:i + block].sum(dtype=np.int32))
+               for i in range(0, len(stream), block))
 
 
 def default_kmax(family):
@@ -465,7 +474,7 @@ def estimate_psd(stream, freqs, family=None, kmax=None, with_pulse=False):
     if family is not None and family.m is not None:
         ra = r - _estimate_periodic(stream, family.m + family.x, kmax)
     else:
-        ra = r - (np.float64(stream.sum(dtype=np.int64)) / len(stream)) ** 2
+        ra = r - (np.float64(_total(stream)) / len(stream)) ** 2
     return cosine_series(ra, freqs, with_pulse)
 
 

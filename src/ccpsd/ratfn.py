@@ -31,17 +31,13 @@ Arithmetic runs on ints only:
 * At an exact point P/Q, values and derivatives are integer sums scaled by a
   power of Q, with one ``Fraction`` made at the end; at D = 1 they are the
   plain coefficient sums.
-* ``solve`` eliminates a system of int and ``Fraction`` entries over Python
-  ints, on each row's nonzero entries only: a row of ints goes to the kernel
-  as it is, a row with ``Fraction``s is scaled by the lcm of their
-  denominators first (``over_lcm``, also used by ``transfer`` and
-  ``sum_at_one``).  A singular system raises ``ValueError`` naming the
-  column with no pivot.
-* ``eliminate`` is the one elimination over ``RationalFn``: it removes nodes
-  from a graph of rational edge weights, joining each node's predecessors
-  to its successors.  ``fstd`` reduces a diagram to its labeled states with
-  it, which ``clocked`` reads its run lists from, and ``transfer`` reads
-  pi (I - G)^-1 1 as the one edge left between a source and a sink.
+* ``over_lcm`` puts fractions over the lcm of their denominators, so that
+  ``sum_at_one`` and ``transfer`` add them as ints.
+* ``eliminate`` is the one elimination: it removes nodes from a graph of
+  rational edge weights, joining each node's predecessors to its
+  successors.  ``fstd`` reduces a diagram to its labeled states with it,
+  which ``clocked`` reads its run lists from, and ``transfer`` reads
+  pi (I - G)^-1 1, and pi itself from G(1), as edges left to sinks.
 * ``HornerStack`` evaluates many rational functions at an array of points
   in one pass of Horner's rule, with the coefficients rounded to floats once.
   It is the one float kernel: ``evaluate`` at a float or complex point, or
@@ -464,7 +460,8 @@ class RationalFn:
 def eliminate(out, nodes):
     """Remove ``nodes`` from the graph ``out`` in the given order, in place.
 
-    ``out`` maps each node to a {successor: RationalFn} map of its edges.
+    ``out`` maps each node to a {successor: weight} map of its edges, the
+    weights ``RationalFn``s or, for G(1), ``Fraction``s.
     Removing u with self-loop w joins each predecessor p to each successor s
     by out[p][u] / (1 - w) * out[u][s], so that every path through removed
     nodes is summed into one edge between the nodes kept.  The paths are
@@ -495,48 +492,6 @@ def eliminate(out, nodes):
                     into[s].add(p)
 
 
-def solve(a, b):
-    """Solve a X = b exactly by Gauss-Jordan elimination over Python ints.
-
-    ``a`` is n x n and ``b`` is n x r, both lists of rows of ints and
-    ``Fraction``s; returns X as n rows of ``Fraction``s.  Each row of
-    [a | b] becomes a {column: int} map of its nonzero entries
-    (``_integer_row``).  The pivot of each column is its first nonzero entry
-    at or below the diagonal, and a column with none raises ``ValueError``.
-    Eliminating column ``col`` from row r, with pivot value p and entry f of
-    r (both divided by their gcd), sets r to p r - f pivot, which touches
-    only the nonzero entries of the two rows, and divides it by the gcd of
-    its entries.  Row i ends with one nonzero d_i left of column n, at i, so
-    X_i is the rest of the row over d_i.
-    """
-    n = len(a)
-    rows = [_integer_row(list(a[i]) + list(b[i])) for i in range(n)]
-    width = n + len(b[0])
-    for col in range(n):
-        piv = next((r for r in range(col, n) if col in rows[r]), None)
-        if piv is None:
-            raise ValueError(f"singular system: column {col} has no pivot")
-        rows[col], rows[piv] = rows[piv], rows[col]
-        pivot = rows[col]
-        p = pivot[col]
-        for r in range(n):
-            f = rows[r].get(col)
-            if r == col or f is None:
-                continue
-            g = gcd(p, f)
-            ps, fs = p // g, f // g
-            row = {c: ps * v for c, v in rows[r].items()}
-            for c, v in pivot.items():
-                v = row.get(c, 0) - fs * v
-                if v:
-                    row[c] = v
-                else:
-                    del row[c]
-            rows[r] = _primitive(row)
-    return [[Fraction(rows[i].get(c, 0), rows[i][i]) for c in range(n, width)]
-            for i in range(n)]
-
-
 def over_lcm(pairs):
     """(nums, L) for the fractions num / den in ``pairs``: L is the lcm of
     the denominators and nums[k] = num_k (L / den_k), so each is nums[k] / L."""
@@ -551,22 +506,6 @@ def sum_at_one(fns):
     parts = [(sum(f._n), f._c * sum(f._d)) for f in fns]
     nums, scale = over_lcm((t, q) if q > 0 else (-t, -q) for t, q in parts)
     return Fraction(sum(nums), scale)
-
-
-def _integer_row(row):
-    """A row of ints and Fractions as a sparse primitive {column: int} map,
-    scaled by the lcm of its denominators when it has any."""
-    row = {c: v for c, v in enumerate(row) if v}
-    if any(type(v) is not int for v in row.values()):
-        nums, _ = over_lcm((v.numerator, v.denominator) for v in row.values())
-        row = dict(zip(row, nums))
-    return _primitive(row)
-
-
-def _primitive(row):
-    """A sparse integer row divided by the gcd of its entries."""
-    g = gcd(*row.values())
-    return row if g == 1 else {c: v // g for c, v in row.items()}
 
 
 class HornerStack:

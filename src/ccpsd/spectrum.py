@@ -33,7 +33,7 @@ def default_grid(points=2048):
 
 
 def stationary_distribution(tm):
-    """Exact pi with pi G(1) = pi and sum(pi) = 1, solved once per matrix."""
+    """Exact pi with pi G(1) = pi and sum(pi) = 1, made once per matrix."""
     return list(tm.stationary)
 
 

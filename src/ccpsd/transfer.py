@@ -10,18 +10,19 @@ Closed-form constructions are provided for every supported family, alongside
 The exact statistics stay on ints until each result is made.  Every state
 emits one labeled symbol, so where a constructor can count how often each
 state is visited it hands the matrix those counts and their scale
-(``visits``): pi is the counts normalised and p1 their sum over the scale,
-with nothing solved.  The A-LOCO closed form's states are the positions of
-one period that read 1, so its counts are the indicator's position means
+(``visits``): pi is the counts normalised and p1 their sum over the scale.
+The A-LOCO closed form's states are the positions of one period that read
+1, so its counts are the indicator's position means
 (``cyclo.position_means``, ints over N^2); the LOCO closed form's are the
 words in which each free, forced or bridge state occurs, from the ones and
 adjacent pair counts of ``codebook.pair_counts``; a stream closed form's
-are read from its fair coins.  Every other matrix -- grid and BFS --
-solves: pi is one ``solve``, which scales each equation (a column of G(1)
-less the identity) to ints by the lcm of its denominators, and
-p1 = 1 / (pi G'(1) 1) takes each row sum of G'(1) as one int over the lcm
-of its entries' denominators, from coefficient sums.  A row of G(1) is
-checked to sum to 1 the same way (``ratfn.sum_at_one``).
+are read from its fair coins; a codeword grid's are its labeled states'
+masses over a period, which is the scale (``fstd.reduce_to_ostd``).  Every
+other matrix -- a stream grid or BFS matrix -- takes pi by state reduction
+(``reduce_states``), and p1 = 1 / (pi G'(1) 1) takes each row sum of G'(1)
+as one int over the lcm of its entries' denominators, from coefficient
+sums.  A row of G(1) is checked to sum to 1 the same way
+(``ratfn.sum_at_one``).
 The exact PSD S_X(D) (``psd_x``) is kept on the matrix as pi is.
 """
 
@@ -36,7 +37,7 @@ import numpy as np
 from .codebook import ConstraintFamily, alpha, lam, pair_counts, zeta
 from .cyclo import position_means
 from .ratfn import (HornerStack, ONE, RationalFn, ZERO, eliminate, over_lcm,
-                    solve, sum_at_one)
+                    sum_at_one)
 
 
 @dataclass(frozen=True)
@@ -74,25 +75,15 @@ class TransferMatrix:
         """Exact pi with pi G(1) = pi and sum(pi) = 1, as a tuple.
 
         A matrix with visit counts visits each state as often as its count
-        says, so pi is the counts normalised.  Otherwise (G(1)^T - I) pi = 0,
-        with the normalisation in place of the last equation, goes to
-        ``solve``: row i is column i of G(1) less e_i, which ``solve`` scales
-        to ints by the lcm of its denominators.
+        says, so pi is the counts normalised.  Otherwise pi is
+        ``reduce_states`` of G(1), which must be irreducible, as every
+        matrix this package builds is.
         """
         if self.visits:
             counts, _ = self.visits
             total = sum(counts)
             return tuple(Fraction(v, total) for v in counts)
-        g1 = self._g1
-        n = self.n
-        a = []
-        for i in range(n - 1):
-            col = [row[i] for row in g1]
-            col[i] -= 1
-            a.append(col)
-        a.append([1] * n)
-        b = [[0]] * (n - 1) + [[1]]
-        pi = tuple(row[0] for row in solve(a, b))
+        pi = reduce_states(self._g1)
         if any(p < 0 for p in pi):
             raise ValueError("stationary distribution has negative entries")
         return pi
@@ -175,15 +166,42 @@ class TransferMatrix:
         )
 
 
+def reduce_states(g1):
+    """pi of a stochastic G(1), rows of ints and ``Fraction``s, by state
+    reduction (Grassmann, Taksar and Heyman, Operations Research 33(5),
+    1985): pi_k / pi_0 is the mean number of visits to k between visits to
+    0.  The edges into 0 are dropped, each state k > 0 is joined to a sink
+    by 1, and states are eliminated from the last back; the edge left from
+    0 to k's sink is that mean.  A state whose loop is 1 when it is removed
+    has no mass to the states before it, so G(1) is not irreducible, and
+    ``ValueError`` names that state.
+    """
+    n = len(g1)
+    out = {i: {j: v for j, v in enumerate(row) if j and v}
+           for i, row in enumerate(g1)}
+    for k in range(1, n):
+        out[k]["T", k] = 1
+    try:
+        eliminate(out, range(n - 1, 0, -1))
+    except ZeroDivisionError:
+        k = min(set(range(1, n)) - out.keys())
+        raise ValueError(f"G(1) is not irreducible: state {k} has no mass "
+                         "to the states before it") from None
+    visits = [Fraction(1)] + [out[0].get(("T", k), 0) for k in range(1, n)]
+    total = sum(visits)
+    return tuple(v / total for v in visits)
+
+
 def ostm_from_ostd(ostd):
     """G(D) of a reduced diagram: its path generating functions in place,
-    refused unless every row of G(1) sums to 1."""
+    refused unless every row of G(1) sums to 1, with the diagram's visit
+    counts where it has them."""
     n = ostd.n
     entries = [[ostd.edges.get((i, j), ZERO) for j in range(n)]
                for i in range(n)]
     tm = TransferMatrix(
         family=ostd.family, entries=entries, labels=list(ostd.state_keys),
-        origin="grid",
+        origin="grid", visits=ostd.visits,
     )
     tm.check_stochastic()
     return tm

@@ -9,7 +9,7 @@ from ccpsd import oracle
 from ccpsd.codebook import (CLOCKED_KINDS, Automaton, Codebook,
                             ConstraintFamily, forbidden_patterns)
 from ccpsd.cyclo import AutocorrSeries
-from ccpsd.ratfn import ONE, ZERO, RationalFn, eliminate, solve
+from ccpsd.ratfn import ONE, ZERO, RationalFn, eliminate
 from ccpsd.transfer import TransferMatrix
 
 
@@ -284,14 +284,15 @@ def g_at_one(tm):
 
 def fraction_stationary(tm):
     """Reference for ``TransferMatrix.stationary``: (G(1)^T - I) pi = 0 with
-    the normalisation replacing the last equation, solved on Fraction rows."""
+    the normalisation replacing the last equation, solved by dense
+    Gauss-Jordan elimination on Fraction rows."""
     g1 = g_at_one(tm)
     n = tm.n
     a = [[g1[j][i] - (1 if i == j else 0) for j in range(n)]
          for i in range(n)]
     a[n - 1] = [Fraction(1)] * n
     b = [[Fraction(0)]] * (n - 1) + [[Fraction(1)]]
-    pi = tuple(row[0] for row in solve(a, b))
+    pi = tuple(row[0] for row in dense_gauss_jordan(a, b))
     if any(p < 0 for p in pi):
         raise ValueError("stationary distribution has negative entries")
     return pi
@@ -537,9 +538,10 @@ def solved_psd_x(tm, z):
 
 
 def dense_gauss_jordan(a, b):
-    """a X = b by Gauss-Jordan over every column of every row, pivoting on
-    the first nonzero entry at or below the diagonal; a column with none
-    raises ValueError."""
+    """a X = b by Gauss-Jordan elimination, pivoting on the first nonzero
+    entry at or below the diagonal; a column with none raises ValueError.
+    A row with a zero in the pivot column is left as it is, and so is each
+    entry in a column where the pivot row is zero; neither changes a value."""
     n = len(a)
     m = [list(a[i]) + list(b[i]) for i in range(n)]
     width = len(m[0])
@@ -551,9 +553,9 @@ def dense_gauss_jordan(a, b):
         inv = 1 / m[col][col]
         m[col] = [inv * v for v in m[col]]
         for r in range(n):
-            if r != col:
-                f = m[r][col]
-                m[r] = [m[r][c] - f * m[col][c] for c in range(width)]
+            f = m[r][col]
+            if r != col and f:
+                m[r] = [v - f * p if p else v for v, p in zip(m[r], m[col])]
     return [row[n:] for row in m]
 
 

@@ -13,11 +13,11 @@ relaxed = settings(deadline=None, max_examples=50,
 
 from ccpsd.ratfn import (
     D, ONE, ZERO, HornerStack, RationalFn, _divide_exact, _gcd, _mul,
-    eliminate, over_lcm, solve, sum_at_one,
+    eliminate, over_lcm, sum_at_one,
 )
 
 from brute_force import (
-    dense_bareiss, dense_gauss_jordan, derivative_at, euclid_canonical,
+    dense_gauss_jordan, derivative_at, euclid_canonical,
     ref_add, ref_derivative, ref_mul, reference_op,
 )
 
@@ -325,10 +325,6 @@ class TestPolynomialHelpers:
         assert len(num) == len(qa) and len(den) == len(qb)
 
 
-nonzero_fractions = st.fractions(min_value=-3, max_value=3,
-                                 max_denominator=4).filter(bool)
-sparse_fractions = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
-                             nonzero_fractions)
 # degree at most 2 over degree at most 2, so that 3 x 3 eliminations stay small
 small_coeffs = st.lists(
     st.fractions(min_value=-4, max_value=4, max_denominator=6),
@@ -345,62 +341,6 @@ def sparse_systems(draw, entries, nonzero, max_n, width):
         a[i][j] = draw(nonzero)
     b = [[draw(entries) for _ in range(width)] for _ in range(n)]
     return a, b
-
-
-class TestSolve:
-    def test_fraction_system_with_row_swap(self):
-        a = [[frac(0), frac(2)], [frac(3), frac(1)]]
-        b = [[frac(4), frac(1)], [frac(5), frac(0)]]
-        x = solve(a, b)
-        for i in range(2):
-            for r in range(2):
-                assert sum(a[i][k] * x[k][r] for k in range(2)) == b[i][r]
-
-    @relaxed
-    @given(sparse_systems(sparse_fractions, nonzero_fractions, 5, 2))
-    def test_fraction_systems_match_dense(self, system):
-        a, b = system
-        try:
-            want = dense_gauss_jordan(a, b)
-        except ValueError:  # singular
-            with pytest.raises(ValueError, match="has no pivot"):
-                solve(a, b)
-            return
-        assert solve(a, b) == want
-
-    @relaxed
-    @given(sparse_systems(st.one_of(sparse_fractions, st.integers(-3, 3)),
-                          nonzero_fractions, 12, 3))
-    def test_larger_integer_eliminations_match_dense(self, system):
-        # int and Fraction entries mixed; rows scaled to ints by their lcm
-        a, b = system
-        try:
-            want = dense_gauss_jordan([[Fraction(v) for v in row] for row in a],
-                                      [[Fraction(v) for v in row] for row in b])
-        except ValueError:  # singular
-            with pytest.raises(ValueError, match="has no pivot"):
-                solve(a, b)
-            return
-        got = solve(a, b)
-        assert got == want
-        assert all(isinstance(v, Fraction) for row in got for v in row)
-        assert dense_bareiss(a, b) == want
-
-    def test_zero_pattern_with_row_swaps(self):
-        # a permuted bidiagonal system: every column pivots on a swap
-        a = [[frac(0), frac(0), frac(2)],
-             [frac(1), frac(-1), frac(0)],
-             [frac(0), frac(3), frac(1)]]
-        b = [[frac(1)], [frac(0)], [frac(5)]]
-        assert solve(a, b) == dense_gauss_jordan(a, b)
-
-    @pytest.mark.parametrize("a", [
-        [[1, 2], [2, 4]],
-        [[frac(1, 3), frac(2, 3)], [frac(1), frac(2)]],
-    ], ids=["ints", "fractions"])
-    def test_singular_system_names_its_column(self, a):
-        with pytest.raises(ValueError, match="column 1 has no pivot"):
-            solve(a, [[frac(1)], [frac(0)]])
 
 
 # entries divisible by D, as those of a transfer matrix: D f with f(0) finite

@@ -36,8 +36,9 @@ F = Fraction
 
 
 def dense_stationary(tm):
-    """pi from G(1) by Horner and the dense Bareiss reference, on the
-    system ``stationary_distribution`` solves."""
+    """pi from G(1) by Horner and the dense Bareiss reference, solving
+    (G(1)^T - I) pi = 0 with the normalisation in place of the last
+    equation."""
     n = tm.n
     g1 = [[horner(e.num, F(1)) / horner(e.den, F(1)) for e in row]
           for row in tm.entries]
@@ -87,7 +88,7 @@ class TestStationary:
     @pytest.mark.parametrize("make", [closed_form_ax, closed_form_sx])
     def test_counted_visits_equal_solve(self, make):
         # the stream closed forms count their visits; the same entries
-        # without counts go to the solve
+        # without counts go to the state reduction
         for x in range(1, 31):
             tm = make(x)
             solved = TransferMatrix(tm.family, tm.entries, tm.labels)
@@ -102,7 +103,7 @@ class TestStationary:
 
 
 class TestIntegerElimination:
-    """The stationary solve over ints gives the unique exact pi, once."""
+    """Visit counts and state reduction give the unique exact pi, once."""
 
     @pytest.mark.parametrize("kind,x,m", [("aloco", 2, 5), ("loco", 1, 6),
                                           ("caloco", 1, 4), ("cloco", 2, 6)])
@@ -114,38 +115,43 @@ class TestIntegerElimination:
             p * sum(derivative_at(e, 1) for e in row if e)
             for p, row in zip(pi, tm.entries))
 
-    # the closed forms count their visits in place of a solve, the A-LOCO
-    # one from its position means; a grid matrix solves once
-    @pytest.mark.parametrize("make,solved,means", [
+    # the closed forms and a finite family's grid count their visits, the
+    # A-LOCO closed form from its position means; a stream's grid and a BFS
+    # matrix reduce their states once
+    @pytest.mark.parametrize("make,reduced,means", [
         (lambda: closed_form_loco_A(6, 2), False, False),
         (lambda: closed_form_aloco(6, 2), False, True),
         (lambda: closed_form_ax(2), False, False),
-        (lambda: _grid_ostm(), True, False)],
-        ids=["loco", "aloco", "ax", "grid"])
-    def test_statistics_are_computed_once(self, make, solved, means,
+        (lambda: _grid_ostm(), False, False),
+        (lambda: presets.transfer_matrix_for(ConstraintFamily("ax", 2),
+                                             "grid"), True, False),
+        (lambda: _bfs_matrix("caloco", 1, 5), True, False)],
+        ids=["loco", "aloco", "ax", "grid", "stream_grid", "bfs"])
+    def test_statistics_are_computed_once(self, make, reduced, means,
                                           monkeypatch):
-        solves, reads = [], []
-        real_solve, real_means = transfer.solve, transfer.position_means
+        reductions, reads = [], []
+        real_reduce = transfer.reduce_states
+        real_means = transfer.position_means
 
-        def counting_solve(a, b):
-            solves.append(len(a))
-            return real_solve(a, b)
+        def counting_reduce(g1):
+            reductions.append(len(g1))
+            return real_reduce(g1)
 
         def counting_means(*args):
             reads.append(args)
             return real_means(*args)
 
-        monkeypatch.setattr(transfer, "solve", counting_solve)
+        monkeypatch.setattr(transfer, "reduce_states", counting_reduce)
         monkeypatch.setattr(transfer, "position_means", counting_means)
         tm = make()
         freqs = default_grid(32)
         first = spectrum_y(tm, freqs)
-        want = ([tm.n] if solved else [],
+        want = ([tm.n] if reduced else [],
                 [(tm.family, "x")] if means else [])
-        assert (solves, [a[:2] for a in reads]) == want
+        assert (reductions, [a[:2] for a in reads]) == want
         assert np.array_equal(spectrum_y(tm, freqs), first)
         assert prob_one(tm) == tm.prob_one
-        assert (solves, [a[:2] for a in reads]) == want
+        assert (reductions, [a[:2] for a in reads]) == want
 
     def test_entries_cannot_change(self):
         tm = closed_form_ax(2)

@@ -160,14 +160,14 @@ class TestFiniteClosedForms:
     @pytest.mark.parametrize("x", [1, 2, 3, 4])
     def test_loco_statistics_equal_solved(self, x, monkeypatch):
         # pi and p1 from the visit counts equal those of the Fraction solve,
-        # and nothing is solved for them
-        def no_solve(a, b):
-            raise AssertionError("solved")
+        # and no state is reduced for them
+        def no_reduction(g1):
+            raise AssertionError("reduced")
 
         for m in range(x + 2, 31):
             tm = closed_form_loco_A(m, x)
             with monkeypatch.context() as patch:
-                patch.setattr(transfer, "solve", no_solve)
+                patch.setattr(transfer, "reduce_states", no_reduction)
                 pi, p1 = tm.stationary, tm.prob_one
             assert pi == fraction_stationary(tm), m
             assert all(type(p) is F for p in pi)
@@ -182,6 +182,53 @@ class TestFiniteClosedForms:
                         assert e == RationalFn(e.num, e.den), (m, x)
                         assert (e.num, e.den) == euclid_canonical(e.num,
                                                                   e.den)
+
+
+class TestGridVisits:
+    """A finite family's grid matrix counts its visits from forward masses;
+    every matrix without counts reduces its states.  Both equal the
+    references, and each other where both apply."""
+
+    @pytest.mark.parametrize("x", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["aloco", "loco", "caloco", "cloco"])
+    def test_grid_visits_equal_references(self, kind, x):
+        for m in range(2, 13):
+            tm = presets.transfer_matrix_for(ConstraintFamily(kind, x, m),
+                                             "grid")
+            assert tm.visits is not None
+            assert tm.stationary == fraction_stationary(tm), m
+            assert all(type(p) is F for p in tm.stationary)
+            assert tm.prob_one == fraction_prob_one(tm), m
+
+    def test_grid_visits_equal_reduction_at_length(self):
+        tm = presets.transfer_matrix_for(ConstraintFamily("caloco", 1, 60),
+                                         "grid")
+        reduced = replace(tm, visits=None)
+        assert tm.stationary == reduced.stationary
+        assert tm.prob_one == reduced.prob_one
+
+    @pytest.mark.parametrize("x", [1, 2, 3, 5, 8, 20, 80])
+    @pytest.mark.parametrize("kind,closed", [("ax", closed_form_ax),
+                                             ("sx", closed_form_sx)])
+    def test_reduction_equals_reference_on_stream_grids(self, kind, closed,
+                                                        x):
+        tm = presets.transfer_matrix_for(ConstraintFamily(kind, x), "grid")
+        assert tm.visits is None
+        assert tm.stationary == fraction_stationary(tm) \
+            == closed(x).stationary
+        assert tm.prob_one == fraction_prob_one(tm) == closed(x).prob_one
+
+    @pytest.mark.parametrize("x", [1, 2, 3])
+    @pytest.mark.parametrize("kind", sorted(CLOCKED_KINDS))
+    def test_reduction_equals_reference_on_bfs_matrices(self, kind, x):
+        # a BFS matrix keeps the grid's labeled states in the grid's order
+        for m in range(2, 11):
+            fam = ConstraintFamily(kind, x, m)
+            tm = _bfs_matrix(fam)
+            grid = presets.transfer_matrix_for(fam, "grid")
+            assert tm.stationary == fraction_stationary(tm) \
+                == grid.stationary, m
+            assert tm.prob_one == fraction_prob_one(tm) == grid.prob_one, m
 
 
 def aloco_reference(m, x):
@@ -360,10 +407,21 @@ class TestExactStatistics:
 
     def test_reducible_matrix_names_column(self):
         # two absorbing states: every pi on the line pi_0 + pi_1 = 1 is
-        # stationary, so the system has no pivot in its last column
+        # stationary, and state 1 sends no mass to state 0
         tm = TransferMatrix(ConstraintFamily("iid", 0), [[D, ZERO], [ZERO, D]],
                             ["a", "b"])
         tm.check_stochastic()
-        with pytest.raises(ValueError, match="column 1 has no pivot"):
+        with pytest.raises(ValueError, match="state 1 has no mass"):
+            tm.stationary
+
+    def test_transient_state_is_refused(self):
+        # state 0 is transient and pi = (0, 1) is unique, but G(1) is not
+        # irreducible: state 1 sends no mass to state 0
+        half = mono(F(1, 2), 1)
+        tm = TransferMatrix(ConstraintFamily("iid", 0), [[half, half],
+                                                         [ZERO, D]],
+                            ["a", "b"])
+        tm.check_stochastic()
+        with pytest.raises(ValueError, match="not irreducible: state 1"):
             tm.stationary
 

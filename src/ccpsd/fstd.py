@@ -20,15 +20,20 @@ Two constructions are provided:
 generating function sum_t P(run of t steps) D^t, exact in D, with the
 label-free states eliminated one at a time by ``ratfn.eliminate``
 (``path_functions``, which ``clocked`` reads its run lists from too).
+
+Edge probabilities are ``Fraction``s, but ``Fstd.check``, the merge and a
+codeword grid's visit masses read them as (numerator, denominator) ints
+and make no ``Fraction`` until a result is returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .codebook import INFINITE_KINDS, ConstraintFamily, automaton
-from .ratfn import RationalFn, eliminate
+from .ratfn import RationalFn, eliminate, over_lcm
 
 
 @dataclass(frozen=True)
@@ -62,18 +67,20 @@ class Fstd:
         probabilities in (0, 1], stochasticity of every state, sinks
         included."""
         incoming = {}
-        outgoing = dict.fromkeys(range(len(self.states)), Fraction(0))
+        outgoing = {f: [] for f in range(len(self.states))}
         for f, t, sym, p in self.edges:
-            if not 0 < p <= 1:
+            if not 0 < p.numerator <= p.denominator:
                 raise ValueError(f"edge {f} -> {t} probability {p} "
                                  "outside (0, 1]")
             incoming.setdefault(t, set()).add(sym)
-            outgoing[f] = outgoing.get(f, Fraction(0)) + p
+            outgoing.setdefault(f, []).append((p.numerator, p.denominator))
         for t, syms in incoming.items():
             if len(syms) != 1:
                 raise ValueError(f"state {t} has mixed incoming symbols")
-        for f, total in outgoing.items():
-            if total != 1:
+        for f, parts in outgoing.items():
+            nums, scale = over_lcm(parts)
+            if sum(nums) != scale:
+                total = Fraction(sum(nums), scale)
                 raise ValueError(f"state {f} outgoing probability {total} != 1")
         return True
 
@@ -236,29 +243,34 @@ def merge_equivalent_states(fstd):
     """Quotient by the coarsest bisimulation refining the category partition.
 
     States in the same block share column and role (their category), and have
-    identical aggregated (symbol, probability, destination-block) signatures.
+    identical aggregated (symbol, destination-block, probability) signatures,
+    the probabilities as (numerator, denominator) ints.  Edges of one state
+    are summed only where they share a symbol, which no grid state's do.
     """
     n = len(fstd.states)
-    block = {i: fstd.states[i].category for i in range(n)}
-    out = {i: [] for i in range(n)}
+    block = [s.category for s in fstd.states]
+    out = [[] for _ in range(n)]
     for f, t, sym, p in fstd.edges:
         out[f].append((t, sym, p))
+    # each state's edges as (target, symbol, numerator, denominator), or
+    # None where two of them share a symbol and must be summed
+    parts = [None if len({sym for _, sym, _ in edges}) < len(edges)
+             else [(t, sym, p.numerator, p.denominator) for t, sym, p in edges]
+             for edges in out]
 
-    count = len(set(block.values()))
+    count = len(set(block))
     while True:
-        sigs = {}
-        for i in range(n):
-            agg = {}
-            for t, sym, p in out[i]:
-                key = (sym, block[t])
-                agg[key] = agg.get(key, Fraction(0)) + p
-            sigs[i] = (block[i], tuple(sorted(agg.items())))
-        newblock = {}
         seen = {}
+        newblock = []
         for i in range(n):
-            if sigs[i] not in seen:
-                seen[sigs[i]] = len(seen)
-            newblock[i] = seen[sigs[i]]
+            if parts[i] is None:
+                agg = _summed(out[i], block)
+                sig = tuple(sorted((sym, b, p.numerator, p.denominator)
+                                   for (b, sym), p in agg.items()))
+            else:
+                sig = tuple(sorted([(sym, block[t], v, d)
+                                    for t, sym, v, d in parts[i]]))
+            newblock.append(seen.setdefault((block[i], sig), len(seen)))
         # signatures include the old block, so blocks can only split
         if len(seen) == count:
             break
@@ -270,15 +282,21 @@ def merge_equivalent_states(fstd):
     for i in sorted(range(n), key=lambda i: fstd.states[i].sort_key):
         reps.setdefault(block[i], i)
     rank = {b: k for k, b in enumerate(reps)}
-    edges = []
-    for k, r in enumerate(reps.values()):
-        agg = {}
-        for t, sym, p in out[r]:
-            key = (rank[block[t]], sym)
-            agg[key] = agg.get(key, Fraction(0)) + p
-        edges += [(k, t, sym, p) for (t, sym), p in agg.items()]
+    merged = [rank[b] for b in block]
+    edges = [(k, t, sym, p) for k, r in enumerate(reps.values())
+             for (t, sym), p in _summed(out[r], merged).items()]
     states = [fstd.states[r] for r in reps.values()]  # State is frozen
     return Fstd(family=fstd.family, states=states, edges=edges)
+
+
+def _summed(edges, block):
+    """{(block of target, symbol): probability} of one state's edges, those
+    sharing both summed, in the order of their first edges."""
+    agg = {}
+    for t, sym, p in edges:
+        key = block[t], sym
+        agg[key] = agg[key] + p if key in agg else p
+    return agg
 
 
 # ---------------------------------------------------------------------------
@@ -304,23 +322,40 @@ def _grid_visits(fstd, labeled):
     exactly from a state of the last column for two periods and kept over
     a third.  Each word's first bit is drawn in the bridge before it from
     one law whatever came before, so the second word is uniform, and no
-    state of the third period remembers an older bit."""
+    state of the third period remembers an older bit.  The masses are ints
+    over one scale, which each step multiplies by the lcm of the
+    denominators of the states with mass and reduces by the common gcd."""
     period = fstd.family.m + fstd.family.x
     out = [[] for _ in fstd.states]
     for f, t, _, p in fstd.edges:
         out[f].append((t, p))
+    # each state's edges as ints over the lcm of their denominators
+    steps = []
+    for edges in out:
+        nums, den = over_lcm((p.numerator, p.denominator) for _, p in edges)
+        steps.append((den, [(t, v) for (t, _), v in zip(edges, nums)]))
     mass = {next(i for i, s in enumerate(fstd.states)
-                 if s.position == period - 1): Fraction(1)}
+                 if s.position == period - 1): 1}
+    scale = 1
     kept = {}
     for step in range(3 * period):
+        common = lcm(*(steps[i][0] for i in mass))
         step_mass = {}
         for i, w in mass.items():
-            for t, p in out[i]:
-                step_mass[t] = step_mass.get(t, 0) + w * p
+            den, edges = steps[i]
+            w *= common // den
+            for t, v in edges:
+                step_mass[t] = step_mass.get(t, 0) + w * v
+        scale *= common
+        g = gcd(scale, *step_mass.values())
+        if g > 1:
+            scale //= g
+            step_mass = {t: w // g for t, w in step_mass.items()}
         mass = step_mass
         if step >= 2 * period:
-            kept.update(mass)
-    return tuple(kept.get(i, Fraction(0)) for i in labeled), period
+            kept.update((t, (w, scale)) for t, w in mass.items())
+    return tuple(Fraction(*kept[i]) if i in kept else Fraction(0)
+                 for i in labeled), period
 
 
 def reduce_to_ostd(fstd):

@@ -32,12 +32,13 @@ Arithmetic runs on ints only:
   power of Q, with one ``Fraction`` made at the end; at D = 1 they are the
   plain coefficient sums.
 * ``over_lcm`` puts fractions over the lcm of their denominators, so that
-  ``sum_at_one`` and ``transfer`` add them as ints.
-* ``eliminate`` is the one elimination: it removes nodes from a graph of
-  rational edge weights, joining each node's predecessors to its
-  successors.  ``fstd`` reduces a diagram to its labeled states with it,
-  which ``clocked`` reads its run lists from, and ``transfer`` reads
-  pi (I - G)^-1 1, and pi itself from G(1), as edges left to sinks.
+  ``sum_at_one``, ``transfer`` and ``fstd`` add them as ints.
+* ``eliminate`` is the one elimination over rational functions: it removes
+  nodes from a graph of ``RationalFn`` edge weights, joining each node's
+  predecessors to its successors.  ``fstd`` reduces a diagram to its
+  labeled states with it, which ``clocked`` reads its run lists from, and
+  ``transfer`` reads pi (I - G)^-1 1 as an edge left to a sink.  pi
+  itself is reduced from G(1) on integer rows (``transfer.reduce_states``).
 * ``HornerStack`` evaluates many rational functions at an array of points
   in one pass of Horner's rule, with the coefficients rounded to floats once.
   It is the one float kernel: ``evaluate`` at a float or complex point, or
@@ -461,7 +462,7 @@ def eliminate(out, nodes):
     """Remove ``nodes`` from the graph ``out`` in the given order, in place.
 
     ``out`` maps each node to a {successor: weight} map of its edges, the
-    weights ``RationalFn``s or, for G(1), ``Fraction``s.
+    weights ``RationalFn``s.
     Removing u with self-loop w joins each predecessor p to each successor s
     by out[p][u] / (1 - w) * out[u][s], so that every path through removed
     nodes is summed into one edge between the nodes kept.  The paths are

@@ -17,13 +17,16 @@ The A-LOCO closed form's states are the positions of one period that read
 words in which each free, forced or bridge state occurs, from the ones and
 adjacent pair counts of ``codebook.pair_counts``; a stream closed form's
 are read from its fair coins; a codeword grid's are its labeled states'
-masses over a period, which is the scale (``fstd.reduce_to_ostd``).  Every
-other matrix -- a stream grid or BFS matrix -- takes pi by state reduction
-(``reduce_states``), and p1 = 1 / (pi G'(1) 1) takes each row sum of G'(1)
-as one int over the lcm of its entries' denominators, from coefficient
-sums.  A row of G(1) is checked to sum to 1 the same way
+masses over a period, pushed forward as ints over one scale
+(``fstd.reduce_to_ostd``).  Every other matrix -- a stream grid or BFS
+matrix -- takes pi by state reduction on rows of ints over one
+denominator each (``reduce_states``), and p1 = 1 / (pi G'(1) 1) takes each
+row sum of G'(1) as one int over the lcm of its entries' denominators, from
+coefficient sums.  A row of G(1) is checked to sum to 1 the same way
 (``ratfn.sum_at_one``).
-The exact PSD S_X(D) (``psd_x``) is kept on the matrix as pi is.
+The exact PSD S_X(D) (``psd_x``) is kept on the matrix as pi is.  A stream
+closed form is dense, so one whose order squared exceeds
+``MATRIX_SLOT_LIMIT`` is refused before it is built.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
 import numpy as np
 
@@ -38,6 +42,13 @@ from .codebook import ConstraintFamily, alpha, lam, pair_counts, zeta
 from .cyclo import position_means
 from .ratfn import (HornerStack, ONE, RationalFn, ZERO, eliminate, over_lcm,
                     sum_at_one)
+
+
+# Most entries, zeros included, of the dense matrix a stream closed form
+# builds.  Building ``closed_form_ax(x)`` peaks at about 16 B a slot above
+# the 29 MB of the imports (x=4,000: 274 MB on a 2-CPU host; `bandwidth` at
+# x=5,000, 418 MB), so the limit, x up to 8,191, needs about 1.1 GB.
+MATRIX_SLOT_LIMIT = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -172,24 +183,60 @@ def reduce_states(g1):
     1985): pi_k / pi_0 is the mean number of visits to k between visits to
     0.  The edges into 0 are dropped, each state k > 0 is joined to a sink
     by 1, and states are eliminated from the last back; the edge left from
-    0 to k's sink is that mean.  A state whose loop is 1 when it is removed
-    has no mass to the states before it, so G(1) is not irreducible, and
-    ``ValueError`` names that state.
+    0 to k's sink is that mean.
+
+    Each row is ints over one denominator d.  Removing u with loop l scales
+    the row of each predecessor p by d_u - l, adds p's weight to u times
+    u's row, multiplies p's denominator by d_u - l, and divides the row and
+    its denominator by their gcd.  A state whose loop is 1 when it is
+    removed has no mass to the states before it, so G(1) is not
+    irreducible, and ``ValueError`` names that state.
     """
     n = len(g1)
-    out = {i: {j: v for j, v in enumerate(row) if j and v}
-           for i, row in enumerate(g1)}
-    for k in range(1, n):
-        out[k]["T", k] = 1
-    try:
-        eliminate(out, range(n - 1, 0, -1))
-    except ZeroDivisionError:
-        k = min(set(range(1, n)) - out.keys())
-        raise ValueError(f"G(1) is not irreducible: state {k} has no mass "
-                         "to the states before it") from None
-    visits = [Fraction(1)] + [out[0].get(("T", k), 0) for k in range(1, n)]
+    rows, dens = [], []
+    for i, row in enumerate(g1):
+        cols = [j for j, v in enumerate(row) if j and v]
+        nums, den = over_lcm((row[j].numerator, row[j].denominator)
+                             for j in cols)
+        rows.append(dict(zip(cols, nums)))
+        if i:
+            rows[i][n + i] = den  # column n + k is k's sink
+        dens.append(den)
+    into = [set() for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j in row:
+            if j < n:
+                into[j].add(i)
+    for u in range(n - 1, 0, -1):
+        row = rows[u]
+        into[u].discard(u)
+        scale = dens[u] - row.pop(u, 0)
+        if not scale:
+            raise ValueError(f"G(1) is not irreducible: state {u} has no "
+                             "mass to the states before it")
+        for s in row:
+            if s < n:
+                into[s].discard(u)
+        for p in into[u]:
+            prow = rows[p]
+            w = prow.pop(u)
+            if scale != 1:
+                for s in prow:
+                    prow[s] *= scale
+            for s, v in row.items():
+                prow[s] = prow[s] + w * v if s in prow else w * v
+                if s < n:
+                    into[s].add(p)
+            den = dens[p] * scale
+            g = gcd(den, *prow.values())
+            if g > 1:
+                for s in prow:
+                    prow[s] //= g
+                den //= g
+            dens[p] = den
+    visits = [dens[0]] + [rows[0].get(n + k, 0) for k in range(1, n)]
     total = sum(visits)
-    return tuple(v / total for v in visits)
+    return tuple(Fraction(v, total) for v in visits)
 
 
 def ostm_from_ostd(ostd):
@@ -219,10 +266,21 @@ def _alpha_fn(x):
     ) / 2
 
 
+def _stream_order(fam):
+    """x + 1, the order of a stream closed form, refused before anything is
+    allocated when its square exceeds ``MATRIX_SLOT_LIMIT``."""
+    n = fam.x + 1
+    if n * n > MATRIX_SLOT_LIMIT:
+        raise ValueError(
+            f"{fam.kind} x={fam.x} needs a dense {n} x {n} transfer matrix,"
+            f" more than the limit of {MATRIX_SLOT_LIMIT} entries")
+    return n
+
+
 def closed_form_ax(x):
     """(x+1)x(x+1) matrix over states with trailing one-run 1..x+1."""
     fam = ConstraintFamily("ax", x)
-    n = x + 1
+    n = _stream_order(fam)
     alpha_fn = _alpha_fn(x)
     half_d = RationalFn.monomial(Fraction(1, 2), 1)
     entries = [[ZERO] * n for _ in range(n)]
@@ -244,7 +302,7 @@ def closed_form_ax(x):
 def closed_form_sx(x):
     """Same state set for the 01-symmetric family; one runs are capped."""
     fam = ConstraintFamily("sx", x)
-    n = x + 1
+    n = _stream_order(fam)
     entries = [[ZERO] * n for _ in range(n)]
     entries[n - 1][0] = _alpha_fn(x)
     for i in range(n - 1):

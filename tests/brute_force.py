@@ -304,12 +304,14 @@ def derivative_at(f, z):
     return Fraction(*f.derivative_parts(z))
 
 
-def fraction_prob_one(tm):
+def fraction_prob_one(tm, pi=None):
     """Reference for ``TransferMatrix.prob_one``: 1 / (pi G'(1) 1) with
-    G'(1) entry by entry from ``derivative_at``."""
+    G'(1) entry by entry from ``derivative_at``, and pi from
+    ``fraction_stationary`` unless it is given."""
     dg = [[derivative_at(e, 1) if e else Fraction(0) for e in row]
           for row in tm.entries]
-    mean = sum(p * sum(row) for p, row in zip(fraction_stationary(tm), dg))
+    pi = fraction_stationary(tm) if pi is None else pi
+    mean = sum(p * sum(row) for p, row in zip(pi, dg))
     return 1 / mean
 
 
@@ -320,6 +322,99 @@ def fraction_check_stochastic(tm):
         if sum(row) != 1:
             raise ValueError(f"row {i} of G(1) sums to {sum(row)} != 1")
     return True
+
+
+def fraction_reduce_states(g1):
+    """Reference for ``transfer.reduce_states``: the same state reduction
+    with every entry a ``Fraction``, summed and divided entry by entry.
+    Removing u with loop w joins each predecessor p to each successor s by
+    out[p][u] / (1 - w) * out[u][s]; a loop of 1 raises ``ValueError``
+    under the same message."""
+    n = len(g1)
+    out = {i: {j: Fraction(v) for j, v in enumerate(row) if j and v}
+           for i, row in enumerate(g1)}
+    for k in range(1, n):
+        out[k]["T", k] = Fraction(1)
+    for u in range(n - 1, 0, -1):
+        succ = out.pop(u)
+        loop = succ.pop(u, Fraction(0))
+        if loop == 1:
+            raise ValueError(f"G(1) is not irreducible: state {u} has no "
+                             "mass to the states before it")
+        succ = {s: v / (1 - loop) for s, v in succ.items()}
+        for row in out.values():
+            if u in row:
+                w = row.pop(u)
+                for s, v in succ.items():
+                    row[s] = row.get(s, Fraction(0)) + w * v
+    visits = [Fraction(1)] + [out[0].get(("T", k), Fraction(0))
+                              for k in range(1, n)]
+    total = sum(visits)
+    return tuple(v / total for v in visits)
+
+
+def fraction_merge_equivalent_states(fstd):
+    """Reference for ``fstd.merge_equivalent_states``: the same refinement
+    with every signature a sorted tuple of ((symbol, block), summed
+    ``Fraction``) pairs, each edge added to ``Fraction(0)``."""
+    n = len(fstd.states)
+    block = {i: fstd.states[i].category for i in range(n)}
+    out = {i: [] for i in range(n)}
+    for f, t, sym, p in fstd.edges:
+        out[f].append((t, sym, p))
+
+    count = len(set(block.values()))
+    while True:
+        sigs = {}
+        for i in range(n):
+            agg = {}
+            for t, sym, p in out[i]:
+                key = (sym, block[t])
+                agg[key] = agg.get(key, Fraction(0)) + p
+            sigs[i] = (block[i], tuple(sorted(agg.items())))
+        newblock = {}
+        seen = {}
+        for i in range(n):
+            if sigs[i] not in seen:
+                seen[sigs[i]] = len(seen)
+            newblock[i] = seen[sigs[i]]
+        if len(seen) == count:
+            break
+        block, count = newblock, len(seen)
+
+    reps = {}
+    for i in sorted(range(n), key=lambda i: fstd.states[i].sort_key):
+        reps.setdefault(block[i], i)
+    rank = {b: k for k, b in enumerate(reps)}
+    edges = []
+    for k, r in enumerate(reps.values()):
+        agg = {}
+        for t, sym, p in out[r]:
+            key = (rank[block[t]], sym)
+            agg[key] = agg.get(key, Fraction(0)) + p
+        edges += [(k, t, sym, p) for (t, sym), p in agg.items()]
+    return [fstd.states[r] for r in reps.values()], edges
+
+
+def fraction_grid_visits(fstd, labeled):
+    """Reference for ``fstd._grid_visits``: the same forward masses, each a
+    ``Fraction`` multiplied and summed edge by edge."""
+    period = fstd.family.m + fstd.family.x
+    out = [[] for _ in fstd.states]
+    for f, t, _, p in fstd.edges:
+        out[f].append((t, p))
+    mass = {next(i for i, s in enumerate(fstd.states)
+                 if s.position == period - 1): Fraction(1)}
+    kept = {}
+    for step in range(3 * period):
+        step_mass = {}
+        for i, w in mass.items():
+            for t, p in out[i]:
+                step_mass[t] = step_mass.get(t, 0) + w * p
+        mass = step_mass
+        if step >= 2 * period:
+            kept.update(mass)
+    return tuple(kept.get(i, Fraction(0)) for i in labeled), period
 
 
 def check_nonnegative_series(tm, count=40):

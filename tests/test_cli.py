@@ -386,6 +386,22 @@ class TestExitCodes:
         assert main(["psd", "--family", "ax", "--x", "1"]) == 1
         assert capsys.readouterr().err == "error: out of memory\n"
 
+    @pytest.mark.parametrize("args", [
+        ["bandwidth", "--family", "ax"],
+        ["psd", "--family", "sx", "--points", "64"],
+        ["ostm", "--family", "ax"],
+    ], ids=["bandwidth_ax", "psd_sx", "ostm_ax"])
+    def test_stream_over_the_matrix_limit(self, tmp_path, monkeypatch,
+                                          capsys, args):
+        # a 20,001 x 20,001 matrix would take about 6.4 GB; it is refused
+        # before it is allocated
+        monkeypatch.chdir(tmp_path)
+        assert main(args + ["--x", "20000"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "x=20000 needs a dense 20001 x 20001 transfer matrix" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_negative_points_is_usage_error(self, tmp_path):
         r = run(["psd", "--family", "ax", "--x", "1", "--points", "-3"],
                 tmp_path)

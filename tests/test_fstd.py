@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brute_force import brute_force_ostd
+from brute_force import (brute_force_ostd, fraction_grid_visits,
+                         fraction_merge_equivalent_states)
 from ccpsd.clocked import bfs_ostd, clocked_inputs_from_fstd, effective_run_bound
 from ccpsd.codebook import CLOCKED_KINDS, ConstraintFamily, enumerate_codebook
 from ccpsd.fstd import (
@@ -12,6 +13,7 @@ from ccpsd.fstd import (
     Ostd,
     State,
     build_grid_fstd,
+    _grid_visits,
     build_infinite_fstd,
     merge_equivalent_states,
     reduce_to_ostd,
@@ -256,6 +258,15 @@ class TestPathGeneratingFunctions:
                            match="state 1 outgoing probability 0 != 1"):
             fstd.check()
 
+    def test_check_sums_unequal_denominators(self):
+        # 1/2 + 1/3 + 1/6 over their lcm 6; without the 1/6 the message
+        # names the reduced total
+        assert _one_state_fstd((Fraction(1, 2), Fraction(1, 3),
+                                Fraction(1, 6))).check()
+        with pytest.raises(ValueError,
+                           match="state 0 outgoing probability 5/6 != 1"):
+            _one_state_fstd((Fraction(1, 2), Fraction(1, 3))).check()
+
     def test_ostm_refuses_row_not_summing_to_one(self):
         half = RationalFn.monomial(Fraction(1, 2), 1)
         ostd = Ostd(family=ConstraintFamily("ax", 1), state_keys=[(0, 1)],
@@ -264,3 +275,63 @@ class TestPathGeneratingFunctions:
             ostm_from_ostd(ostd)
         assert ostm_from_ostd(reduce_to_ostd(
             _one_state_fstd((Fraction(1, 2), Fraction(1, 2))))).n == 1
+
+
+def _same(got, want):
+    """== with the same type in every position of two nested sequences."""
+    assert got == want
+    flat = [(type(a), type(b)) for g, w in zip(got, want)
+            for a, b in (zip(g, w) if isinstance(g, tuple) else [(g, w)])]
+    assert all(a is b for a, b in flat)
+
+
+class TestIntegerArithmetic:
+    """The merge and the forward masses run on ints; both equal their
+    ``Fraction`` references, value for value and type for type."""
+
+    @pytest.mark.parametrize("x", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["aloco", "loco", "caloco", "cloco"])
+    def test_grid_merge_and_visits_equal_references(self, kind, x):
+        for m in range(2, 13):
+            raw = build_grid_fstd(enumerate_codebook(
+                ConstraintFamily(kind, x, m)), merge=False)
+            merged = merge_equivalent_states(raw)
+            states, edges = fraction_merge_equivalent_states(raw)
+            assert merged.states == states, m
+            _same(merged.edges, edges)
+            labeled = merged.labeled_indices()
+            visits, period = _grid_visits(merged, labeled)
+            want, want_period = fraction_grid_visits(merged, labeled)
+            _same(visits, want)
+            assert period == want_period
+
+    @pytest.mark.parametrize("kind", ["ax", "sx"])
+    def test_stream_merge_equals_reference(self, kind):
+        for x in (1, 2, 3, 5, 8):
+            diagram = build_infinite_fstd(ConstraintFamily(kind, x))
+            merged = merge_equivalent_states(diagram)
+            states, edges = fraction_merge_equivalent_states(diagram)
+            assert merged.states == states, x
+            _same(merged.edges, edges)
+
+    def test_merge_sums_edges_sharing_a_symbol(self):
+        # a reaches the equivalent u and v by symbol 0, 1/2 each: merged,
+        # a has one edge of 1 to their block
+        a = State("stationary", (1,), True, (0, 0))
+        u = State("stationary", (0,), False, (3, 0))
+        v = State("stationary", (0, 0), False, (3, 0))
+        half = Fraction(1, 2)
+        diagram = Fstd(family=ConstraintFamily("ax", 1), states=[a, u, v],
+                       edges=[(0, 1, 0, half), (0, 2, 0, half),
+                              (1, 0, 1, Fraction(1)), (2, 0, 1, Fraction(1))])
+        merged = merge_equivalent_states(diagram)
+        assert merged.states == [a, u]
+        assert merged.edges == [(0, 1, 0, Fraction(1)), (1, 0, 1, Fraction(1))]
+        states, edges = fraction_merge_equivalent_states(diagram)
+        assert merged.states == states
+        _same(merged.edges, edges)
+        # edges sharing a symbol into different blocks stay apart
+        merged = merge_equivalent_states(_two_loop_fstd("uvab"))
+        states, edges = fraction_merge_equivalent_states(_two_loop_fstd("uvab"))
+        assert merged.states == states
+        _same(merged.edges, edges)

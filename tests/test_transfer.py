@@ -1,7 +1,11 @@
+import time
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from brute_force import (
     alternate_ax,
@@ -11,6 +15,7 @@ from brute_force import (
     euclid_canonical,
     fraction_check_stochastic,
     fraction_prob_one,
+    fraction_reduce_states,
     fraction_stationary,
     horner,
 )
@@ -27,7 +32,9 @@ from ccpsd.codebook import (
 from ccpsd.fstd import build_grid_fstd, build_infinite_fstd, reduce_to_ostd
 from ccpsd.ratfn import RationalFn, D, ZERO
 from ccpsd.transfer import (
+    MATRIX_SLOT_LIMIT,
     TransferMatrix,
+    _stream_order,
     closed_form_aloco,
     closed_form_ax,
     closed_form_loco_A,
@@ -425,3 +432,92 @@ class TestExactStatistics:
         with pytest.raises(ValueError, match="not irreducible: state 1"):
             tm.stationary
 
+
+
+@st.composite
+def irreducible_g1(draw):
+    """G(1) of n states as rows of ``Fraction``s and int zeros: random
+    weights, self-loops included, plus one on a cycle through every state
+    in a random order, each row over its own sum."""
+    n = draw(st.integers(1, 7))
+    order = draw(st.permutations(range(n)))
+    weight = st.one_of(st.just(0), st.integers(1, 9), st.integers(1, 10**9))
+    rows = [draw(st.lists(weight, min_size=n, max_size=n)) for _ in range(n)]
+    for a, b in zip(order, order[1:] + order[:1]):
+        rows[a][b] += 1
+    return [[F(w, sum(row)) if w else 0 for w in row] for row in rows]
+
+
+class TestIntegerReduction:
+    """State reduction runs on integer rows; pi and p1 equal the
+    ``Fraction`` reduction's, value for value and type for type."""
+
+    @staticmethod
+    def _assert_reference(tm):
+        pi = fraction_reduce_states(tm._g1)
+        assert tm.stationary == pi
+        assert all(type(p) is F for p in tm.stationary)
+        assert tm.prob_one == fraction_prob_one(tm, pi)
+        assert type(tm.prob_one) is F
+
+    @pytest.mark.parametrize("x", [1, 2])
+    @pytest.mark.parametrize("kind", sorted(CLOCKED_KINDS))
+    def test_bfs_matrices_equal_reference(self, kind, x):
+        for m in range(2, 9):
+            tm = _bfs_matrix(ConstraintFamily(kind, x, m))
+            assert tm.visits is None
+            self._assert_reference(tm)
+
+    @pytest.mark.parametrize("x", [1, 2, 3, 5, 8, 20, 80])
+    @pytest.mark.parametrize("kind", ["ax", "sx"])
+    def test_stream_grids_equal_reference(self, kind, x):
+        tm = presets.transfer_matrix_for(ConstraintFamily(kind, x), "grid")
+        assert tm.visits is None
+        self._assert_reference(tm)
+
+    @settings(max_examples=200, deadline=None)
+    @given(irreducible_g1())
+    def test_random_irreducible_matrices(self, g1):
+        pi = transfer.reduce_states(g1)
+        tm = TransferMatrix(ConstraintFamily("iid", 0),
+                            [[RationalFn.monomial(v, 1) if v else ZERO
+                              for v in row] for row in g1],
+                            list(range(len(g1))))
+        assert pi == fraction_reduce_states(g1) == fraction_stationary(tm)
+        assert all(type(p) is F for p in pi)
+        n = len(g1)
+        assert all(sum(pi[i] * g1[i][j] for i in range(n)) == pi[j]
+                   for j in range(n))
+
+    def test_reference_refuses_reducible_matrices(self):
+        # the reference and the reduction fail on the same state
+        for g1 in ([[1, 0], [0, 1]], [[F(1, 2), F(1, 2)], [0, 1]],
+                   [[0, 1, 0], [1, 0, 0], [0, 0, 1]]):
+            with pytest.raises(ValueError) as want:
+                fraction_reduce_states(g1)
+            with pytest.raises(ValueError, match="not irreducible") as got:
+                transfer.reduce_states(g1)
+            assert str(got.value) == str(want.value)
+
+
+class TestStreamMatrixLimit:
+    """A stream closed form whose dense matrix exceeds the slot limit is
+    refused before it is allocated; every x up to the limit is taken."""
+
+    @pytest.mark.parametrize("closed", [closed_form_ax, closed_form_sx])
+    def test_over_the_limit_fails_at_once(self, closed):
+        x = isqrt(MATRIX_SLOT_LIMIT)  # (x + 1)^2 > MATRIX_SLOT_LIMIT
+        tracemalloc.start()
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="more than the limit of"):
+            closed(x)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("x", [1, 5000, isqrt(MATRIX_SLOT_LIMIT) - 1])
+    def test_limit_takes_measured_sizes(self, x):
+        for kind in ("ax", "sx"):
+            assert _stream_order(ConstraintFamily(kind, x)) == x + 1

@@ -277,12 +277,17 @@ class TestPathGeneratingFunctions:
             _one_state_fstd((Fraction(1, 2), Fraction(1, 2))))).n == 1
 
 
+def _types(value):
+    """The types of a value, tuple by tuple and list by list."""
+    if isinstance(value, (tuple, list)):
+        return [_types(v) for v in value]
+    return type(value)
+
+
 def _same(got, want):
-    """== with the same type in every position of two nested sequences."""
+    """== with the same type in every position."""
     assert got == want
-    flat = [(type(a), type(b)) for g, w in zip(got, want)
-            for a, b in (zip(g, w) if isinstance(g, tuple) else [(g, w)])]
-    assert all(a is b for a, b in flat)
+    assert _types(got) == _types(want)
 
 
 class TestIntegerArithmetic:

@@ -34,6 +34,7 @@ from math import gcd, lcm
 
 from .codebook import INFINITE_KINDS, ConstraintFamily, automaton
 from .ratfn import RationalFn, eliminate, over_lcm
+from .transfer import MATRIX_SLOT_LIMIT
 
 
 @dataclass(frozen=True)
@@ -114,8 +115,16 @@ def _trailing_run(history, bit):
 def build_infinite_fstd(family):
     if family.kind not in INFINITE_KINDS:
         raise ValueError("infinite FSTDs exist only for the ax/sx families")
+    # ax has (x+2)(x+3)/2 + 1 pattern-free (x+2)-bit windows and sx 2x + 4,
+    # listed as tuples of x + 2 bits unless they exceed the slot limit
+    x = family.x
+    count = (x + 2) * (x + 3) // 2 + 1 if family.kind == "ax" else 2 * x + 4
+    if count * (x + 2) > MATRIX_SLOT_LIMIT:
+        raise ValueError(f"{family.kind} x={x} would list {count} windows of"
+                         f" {x + 2} bits, more than the limit of"
+                         f" {MATRIX_SLOT_LIMIT} slots")
     # as bit tuples, so the histories and the state payloads are tuples
-    windows = set(map(tuple, automaton(family).walk(family.x + 2)))
+    windows = set(map(tuple, automaton(family).walk(x + 2)))
     # histories of the last x+1 bits that occur in a bi-infinite valid
     # stream: each ends one pattern-free window and starts another
     histories = sorted({w[1:] for w in windows} & {w[:-1] for w in windows})

@@ -11,8 +11,9 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass
-from functools import cache
-from itertools import count, islice
+from functools import cache, partial
+from itertools import islice
+from math import inf
 
 import numpy as np
 
@@ -128,65 +129,69 @@ def _geometric_half(rng, size, shift=0, out=None):
 
 
 def _chunk(n_left, mean, draws_left):
-    """Draws for the next piece: enough for the expected n_left symbols
-    (none if n_left < 0), at most a WORKERS-th of CHUNK_SYMBOLS."""
-    return min(max(1, CHUNK_SYMBOLS // WORKERS), draws_left,
-               max(0, int(n_left / mean)) + 64)
+    """Draws for the next piece, of mean symbols a draw: enough for the
+    expected n_left symbols (none if n_left < 0), at most a WORKERS-th of
+    CHUNK_SYMBOLS, and at most 16 CHUNK_SYMBOLS / (WORKERS mean), which
+    bounds the symbols of the pieces in flight when mean is large."""
+    return min(max(1, CHUNK_SYMBOLS // WORKERS),
+               max(1, int(16 * CHUNK_SYMBOLS / (WORKERS * mean))),
+               draws_left, max(0, int(n_left / mean)) + 64)
 
 
-def _ax_batch_runs(n, x):
-    """Runs in one batch of ax draws; one batch nearly always covers n."""
-    return int(n / 1.4) + 2 * x + 64
+def _stitched(n, piece, mean, cap):
+    """n int8 symbols from ``piece(first, out)``, the symbols of len(out)
+    draws from draw ``first`` on, with a float64 of scratch a draw in
+    ``out``.  Pieces are sized by ``_chunk`` from the symbols still
+    expected, never cross a multiple of cap draws, have their scratch made
+    on the calling thread (see ``_ahead``) and are copied in order."""
+    y = np.empty(n, dtype=np.int8)
+    pos = 0  # symbols set so far
+    used = 0  # draws of the pieces copied so far
+
+    def pieces():
+        drawn = 0  # draws of the pieces handed out
+        while True:
+            c = _chunk(n - pos - mean * (drawn - used), mean,
+                       cap - drawn % cap)
+            yield drawn, np.empty(c)
+            drawn += c
+
+    for c, symbols in _ahead(lambda item: (len(item[1]), piece(*item)),
+                             pieces()):
+        size = min(len(symbols), n - pos)
+        y[pos:pos + size] = symbols[:size]
+        del symbols  # freed before the next round's pieces allocate theirs
+        pos += size
+        used += c
+        if pos == n:
+            return y
 
 
-def _ax_piece(seed, x, short_at, tail_at, out):
-    """End of each of len(out) runs, counted from the first run's start, in
-    ``out``: the runs' short-or-long draws start at draw short_at, their
-    tails at tail_at."""
+def _ax_piece(seed, x, runs, first, out):
+    """Symbols of the len(out) runs from run ``first`` on, their ends
+    drawn in ``out``.  A batch of ``runs`` runs takes its short-or-long
+    draws and then its tails, so batch b starts at draw 2 b runs; a piece
+    does not cross a batch."""
+    short_at = first + first // runs * runs
     # a uniform (draw >> 11) 2^-53 is >= 1/2 when the draw's top bit is
     # set: then the run is long, 1 + x + geometric
     long = _rng(seed, short_at).bit_generator.random_raw(len(out))
     long >>= 63
-    ends = _geometric_half(_rng(seed, tail_at), len(out), x, out)
+    ends = _geometric_half(_rng(seed, short_at + runs), len(out), x, out)
     ends *= long.view(np.int64)
     ends += 1
     ends[0] -= 1  # the cumulative sums become end positions
-    return np.cumsum(ends, out=ends)
+    np.cumsum(ends, out=ends)
+    symbols = np.full(int(ends[-1]) + 1, -1, dtype=np.int8)
+    symbols[ends] = 1
+    return symbols
 
 
 def _ax_levels(seed, n, x):
-    """Runs of one with prob 1/2, else x+1 zeros and a geometric tail.
-
-    A batch of n_runs runs takes its n_runs short-or-long uniforms and then
-    its n_runs geometric tails; batch b starts at draw 2 b n_runs.  Runs are
-    drawn in pieces on the workers, each into an array made on the calling
-    thread (see ``_ahead``), and each piece's run ends are marked with a
-    one in order, until n symbols are set.
-    """
-    n_runs = _ax_batch_runs(n, x)
-    mean = (x + 4) / 2
-    y = np.full(n, -1, dtype=np.int8)
-    pos = 0  # symbols set so far; the next run starts here
-    used = 0  # runs of the pieces marked so far
-
-    def pieces():
-        drawn = 0  # runs of the pieces handed out
-        for batch in count():
-            done = 0
-            while done < n_runs:
-                c = _chunk(n - pos - mean * (drawn - used), mean,
-                           n_runs - done)
-                yield (2 * batch * n_runs + done,
-                       (2 * batch + 1) * n_runs + done, np.empty(c))
-                drawn += c
-                done += c
-
-    for ends in _ahead(lambda piece: _ax_piece(seed, x, *piece), pieces()):
-        y[pos:][ends[:np.searchsorted(ends, n - pos)]] = 1
-        pos += int(ends[-1]) + 1
-        used += len(ends)
-        if pos >= n:
-            return y
+    """Runs of one with prob 1/2, else x+1 zeros and a geometric tail, in
+    batches of runs of which one nearly always covers n."""
+    runs = int(n / 1.4) + 2 * x + 64
+    return _stitched(n, partial(_ax_piece, seed, x, runs), (x + 4) / 2, runs)
 
 
 def _flip_levels(flips, size, level):
@@ -218,66 +223,37 @@ def _sx_piece(seed, x, first, out):
     even blocks; their ends are drawn in ``out``."""
     ends = _geometric_half(_rng(seed, first), len(out), x, out)
     np.cumsum(ends, out=ends)
-    return len(out), _flip_levels(ends[:-1], int(ends[-1]),
-                                  -1 if first % 2 else 1)
+    return _flip_levels(ends[:-1], int(ends[-1]), -1 if first % 2 else 1)
 
 
 def _sx_levels(seed, n, x):
-    """Alternating one-runs and zero-runs, each of length x + geometric.
+    """Alternating one-runs and zero-runs, each of length x + geometric:
+    block i takes draw i, unbatched, and is a one-run when i is even."""
+    return _stitched(n, partial(_sx_piece, seed, x), x + 2, inf)
 
-    Block i takes draw i (top-up batches continue the same draws), and is a
-    one-run when i is even.  Pieces of blocks are written on the workers as
-    the sign flips at their block starts (see ``_flip_levels``), their ends
-    drawn into an array made on the calling thread, and copied into the
-    stream in order.  A piece has at most 16 CHUNK_SYMBOLS /
-    (WORKERS (x + 2)) blocks, so the pieces in flight together span at most
-    16 CHUNK_SYMBOLS symbols on average, which bounds their scratch at large
-    x; below x = 15 the draws' own bound is the lower.
+
+def _iid_piece(seed, first, out):
+    """Symbols of the len(out) draws from draw ``first`` on, two a draw,
+    in the bytes of ``out``.
+
+    numpy's ``rng.integers(0, 2)`` draws its bits from 32-bit halves of
+    the 64-bit draws, low half first, and keeps each half's top bit; so
+    symbol 2i is bit 31 of draw i and symbol 2i + 1 its bit 63, read here
+    from the raw draws.
     """
-    most = max(1, 16 * CHUNK_SYMBOLS // (WORKERS * (x + 2)))
-    y = np.empty(n, dtype=np.int8)
-    pos = 0
-    used = 0  # blocks of the pieces copied so far
-
-    def pieces():
-        drawn = 0  # blocks of the pieces handed out
-        while True:
-            c = _chunk(n - pos - (x + 2) * (drawn - used), x + 2, most)
-            yield drawn, np.empty(c)
-            drawn += c
-
-    for c, signs in _ahead(lambda piece: _sx_piece(seed, x, *piece),
-                           pieces()):
-        size = min(len(signs), n - pos)
-        y[pos:pos + size] = signs[:size]
-        del signs  # freed before the next round's pieces allocate theirs
-        pos += size
-        used += c
-        if pos == n:
-            return y
+    draws = _rng(seed, first).bit_generator.random_raw(len(out))
+    symbols = out.view(np.int8)[:2 * len(out)]
+    symbols[0::2] = (draws >> 30) & 2  # the bit as 0 or 2
+    symbols[1::2] = (draws >> 62) & 2
+    symbols -= 1
+    return symbols
 
 
 def _iid_levels(seed, n):
-    """Fair +-1 symbols, those of ``rng.integers(0, 2)`` drawn in pieces.
-
-    numpy draws those bits from 32-bit halves of the 64-bit draws, low half
-    first, and keeps each half's top bit; so symbol 2i is bit 31 of draw i
-    and symbol 2i + 1 its bit 63, read here from the raw draws.  Each piece
-    fills its own slice of the stream on a worker.
-    """
-    y = np.empty(n, dtype=np.int8)
-    step = 2 * max(1, CHUNK_SYMBOLS // (2 * WORKERS))  # even: whole draws
-
-    def piece(a):
-        out = y[a:a + step]
-        draws = _rng(seed, a // 2).bit_generator.random_raw(-(-len(out) // 2))
-        out[0::2] = (draws >> 30) & 2  # the bit as 0 or 2
-        out[1::2] = (draws[:len(out) // 2] >> 62) & 2
-        out -= 1
-
-    for _ in _ahead(piece, range(0, n, step)):
-        pass
-    return y
+    """Fair +-1 symbols, those of ``rng.integers(0, 2)``, in pieces of
+    CHUNK_SYMBOLS // (2 WORKERS) draws."""
+    return _stitched(n, partial(_iid_piece, seed), 2,
+                     max(1, CHUNK_SYMBOLS // (2 * WORKERS)))
 
 
 def _word_levels(seed, n, fam):
@@ -316,11 +292,13 @@ def _word_levels(seed, n, fam):
 def generate_stream(config):
     """Generate n_symbols of the +-1 (or three-level) waveform samples.
 
-    Each kind fills one int8 array in pieces, which together hold at most
-    CHUNK_SYMBOLS draws in flight, and stops near the last draw the stream
-    uses; the draws are those of one Philox(seed) generator drawing whole
-    arrays, so a seed gives the same stream at any piece size and on any
-    number of workers.
+    An ax, sx or iid stream is drawn in pieces on the workers, which
+    together hold at most CHUNK_SYMBOLS draws in flight, and ``_stitched``
+    copies their symbols into one int8 array in order, stopping near the
+    last draw the stream uses; a finite family's words are drawn on the
+    calling thread.  The draws are those of one Philox(seed) generator
+    drawing whole arrays, so a seed gives the same stream at any piece size
+    and on any number of workers.
     """
     fam = config.family
     n = config.n_symbols

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -400,6 +401,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "x=20000 needs a dense 20001 x 20001 transfer matrix" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("args", [
+        ["fstd"], ["ostm", "--method", "grid"],
+    ], ids=["fstd", "ostm_grid"])
+    def test_stream_grid_over_the_slot_limit(self, tmp_path, monkeypatch,
+                                             capsys, args):
+        # the 32,020,004 windows of 8,002 bits are refused before any is
+        # listed
+        monkeypatch.chdir(tmp_path)
+        start = time.perf_counter()
+        assert main(args + ["--family", "ax", "--x", "8000",
+                            "--out", "out.json"]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "ax x=8000 would list 32020004 windows of 8002 bits" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_negative_points_is_usage_error(self, tmp_path):

@@ -1,3 +1,5 @@
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from brute_force import (brute_force_ostd, fraction_grid_visits,
                          fraction_merge_equivalent_states)
 from ccpsd.clocked import bfs_ostd, clocked_inputs_from_fstd, effective_run_bound
-from ccpsd.codebook import CLOCKED_KINDS, ConstraintFamily, enumerate_codebook
+from ccpsd.codebook import (CLOCKED_KINDS, ConstraintFamily, automaton,
+                            enumerate_codebook)
 from ccpsd.fstd import (
     Fstd,
     Ostd,
@@ -48,6 +51,40 @@ class TestInfiniteDiagrams:
     def test_rejects_finite_families(self):
         with pytest.raises(ValueError):
             build_infinite_fstd(ConstraintFamily("aloco", 1, 4))
+
+
+class TestStreamGridLimit:
+    """A stream grid whose (x+2)-bit windows would hold more slots than a
+    dense transfer matrix may is refused before they are listed."""
+
+    @pytest.mark.parametrize("x", range(1, 31))
+    def test_window_counts(self, x):
+        # the counts the limit is checked with, without listing
+        for kind, count in (("ax", (x + 2) * (x + 3) // 2 + 1),
+                            ("sx", 2 * x + 4)):
+            walked = automaton(ConstraintFamily(kind, x)).walk(x + 2)
+            assert len(walked) == count
+
+    # ax x=509 and sx x=5790 are the largest x under the limit
+    @pytest.mark.parametrize("kind,x", [("ax", 510), ("ax", 8000),
+                                        ("sx", 5791)])
+    def test_over_the_limit_fails_at_once(self, kind, x):
+        tracemalloc.start()
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="more than the limit of"):
+            build_infinite_fstd(ConstraintFamily(kind, x))
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("kind,x,states", [("ax", 80, 3322),
+                                               ("sx", 160, 322)])
+    def test_long_stream_grids_still_build(self, kind, x, states):
+        grid = build_infinite_fstd(ConstraintFamily(kind, x))
+        assert grid.check()
+        assert len(grid.states) == states
 
 
 def _word_probability(raw, word):

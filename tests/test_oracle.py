@@ -3,6 +3,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -234,11 +235,16 @@ class ChunkedStreams:
         def three(n, x):
             return 3
         n = 3 * (x + 54) + 1000
-        monkeypatch.setattr(oracle, "_ax_batch_runs", three)
         monkeypatch.setattr(oracle, "CHUNK_SYMBOLS", chunk)
         for seed in (0, 2, 9):
-            assert_same_stream(cfg(kind, x, n=n, seed=seed),
-                               ax_runs=three, sx_blocks=three)
+            config = cfg(kind, x, n=n, seed=seed)
+            if kind == "ax":  # the stream of _ax_levels, its batches three runs
+                got = oracle._stitched(
+                    n, partial(oracle._ax_piece, seed, x, 3), (x + 4) / 2, 3)
+            else:
+                got = generate_stream(config)
+            assert np.array_equal(got, generate_stream_reference(
+                config, ax_runs=three, sx_blocks=three))
 
     # chunks of 1000 draws end at symbols that are not multiples of 64
     @pytest.mark.parametrize("chunk", [oracle.CHUNK_SYMBOLS, 1000])
@@ -415,6 +421,21 @@ def test_sx_memory_at_long_blocks(x, workers):
     assert peak < 1.8 * n, f"{peak / n:.2f} bytes per symbol"
 
 
+@pytest.mark.parametrize("x", [200, 2000])
+def test_ax_memory_at_long_runs(x, workers):
+    # an ax piece's symbols are made whole before they are copied, and the
+    # pieces in flight hold at most 16 CHUNK_SYMBOLS / ((x + 4) / 2) runs
+    # together; uncapped, one piece spans the stream
+    n = 10**7
+    tracemalloc.start()
+    try:
+        oracle._ax_levels(1, n, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.8 * n, f"{peak / n:.2f} bytes per symbol"
+
+
 def no_pool(threads):
     raise AssertionError("thread pool used")
 
@@ -464,13 +485,21 @@ class TestWorkers:
         assert sorted(finished) == sorted(started)
         assert len(started) <= workers
 
-    def test_stream_error_reaches_the_caller(self, workers, monkeypatch):
-        def failing(seed, x, first, out):
-            raise MemoryError(f"piece at block {first}")
+    @pytest.mark.parametrize("piece,kind,x", [("_ax_piece", "ax", 1),
+                                              ("_sx_piece", "sx", 1),
+                                              ("_iid_piece", "iid", 0)],
+                             ids=["ax", "sx", "iid"])
+    def test_stream_error_reaches_the_caller(self, piece, kind, x, workers,
+                                             monkeypatch):
+        def failing(*args):
+            first = args[-2]
+            if first:  # a piece the pool makes with three workers
+                raise MemoryError(f"piece at draw {first}")
+            return np.zeros(len(args[-1]), dtype=np.int8)
 
-        monkeypatch.setattr(oracle, "_sx_piece", failing)
-        with pytest.raises(MemoryError, match="piece at block 0"):
-            generate_stream(cfg("sx", 1, n=10**6))
+        monkeypatch.setattr(oracle, piece, failing)
+        with pytest.raises(MemoryError, match="piece at draw [1-9]"):
+            generate_stream(cfg(kind, x, n=10**6))
 
     def test_more_workers_than_cpus_with_short_switches(self, monkeypatch):
         # pieces stitched out of order or slices written twice would change
